@@ -45,12 +45,14 @@ fn bench_platform(c: &mut Criterion) {
             .len()
         })
     });
-    g.bench_function("multiplexed_at_least_once", |b| {
+    // Storm-style arm: every task multiplexed over one shared worker
+    // and unbounded inboxes.
+    g.bench_function("shared_worker_at_least_once", |b| {
         b.iter(|| {
             run_topology(
                 build(n),
                 ExecutorConfig {
-                    model: ExecutorModel::Multiplexed { tasks_per_worker: 2 },
+                    scheduling: Scheduling::WorkStealing { workers: 1 },
                     ..Default::default()
                 },
             )

@@ -1127,7 +1127,7 @@ fn t2_platform(r: &mut Recorder) {
     use sa_platform::tuple::tuple_of;
     use sa_platform::*;
     use std::time::Duration;
-    r.section("T2", "Streaming platforms — semantics × executor model × failures");
+    r.section("T2", "Streaming platforms — semantics × task→thread driver × failures");
     let make = |n: usize| -> (TopologyBuilder, i64) {
         let tuples: Vec<Tuple> = (0..n).map(|i| tuple_of([format!("w{}", i % 50)])).collect();
         let mut tb = TopologyBuilder::new();
@@ -1147,28 +1147,28 @@ fn t2_platform(r: &mut Recorder) {
         (tb, n as i64)
     };
     let n = 100_000;
-    for (label, model, semantics, drop) in [
-        ("heron-style, at-most-once", ExecutorModel::ProcessPerTask, Semantics::AtMostOnce, 0.0),
-        ("heron-style, at-least-once", ExecutorModel::ProcessPerTask, Semantics::AtLeastOnce, 0.0),
+    // Heron-style = a dedicated thread per task over bounded inboxes;
+    // the Storm-style arm multiplexes all nine tasks over one shared
+    // worker and unbounded inboxes.
+    let heron = Scheduling::ThreadPerTask;
+    let storm = Scheduling::WorkStealing { workers: 1 };
+    for (label, scheduling, semantics, drop) in [
+        ("heron-style, at-most-once", heron, Semantics::AtMostOnce, 0.0),
+        ("heron-style, at-least-once", heron, Semantics::AtLeastOnce, 0.0),
         (
-            "storm-style multiplexed, at-least-once",
-            ExecutorModel::Multiplexed { tasks_per_worker: 4 },
+            "shared pool, 1 worker, unbounded inboxes, at-least-once",
+            storm,
             Semantics::AtLeastOnce,
             0.0,
         ),
-        (
-            "heron-style, at-least-once, 2% loss",
-            ExecutorModel::ProcessPerTask,
-            Semantics::AtLeastOnce,
-            0.02,
-        ),
+        ("heron-style, at-least-once, 2% loss", heron, Semantics::AtLeastOnce, 0.02),
     ] {
         let (tb, truth) = make(n);
         let (res, secs) = timed(|| {
             run_topology(
                 tb,
                 ExecutorConfig {
-                    model,
+                    scheduling,
                     semantics,
                     link_drop_prob: drop,
                     ack_timeout: Duration::from_millis(400),

@@ -1,26 +1,31 @@
-//! Executor links: a thin front over `std::sync::mpsc` that lets one
-//! `Sender` type carry both flavours the two executor models need —
-//! rendezvous-bounded (ProcessPerTask / Heron, blocking send =
-//! backpressure) and unbounded (Multiplexed / Storm) — plus the
-//! scheduling primitives of the work-stealing runtime: [`Notifier`]
-//! (condvar-based idle waiting, no sleep-polling), `WsDeque` (a
-//! fixed-capacity Chase–Lev work-stealing deque over atomic cells, no
-//! `unsafe`), `Injector` (the global overflow/handoff queue workers
-//! park on), and inbox links (`inbox_channel`) whose sends invoke a
-//! scheduler wake hook instead of unblocking a thread.
+//! Executor links and the pool's scheduling primitives.
 //!
-//! Links can carry a [`LinkStats`] gauge (see
-//! [`channel_instrumented`]): every successful send bumps a depth
-//! counter (and its high-water mark), every receive decrements it, and
-//! a bounded send that finds the queue full is timed — the blocked
-//! nanoseconds are the platform's *backpressure stall* signal, Heron's
-//! "slow down, downstream is saturated" event surfaced as a metric.
-//! All accounting is relaxed atomics; the uncontended cost is two
-//! `fetch_add`s per message, paid once per *batch* on executor links.
+//! There is **one queue**: a mutex-protected FIFO with an optional
+//! capacity. [`channel`] hands out its two halves; a task inbox is the
+//! same queue plus a *wake hook* the sender invokes after every
+//! enqueue (the task is not blocked in `recv` — the scheduler runs it,
+//! and it drains with `Receiver::drain`).
+//!
+//! * `Some(capacity)`: a full queue **blocks the sender** until the
+//!   receiver drains — Heron-style backpressure; every inbox under the
+//!   dedicated (thread-per-task) driver.
+//! * `None`: `send` never blocks — what the pool needs (a worker
+//!   blocked in `send` could be the one its receiver is waiting for),
+//!   and the Storm-style "unbounded queues" arm of the ablation.
+//!
+//! A link can carry a [`LinkStats`] gauge ([`channel_instrumented`]):
+//! depth, high-water mark, and the time bounded sends spent blocked —
+//! the platform's *backpressure stall* signal, Heron's "slow down,
+//! downstream is saturated" event surfaced as a metric. All accounting
+//! is relaxed atomics, paid once per *batch* on executor links.
+//!
+//! Beside the queue: `WsDeque` (a fixed-capacity Chase–Lev
+//! work-stealing deque over atomic cells, no `unsafe`) and `Injector`
+//! (the global overflow/handoff queue pool workers park on).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Shared depth/backpressure gauge of one (bundle of) link(s).
@@ -62,13 +67,7 @@ impl LinkStats {
         self.inner.depth.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Record one dequeued message.
-    #[inline]
-    pub(crate) fn on_recv(&self) {
-        self.inner.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` dequeued messages in one update (bulk drains).
+    /// Record `n` dequeued messages in one update.
     #[inline]
     pub(crate) fn on_recv_n(&self, n: u64) {
         self.inner.depth.fetch_sub(n, Ordering::Relaxed);
@@ -102,40 +101,59 @@ impl LinkStats {
     }
 }
 
-enum SenderKind<T> {
-    /// Bounded queue: `send` blocks when full (backpressure).
-    Bounded(mpsc::SyncSender<T>),
-    /// Unbounded queue: `send` never blocks.
-    Unbounded(mpsc::Sender<T>),
-    /// Work-stealing inbox: an unbounded queue owned by a scheduler
-    /// slot. Every send invokes `wake`, which (re)schedules the owning
-    /// task on the worker pool — there is no thread blocked on the
-    /// receiving side to unblock.
-    Inbox { q: Arc<Mutex<VecDeque<T>>>, wake: Arc<dyn Fn() + Send + Sync> },
+/// The queue behind every link.
+struct Chan<T> {
+    state: Mutex<ChanState<T>>,
+    /// Senders blocked on a full bounded queue wait here.
+    not_full: Condvar,
+    /// A receiver blocked in [`Receiver::recv`] waits here.
+    not_empty: Condvar,
+    /// `usize::MAX` when unbounded.
+    capacity: usize,
 }
 
-impl<T> Clone for SenderKind<T> {
-    fn clone(&self) -> Self {
-        match self {
-            SenderKind::Bounded(s) => SenderKind::Bounded(s.clone()),
-            SenderKind::Unbounded(s) => SenderKind::Unbounded(s.clone()),
-            SenderKind::Inbox { q, wake } => SenderKind::Inbox { q: q.clone(), wake: wake.clone() },
-        }
+struct ChanState<T> {
+    q: VecDeque<T>,
+    senders: usize,
+    /// The receiving half is still attached.
+    open: bool,
+    /// Waiter counts gate the condvar notifies (a futex syscall each)
+    /// off the uncontended path.
+    blocked_senders: usize,
+    receiver_waiting: bool,
+}
+
+impl<T> Chan<T> {
+    fn lock(&self) -> MutexGuard<'_, ChanState<T>> {
+        self.state.lock().expect("link queue lock poisoned")
     }
 }
 
 /// Sending half of a link.
 pub struct Sender<T> {
-    kind: SenderKind<T>,
+    chan: Arc<Chan<T>>,
     stats: Option<LinkStats>,
-    /// Bumped after every successful send: the receiving worker parks
-    /// on this instead of sleep-polling its queues.
-    note: Option<Arc<Notifier>>,
+    /// Inbox links: invoked after every enqueue to mark the owning task
+    /// runnable.
+    wake: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        Self { kind: self.kind.clone(), stats: self.stats.clone(), note: self.note.clone() }
+        self.chan.lock().senders += 1;
+        Self { chan: self.chan.clone(), stats: self.stats.clone(), wake: self.wake.clone() }
+    }
+}
+
+impl<T> Drop for Sender<T> {
+    fn drop(&mut self) {
+        // No `expect` in drop: a poisoned queue has no one left to wake.
+        if let Ok(mut st) = self.chan.state.lock() {
+            st.senders -= 1;
+            if st.senders == 0 && st.receiver_waiting {
+                self.chan.not_empty.notify_one();
+            }
+        }
     }
 }
 
@@ -150,36 +168,35 @@ impl<T> Sender<T> {
         if let Some(stats) = &self.stats {
             stats.on_send();
         }
-        let sent = match &self.kind {
-            SenderKind::Bounded(s) => match s.try_send(value) {
-                Ok(()) => Ok(()),
-                Err(mpsc::TrySendError::Full(value)) => {
-                    let blocked_at = Instant::now();
-                    let sent = s.send(value).map_err(|_| Disconnected);
-                    if sent.is_ok() {
-                        if let Some(stats) = &self.stats {
-                            stats.on_stall(blocked_at.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    sent
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => Err(Disconnected),
-            },
-            SenderKind::Unbounded(s) => s.send(value).map_err(|_| Disconnected),
-            SenderKind::Inbox { q, wake } => {
-                q.lock().unwrap().push_back(value);
-                wake();
-                Ok(())
+        let mut st = self.chan.lock();
+        if st.open && st.q.len() >= self.chan.capacity {
+            let blocked_at = Instant::now();
+            st.blocked_senders += 1;
+            while st.open && st.q.len() >= self.chan.capacity {
+                st = self.chan.not_full.wait(st).expect("link queue lock poisoned");
             }
-        };
-        if sent.is_err() {
+            st.blocked_senders -= 1;
+            if let (true, Some(stats)) = (st.open, &self.stats) {
+                stats.on_stall(blocked_at.elapsed().as_nanos() as u64);
+            }
+        }
+        if !st.open {
+            drop(st);
             if let Some(stats) = &self.stats {
                 stats.on_send_failed();
             }
-        } else if let Some(note) = &self.note {
-            note.notify();
+            return Err(Disconnected);
         }
-        sent
+        st.q.push_back(value);
+        let receiver_waiting = st.receiver_waiting;
+        drop(st);
+        if receiver_waiting {
+            self.chan.not_empty.notify_one();
+        }
+        if let Some(wake) = &self.wake {
+            wake();
+        }
+        Ok(())
     }
 }
 
@@ -189,7 +206,7 @@ pub struct Disconnected;
 
 /// Receiving half of a link.
 pub struct Receiver<T> {
-    inner: mpsc::Receiver<T>,
+    chan: Arc<Chan<T>>,
     stats: Option<LinkStats>,
 }
 
@@ -205,31 +222,89 @@ pub enum TryRecvError {
 impl<T> Receiver<T> {
     /// Block until a message arrives; `Err` when all senders are gone.
     pub fn recv(&self) -> Result<T, Disconnected> {
-        let msg = self.inner.recv().map_err(|_| Disconnected)?;
-        if let Some(stats) = &self.stats {
-            stats.on_recv();
+        let mut st = self.chan.lock();
+        loop {
+            if let Some(msg) = st.q.pop_front() {
+                self.took(st, 1);
+                return Ok(msg);
+            }
+            if st.senders == 0 {
+                return Err(Disconnected);
+            }
+            st.receiver_waiting = true;
+            st = self.chan.not_empty.wait(st).expect("link queue lock poisoned");
+            st.receiver_waiting = false;
         }
-        Ok(msg)
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        match self.inner.try_recv() {
-            Ok(msg) => {
-                if let Some(stats) = &self.stats {
-                    stats.on_recv();
-                }
+        let mut st = self.chan.lock();
+        match st.q.pop_front() {
+            Some(msg) => {
+                self.took(st, 1);
                 Ok(msg)
             }
-            Err(mpsc::TryRecvError::Empty) => Err(TryRecvError::Empty),
-            Err(mpsc::TryRecvError::Disconnected) => Err(TryRecvError::Disconnected),
+            None if st.senders == 0 => Err(TryRecvError::Disconnected),
+            None => Err(TryRecvError::Empty),
+        }
+    }
+
+    /// Pop up to `max` queued messages into `into` with ONE lock
+    /// acquisition, returning how many were taken: a backlogged inbox
+    /// costs one mutex round-trip per *chunk* instead of one per
+    /// message. Unblocks senders waiting on a full queue.
+    pub(crate) fn drain(&self, max: usize, into: &mut Vec<T>) -> usize {
+        let mut st = self.chan.lock();
+        let n = max.min(st.q.len());
+        if n > 0 {
+            into.extend(st.q.drain(..n));
+            self.took(st, n);
+        }
+        n
+    }
+
+    /// Whether the queue is currently empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.chan.lock().q.is_empty()
+    }
+
+    /// Hang up: discard what is queued and fail every current and
+    /// future send (blocked senders included). Dropping the receiver
+    /// does the same.
+    pub(crate) fn close(&self) {
+        // No `expect`: this runs from `Drop`.
+        let Ok(mut st) = self.chan.state.lock() else { return };
+        st.open = false;
+        // Dropped after the lock is released.
+        let discarded = std::mem::take(&mut st.q);
+        self.took(st, discarded.len());
+    }
+
+    /// Settle the gauge for `n` dequeued messages and release the lock,
+    /// waking senders blocked on the room just made.
+    fn took(&self, st: MutexGuard<'_, ChanState<T>>, n: usize) {
+        let blocked = st.blocked_senders > 0;
+        drop(st);
+        if blocked {
+            self.chan.not_full.notify_all();
+        }
+        if let Some(stats) = &self.stats {
+            stats.on_recv_n(n as u64);
         }
     }
 }
 
-/// A link: `Some(capacity)` = bounded, `None` = unbounded.
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// A link: `Some(capacity)` = bounded (a full queue blocks the sender),
+/// `None` = unbounded.
 pub fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
-    build(capacity, None)
+    link(capacity, None, None)
 }
 
 /// A link whose traffic is accounted against `stats` (depth, high-water
@@ -239,164 +314,31 @@ pub fn channel_instrumented<T>(
     capacity: Option<usize>,
     stats: LinkStats,
 ) -> (Sender<T>, Receiver<T>) {
-    build(capacity, Some(stats))
+    link(capacity, Some(stats), None)
 }
 
-fn build<T>(capacity: Option<usize>, stats: Option<LinkStats>) -> (Sender<T>, Receiver<T>) {
-    match capacity {
-        Some(n) => {
-            let (s, r) = mpsc::sync_channel(n);
-            (
-                Sender { kind: SenderKind::Bounded(s), stats: stats.clone(), note: None },
-                Receiver { inner: r, stats },
-            )
-        }
-        None => {
-            let (s, r) = mpsc::channel();
-            (
-                Sender { kind: SenderKind::Unbounded(s), stats: stats.clone(), note: None },
-                Receiver { inner: r, stats },
-            )
-        }
-    }
-}
-
-/// A link whose sends additionally bump `note` — the receiving worker
-/// waits on the notifier (with a short timeout for time-based retries)
-/// instead of sleep-polling, so an idle topology burns ~0 CPU.
-pub(crate) fn channel_noted<T>(
+/// The general form. With a `wake` hook the link is a task inbox: every
+/// send invokes it after enqueueing (the scheduler uses it to mark the
+/// owning task runnable).
+pub(crate) fn link<T>(
     capacity: Option<usize>,
     stats: Option<LinkStats>,
-    note: Arc<Notifier>,
+    wake: Option<Arc<dyn Fn() + Send + Sync>>,
 ) -> (Sender<T>, Receiver<T>) {
-    let (mut s, r) = build(capacity, stats);
-    s.note = Some(note);
-    (s, r)
-}
-
-/// Receiving half of an inbox link: a plain pollable queue. Inboxes
-/// have no blocking `recv` — the scheduler runs the owning task when
-/// the send-side wake hook fires, and the task drains with
-/// [`InboxReceiver::try_pop`].
-pub(crate) struct InboxReceiver<T> {
-    q: Arc<Mutex<VecDeque<T>>>,
-    stats: Option<LinkStats>,
-}
-
-impl<T> InboxReceiver<T> {
-    /// Pop the oldest queued message, if any. (The runtime drains in
-    /// chunks via [`InboxReceiver::drain`]; kept for tests.)
-    #[cfg(test)]
-    pub fn try_pop(&self) -> Option<T> {
-        let msg = self.q.lock().unwrap().pop_front()?;
-        if let Some(stats) = &self.stats {
-            stats.on_recv();
-        }
-        Some(msg)
-    }
-
-    /// Pop up to `max` queued messages into `into` with ONE lock
-    /// acquisition, returning how many were taken. The per-activation
-    /// replacement for `try_pop` loops: a backlogged inbox costs one
-    /// mutex round-trip per *chunk* instead of one per message.
-    pub fn drain(&self, max: usize, into: &mut Vec<T>) -> usize {
-        let mut q = self.q.lock().unwrap();
-        let n = max.min(q.len());
-        if n == 0 {
-            return 0;
-        }
-        into.extend(q.drain(..n));
-        drop(q);
-        if let Some(stats) = &self.stats {
-            stats.on_recv_n(n as u64);
-        }
-        n
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.q.lock().unwrap().is_empty()
-    }
-}
-
-/// A work-stealing inbox link: unbounded, and every send invokes
-/// `wake` after enqueueing (the scheduler uses it to mark the owning
-/// task runnable). FIFO per queue, like every other link flavour.
-pub(crate) fn inbox_channel<T>(
-    stats: Option<LinkStats>,
-    wake: Arc<dyn Fn() + Send + Sync>,
-) -> (Sender<T>, InboxReceiver<T>) {
-    let q = Arc::new(Mutex::new(VecDeque::new()));
-    (
-        Sender { kind: SenderKind::Inbox { q: q.clone(), wake }, stats: stats.clone(), note: None },
-        InboxReceiver { q, stats },
-    )
-}
-
-/// A lost-wakeup-free event counter: waiters snapshot [`Notifier::seq`]
-/// *before* their final re-check of whatever condition they sleep on,
-/// then call [`Notifier::wait_past`] — if the event fired in between,
-/// the sequence number already moved and the wait returns immediately.
-/// Replaces the executor's historical `sleep(200µs)` polling loops:
-/// idle tasks now burn ~0 CPU and wake promptly when signalled.
-///
-/// `notify` is cheap when nobody is waiting (one relaxed-ish atomic
-/// add plus one load), so it can sit on the per-batch send path.
-#[derive(Default)]
-pub struct Notifier {
-    seq: AtomicU64,
-    waiters: AtomicUsize,
-    mx: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Notifier {
-    /// A fresh notifier at sequence 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current sequence number. Snapshot this before the final
-    /// condition re-check that precedes [`Notifier::wait_past`].
-    pub fn seq(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
-    }
-
-    /// Record one event and wake every current waiter.
-    pub fn notify(&self) {
-        self.seq.fetch_add(1, Ordering::Release);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            // The lock orders us against a waiter between its re-check
-            // and its `wait`: we cannot notify into that window.
-            let _g = self.mx.lock().unwrap();
-            self.cv.notify_all();
-        }
-    }
-
-    /// Sleep until the sequence moves past `seen` or `timeout` elapses.
-    /// Returns `true` when woken by an event (sequence advanced).
-    pub fn wait_past(&self, seen: u64, timeout: Duration) -> bool {
-        if self.seq.load(Ordering::Acquire) != seen {
-            return true;
-        }
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let deadline = Instant::now() + timeout;
-        let mut g = self.mx.lock().unwrap();
-        let advanced = loop {
-            if self.seq.load(Ordering::Acquire) != seen {
-                break true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break false;
-            }
-            let (guard, _) = self.cv.wait_timeout(g, deadline - now).unwrap();
-            g = guard;
-        };
-        drop(g);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        advanced
-    }
+    let chan = Arc::new(Chan {
+        state: Mutex::new(ChanState {
+            q: VecDeque::new(),
+            senders: 1,
+            open: true,
+            blocked_senders: 0,
+            receiver_waiting: false,
+        }),
+        not_full: Condvar::new(),
+        not_empty: Condvar::new(),
+        // A zero-capacity queue could never accept a message.
+        capacity: capacity.map_or(usize::MAX, |n| n.max(1)),
+    });
+    (Sender { chan: chan.clone(), stats: stats.clone(), wake }, Receiver { chan, stats })
 }
 
 /// A fixed-capacity Chase–Lev work-stealing deque specialised to
@@ -635,23 +577,66 @@ mod tests {
         assert_eq!(stats.stalls(), 0, "unbounded links never stall");
     }
 
+    /// Spin until `n` senders are parked on the queue's not-full
+    /// condvar — the tests below force the interleaving they check
+    /// instead of sleeping and hoping.
+    fn await_blocked<T>(rx: &Receiver<T>, n: usize) {
+        while rx.chan.lock().blocked_senders != n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn full_bounded_send_records_a_stall() {
+    fn full_inbox_blocks_the_sender_until_a_drain_and_charges_the_stall() {
         let stats = LinkStats::new();
-        let (tx, rx) = channel_instrumented::<u32>(Some(1), stats.clone());
-        tx.send(1).unwrap(); // fills the queue
-        let consumer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            (rx.recv(), rx.recv())
-        });
-        tx.send(2).unwrap(); // blocks until the consumer drains
-        assert_eq!(stats.stalls(), 1);
-        assert!(stats.stall_ns() > 1_000_000, "stall_ns = {}", stats.stall_ns());
-        assert_eq!(consumer.join().unwrap(), (Ok(1), Ok(2)));
-        assert_eq!(stats.depth(), 0);
+        let hook = Arc::new(|| {}) as Arc<dyn Fn() + Send + Sync>;
+        let (tx, rx) = link::<u32>(Some(2), Some(stats.clone()), Some(hook));
+        tx.send(1).unwrap();
+        tx.send(2).unwrap(); // full
+        let sender = std::thread::spawn(move || tx.send(3));
+        await_blocked(&rx, 1);
         // Depth is charged before the blocked send, so the stalled
         // message is visible in the mark while it waits.
-        assert_eq!(stats.high_water(), 2);
+        assert_eq!((stats.depth(), stats.high_water(), stats.stalls()), (3, 3, 0));
+        let mut got = Vec::new();
+        assert_eq!(rx.drain(1, &mut got), 1);
+        assert_eq!(sender.join().unwrap(), Ok(()), "a drain must unblock the sender");
+        assert_eq!(stats.stalls(), 1);
+        assert!(stats.stall_ns() > 0);
+        assert_eq!(rx.drain(8, &mut got), 2);
+        assert_eq!(got, vec![1, 2, 3], "FIFO survives the stall");
+        assert_eq!(stats.depth(), 0);
+    }
+
+    #[test]
+    fn blocking_recv_also_unblocks_a_full_sender() {
+        let (tx, rx) = channel::<u32>(Some(1));
+        tx.send(1).unwrap();
+        let sender = std::thread::spawn(move || tx.send(2));
+        await_blocked(&rx, 1);
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(sender.join().unwrap(), Ok(()));
+        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(rx.recv(), Err(Disconnected), "all senders gone and drained");
+    }
+
+    #[test]
+    fn failed_sends_never_drive_depth_negative() {
+        let stats = LinkStats::new();
+        let (tx, rx) = channel_instrumented::<u32>(Some(1), stats.clone());
+        tx.send(1).unwrap();
+        let blocked = {
+            let tx = tx.clone();
+            std::thread::spawn(move || tx.send(2))
+        };
+        await_blocked(&rx, 1);
+        // Hanging up discards the queued message and fails the blocked
+        // sender; both charges are rolled back.
+        drop(rx);
+        assert_eq!(blocked.join().unwrap(), Err(Disconnected));
+        assert_eq!(tx.send(3), Err(Disconnected));
+        assert_eq!(stats.depth(), 0);
+        assert_eq!(stats.stalls(), 0, "a send that never lands is not a stall");
     }
 
     #[test]
@@ -675,7 +660,7 @@ mod tests {
             }) as Arc<dyn Fn() + Send + Sync>
         };
         let stats = LinkStats::new();
-        let (tx, rx) = inbox_channel::<u32>(Some(stats.clone()), hook);
+        let (tx, rx) = link::<u32>(None, Some(stats.clone()), Some(hook));
         for i in 0..5 {
             tx.send(i).unwrap();
         }
@@ -683,9 +668,9 @@ mod tests {
         assert_eq!(stats.depth(), 5);
         assert!(!rx.is_empty());
         for i in 0..5 {
-            assert_eq!(rx.try_pop(), Some(i));
+            assert_eq!(rx.try_recv(), Ok(i));
         }
-        assert_eq!(rx.try_pop(), None);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         assert_eq!(stats.depth(), 0);
     }
 
@@ -693,7 +678,7 @@ mod tests {
     fn inbox_drain_bulk_pops_in_order() {
         let hook = Arc::new(|| {}) as Arc<dyn Fn() + Send + Sync>;
         let stats = LinkStats::new();
-        let (tx, rx) = inbox_channel::<u32>(Some(stats.clone()), hook);
+        let (tx, rx) = link::<u32>(None, Some(stats.clone()), Some(hook));
         for i in 0..10 {
             tx.send(i).unwrap();
         }
@@ -703,22 +688,6 @@ mod tests {
         assert_eq!(got, (0..10).collect::<Vec<_>>(), "FIFO order preserved");
         assert_eq!(stats.depth(), 0, "bulk drain settles the gauge");
         assert_eq!(rx.drain(4, &mut got), 0);
-    }
-
-    #[test]
-    fn notifier_wakes_waiter_and_times_out() {
-        let n = Arc::new(Notifier::new());
-        let seen = n.seq();
-        assert!(!n.wait_past(seen, Duration::from_millis(5)), "no event: must time out");
-        let waiter = {
-            let n = n.clone();
-            std::thread::spawn(move || n.wait_past(seen, Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        n.notify();
-        assert!(waiter.join().unwrap(), "notify must wake the waiter");
-        // An event that fired before the wait started is never missed.
-        assert!(n.wait_past(seen, Duration::from_secs(5)));
     }
 
     #[test]

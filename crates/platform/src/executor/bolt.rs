@@ -1,8 +1,8 @@
 //! Re-entrant bolt core: message-at-a-time processing state for one
-//! bolt task (or one fused bolt-headed chain), shared by both
-//! schedulers. The thread-per-task runtime drives it from a dedicated
-//! (or multiplexed) worker thread; the work-stealing runtime drives it
-//! from whichever pool worker claimed the task's activation.
+//! bolt task (or one fused bolt-headed chain). The runtime drives it
+//! from whichever thread runs the task's activation — the slot's own
+//! thread under the dedicated driver, the pool worker that claimed it
+//! under the pool.
 
 use super::emit::EmitCtx;
 use super::fuse::FusedChain;
@@ -20,11 +20,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Everything a bolt task needs from the executor, scheduler-agnostic.
-/// One per component (thread-per-task) or per schedulable unit
-/// (work-stealing); `name` is the supervision identity (the chain head
-/// for fused units) and `emit_name` the emission identity (the chain
-/// tail — they coincide for plain bolts).
+/// Everything a bolt task needs from the executor, one per schedulable
+/// unit; `name` is the supervision identity (the chain head for fused
+/// units) and `emit_name` the emission identity (the chain tail — they
+/// coincide for plain bolts).
 pub(crate) struct WorkerCtx {
     pub(crate) name: String,
     pub(crate) emit_name: String,
@@ -76,7 +75,7 @@ pub(crate) enum TaskBolt {
 }
 
 /// Per-task processing state + supervision, driven by `handle_msg` /
-/// `idle` from whichever scheduler owns the task.
+/// `idle` from the task's activation.
 pub(crate) struct BoltCore {
     /// Task index within the component (error messages, labels).
     idx: usize,
@@ -131,11 +130,9 @@ pub(crate) struct BoltCore {
 }
 
 impl BoltCore {
-    /// `i` is the task's position within its worker (seed phasing —
-    /// matches the historical thread-per-task layout), `idx` its index
-    /// within the component, `my_id` its global watermark-source id.
+    /// `idx` is the task's index within the component, `my_id` its
+    /// global watermark-source id.
     pub(crate) fn new(
-        i: usize,
         idx: usize,
         my_id: u32,
         mut bolt: TaskBolt,
@@ -163,7 +160,7 @@ impl BoltCore {
                 ctx.emit_name.clone(),
                 &ctx.metrics,
                 ctx.sink.clone(),
-                ctx.seed.wrapping_add(i as u64 * 0x9E37),
+                ctx.seed,
                 ctx.drop_prob,
                 ctx.delay,
                 ctx.batch_size,
@@ -176,9 +173,10 @@ impl BoltCore {
             executed: (!is_chain).then(|| ctx.metrics.register(&format!("{}.executed", ctx.name))),
             exec_us: (ctx.sample_every > 0)
                 .then(|| ctx.metrics.register_histogram(&format!("{}.execute_us", ctx.name))),
-            // Phase-staggered per task: sibling tasks sample different
-            // events, so hits on the shared sketch don't collide.
-            sampler: Sampler::with_phase(ctx.sample_every, ctx.seed as u32 ^ i as u32),
+            // Phase-staggered per task (seeds differ): sibling tasks
+            // sample different events, so hits on the shared sketch
+            // don't collide.
+            sampler: Sampler::with_phase(ctx.sample_every, ctx.seed as u32),
             done: false,
             my_id,
             merger: ctx.watermarks.then(|| WatermarkMerger::new(ctx.upstream_ids.iter().copied())),

@@ -157,6 +157,16 @@ impl EmitCtx {
                 continue;
             }
             let (lo, hi) = match &self.routes[ri].grouping {
+                // Replay-stable: a message re-emitted after a restart
+                // carries the lineage of its first attempt, so it
+                // returns to the task whose dedup tokens know it (a
+                // round-robin counter restarts at 0 and would hand it
+                // to a sibling, which applies it a second time).
+                // Consecutive source ids still alternate evenly.
+                Grouping::Shuffle if tuple.lineage != 0 => {
+                    let i = (tuple.lineage % fanout as u64) as usize;
+                    (i, i)
+                }
                 Grouping::Shuffle => {
                     let i = self.shuffle_counters[ri] % fanout;
                     self.shuffle_counters[ri] += 1;

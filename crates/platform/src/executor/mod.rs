@@ -3,25 +3,25 @@
 //! A "cluster" here is a set of OS threads (workers) connected by
 //! channels (links); DESIGN.md §2 argues why the semantics under study
 //! — groupings, acking, replay, backpressure — are preserved by this
-//! substitution. Two *schedulers* map tasks onto threads
-//! ([`crate::Scheduling`], see DESIGN.md §9):
+//! substitution. There is **one runtime** (`runtime.rs`): every task
+//! lives in a slot with an inbox, and one activation function runs a
+//! slot against its pending input. Two *drivers* map slots onto
+//! threads ([`crate::Scheduling`], see DESIGN.md §9), which is how the
+//! Storm→Heron redesign the paper describes is reproduced:
 //!
-//! * [`Scheduling::ThreadPerTask`]: every task owns a thread for the
-//!   whole run. Within it, [`ExecutorModel`] reproduces the Storm→Heron
-//!   redesign the paper describes — `ProcessPerTask` (Heron: dedicated
-//!   thread, **bounded** queue, natural backpressure) vs `Multiplexed`
-//!   (Storm: several tasks share a worker over **unbounded** queues,
-//!   exactly the "complex set of queues … making the performance worse"
-//!   configuration that motivated Heron).
+//! * [`Scheduling::ThreadPerTask`] (Heron): every slot owns a thread
+//!   that sleeps on the slot between activations; inboxes are
+//!   **bounded** by [`ExecutorConfig::channel_capacity`], so a full
+//!   inbox blocks its producers — natural backpressure.
 //! * [`Scheduling::WorkStealing`]: a fixed pool of N workers (Samza /
 //!   Flink style) with per-worker Chase–Lev deques and a global
-//!   injector; the schedulable unit is "run this operator task on its
-//!   pending input". Idle workers spin → steal → park on a condvar.
-//!   Degree-1 co-located chains additionally *fuse* into single
-//!   activations ([`ExecutorConfig::fuse_chains`]) that call `execute`
-//!   inline with no channel hop. Queues are unbounded inboxes, so
-//!   `ExecutorModel` and `channel_capacity` are inert under this
-//!   scheduler.
+//!   injector. Idle workers spin → steal → park on a condvar. Inboxes
+//!   are **unbounded**; with fewer workers than tasks this is Storm's
+//!   "tasks multiplexed over shared workers and a complex set of
+//!   queues" configuration that motivated Heron. Degree-1 co-located
+//!   chains additionally *fuse* into single activations
+//!   ([`ExecutorConfig::fuse_chains`]) that call `execute` inline with
+//!   no channel hop.
 //!
 //! # The fast path
 //!
@@ -57,12 +57,11 @@
 mod bolt;
 mod emit;
 mod fuse;
+mod runtime;
 mod spout;
-mod thread_per_task;
-mod work_stealing;
 
 use crate::acker::Acker;
-use crate::channel::{Notifier, Sender};
+use crate::channel::Sender;
 use crate::metrics::Metrics;
 use crate::supervise::{FaultPlan, RestartPolicy};
 use crate::time::WatermarkConfig;
@@ -73,7 +72,7 @@ use crate::topology::{
 use crate::tuple::{Batch, Tuple};
 use sa_core::{Result, SaError, TopologyError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,38 +87,24 @@ pub enum Semantics {
     AtLeastOnce,
 }
 
-/// How tasks map onto worker threads under
-/// [`Scheduling::ThreadPerTask`] (inert under work-stealing, whose
-/// inboxes are always unbounded).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorModel {
-    /// Heron: one thread per task, bounded queues (backpressure).
-    ProcessPerTask,
-    /// Storm: up to `tasks_per_worker` tasks of a component share a
-    /// thread; unbounded queues (no backpressure).
-    Multiplexed {
-        /// Tasks sharing one worker thread.
-        tasks_per_worker: usize,
-    },
-}
-
 /// Runtime configuration.
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
-    /// Thread/queue model (thread-per-task scheduler only).
-    pub model: ExecutorModel,
-    /// Task→thread scheduler: the historical thread-per-task runtime
-    /// (default) or the fixed-pool work-stealing scheduler.
+    /// Task→thread driver: a dedicated thread per task over bounded
+    /// inboxes (default), or a fixed work-stealing pool over unbounded
+    /// ones.
     pub scheduling: Scheduling,
     /// Under [`Scheduling::WorkStealing`], fuse degree-1 co-located
     /// chains (see [`crate::topology`]'s chain planner) into single
     /// activations that call `execute` inline — no channel hop, no
-    /// re-batching. Defaults to `true`; no effect under
-    /// thread-per-task.
+    /// re-batching. Defaults to `true`; thread-per-task never fuses
+    /// (it is the unfused reference).
     pub fuse_chains: bool,
     /// Delivery guarantee.
     pub semantics: Semantics,
-    /// Queue capacity (in batches) in ProcessPerTask mode.
+    /// Inbox capacity (in batches) under [`Scheduling::ThreadPerTask`]:
+    /// a producer that finds its consumer's inbox full blocks until it
+    /// drains (backpressure). Pool inboxes are unbounded.
     pub channel_capacity: usize,
     /// Tuples per link batch. 1 = ship every tuple immediately (the
     /// pre-batching behaviour); larger values amortise channel and
@@ -186,7 +171,6 @@ pub struct ExecutorConfig {
 impl Default for ExecutorConfig {
     fn default() -> Self {
         Self {
-            model: ExecutorModel::ProcessPerTask,
             scheduling: Scheduling::ThreadPerTask,
             fuse_chains: true,
             semantics: Semantics::AtLeastOnce,
@@ -326,7 +310,7 @@ pub(crate) struct BoltTask {
     pub(crate) factory: Option<BoltBuilder>,
 }
 
-/// Everything both schedulers need, prepared once: validated component
+/// Everything the runtime needs, prepared once: validated component
 /// declarations (instances extracted), shared run state, task ids, and
 /// the topological order the shutdown protocol walks.
 pub(crate) struct RunCore {
@@ -341,9 +325,10 @@ pub(crate) struct RunCore {
     pub(crate) abort: Arc<AtomicBool>,
     pub(crate) failure: Arc<Mutex<Option<String>>>,
     pub(crate) run_start: Instant,
-    /// Ack progress events: bolts notify after applying acks/fails so
-    /// idle spouts wake to settle instead of sleep-polling.
-    pub(crate) ack_note: Arc<Notifier>,
+    /// Ack progress sequence: bumped after acks/fails are applied
+    /// anywhere, so a spout about to go dormant can tell that progress
+    /// landed since it last settled.
+    pub(crate) ack_seq: Arc<AtomicU64>,
     /// Component declarations with their instances moved out into
     /// `built` / `spouts` (metadata — name, parallelism, inputs,
     /// restart, kind discriminant — remains).
@@ -477,7 +462,7 @@ pub fn run_topology_with(
         abort: Arc::new(AtomicBool::new(false)),
         failure: Arc::new(Mutex::new(None)),
         run_start: Instant::now(),
-        ack_note: Arc::new(Notifier::new()),
+        ack_seq: Arc::new(AtomicU64::new(0)),
         decls,
         built,
         spouts,
@@ -486,10 +471,7 @@ pub fn run_topology_with(
         order,
         config,
     };
-    match core.config.scheduling {
-        Scheduling::ThreadPerTask => thread_per_task::run(core),
-        Scheduling::WorkStealing { .. } => work_stealing::run(core),
-    }
+    runtime::run(core)
 }
 
 fn topo_order(builder: &TopologyBuilder) -> Result<Vec<String>> {

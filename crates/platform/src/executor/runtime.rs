@@ -1,28 +1,32 @@
-//! The work-stealing runtime ([`crate::Scheduling::WorkStealing`]): a
-//! fixed pool of N workers executes *activations* — "run this operator
-//! task against its pending input" — instead of parking one OS thread
-//! per task.
+//! The runtime: operator tasks live in *slots*, and a **driver** maps
+//! slots onto OS threads. Wiring, routing tables, inboxes, rescale
+//! registration, supervision context, seeds, the activation
+//! (`run_slot`) and the flush/terminate protocol exist once, for both
+//! drivers.
 //!
-//! Moving parts (primitives live in `channel.rs`):
+//! An *activation* is "run this task against its pending input": a bolt
+//! drains its inbox through its `BoltCore`, a spout runs a slice of its
+//! loop. Whoever wants a slot to run calls `Sched::schedule`; the
+//! driver decides which thread does it:
 //!
-//! * one Chase–Lev [`WsDeque`] per worker (owner LIFO / stealer FIFO);
-//! * a global [`Injector`] for out-of-pool submissions (spout
-//!   activations, coordinator flush/terminate, timer firings) and
-//!   deque overflow; idle workers spin → steal → park on its condvar —
-//!   no sleep-polling anywhere;
-//! * a timer heap for the two delayed re-activations the semantics
-//!   need: a spout's ack-settle sweep cadence and a bolt's held-ack
-//!   commit retry;
-//! * per-slot `scheduled` flags so one task is never run by two
-//!   workers, with the classic "clear, re-check inbox, re-claim"
-//!   hand-off that cannot strand a message.
+//! * **Dedicated** ([`crate::Scheduling::ThreadPerTask`]): every slot
+//!   owns an OS thread that loops `run_slot` and sleeps on the slot's
+//!   `WakeCell` in between. Inboxes are bounded, so a slow consumer
+//!   blocks its producers (Heron-style backpressure). No fusion: this
+//!   is the unfused reference the pool is compared against.
+//! * **Pool** ([`crate::Scheduling::WorkStealing`]): N workers, each
+//!   with a Chase–Lev [`WsDeque`] (owner LIFO / stealer FIFO); a global
+//!   [`Injector`] for out-of-pool submissions and deque overflow, on
+//!   whose condvar idle workers park after a spin → steal sweep; a
+//!   timer heap for the two delayed re-activations (a spout's
+//!   ack-settle sweep, a bolt's held-ack commit retry). Inboxes are
+//!   unbounded — a worker must never block in `send`. Degree-1
+//!   co-located chains (`crate::topology`'s planner) fuse into one
+//!   activation driving a [`FusedChain`]: no channel, no re-batching,
+//!   no extra schedule between the stages.
 //!
-//! Degree-1 co-located chains (the planner in `crate::topology`) fuse
-//! into a single activation driving a [`FusedChain`] — intermediate
-//! hops become inline `execute` calls with no channel, no re-batching,
-//! no extra schedule. Supervision wraps activations, not threads: a
-//! panic backs off and rebuilds the task's state inside its slot, and
-//! the slot is simply re-enqueued.
+//! Supervision wraps activations, not threads: a panic backs off and
+//! rebuilds the task's state inside its slot, and the slot runs again.
 //!
 //! ## Why a slot never loses a wakeup
 //!
@@ -32,14 +36,19 @@
 //! message that raced in either (a) arrived before the clear — the
 //! runner's re-check sees it, re-claims, re-enqueues — or (b) arrived
 //! after — the sender's own `schedule` sees `scheduled == false` and
-//! enqueues. Parking is delegated to [`Injector::prepare_park`], whose
-//! parked-count handshake closes the same window at the pool level.
+//! enqueues. Enqueueing is lost-wakeup-free per driver: the pool parks
+//! through [`Injector::prepare_park`]'s parked-count handshake; a
+//! dedicated thread re-checks its cell's `pending` bit under the
+//! cell's mutex before every wait. (A dedicated thread also runs its
+//! slot unclaimed when a deadline or the park ceiling expires: no other
+//! thread ever runs that slot, so the claim guards nothing there, and
+//! every path that leaves `scheduled` set also sets `pending`.)
 
 use super::bolt::{BoltCore, TaskBolt, WorkerCtx};
 use super::fuse::FusedChain;
 use super::spout::{SpoutChain, SpoutCore, SpoutCtx, SpoutStep};
 use super::{BoltTask, Msg, Route, RunCore, RunResult, Sender};
-use crate::channel::{inbox_channel, InboxReceiver, Injector, WsDeque};
+use crate::channel::{link, Injector, Receiver, WsDeque};
 use crate::metrics::SchedCounters;
 use crate::supervise::panic_message;
 use crate::topology::plan_chains;
@@ -47,12 +56,14 @@ use sa_core::{Result, SaError};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuples processed per bolt activation before the slot yields (keeps
-/// a backlogged task from monopolizing a worker). Budgeting in tuples
+/// a backlogged task from monopolizing a pool worker). Budgeting in tuples
 /// rather than messages makes the fairness slice batch-size-agnostic:
 /// an activation amortizes its fixed costs (unit lock, claim hand-off,
 /// injector requeue) over ~2k tuples whether they arrive as 64-tuple
@@ -62,11 +73,12 @@ const DRAIN_TUPLES: usize = 2048;
 const DRAIN_MSGS: usize = 32;
 /// Spout-loop iterations per activation (same fairness bound).
 const SPOUT_SLICE: usize = 128;
-/// Held-ack commit retry cadence (mirrors thread-per-task's 1 ms).
+/// Held-ack commit retry cadence.
 const HELD_RETRY: Duration = Duration::from_millis(1);
-/// Idle-spout settle sweep cadence (mirrors thread-per-task's 2 ms).
+/// Idle-spout settle sweep cadence (the visit also expires stale trees).
 const SETTLE_SWEEP: Duration = Duration::from_millis(2);
-/// Park ceiling: a worker re-checks shutdown at least this often.
+/// Park ceiling: a pool worker re-checks shutdown, and a dedicated
+/// thread re-runs its slot, at least this often.
 const PARK_MAX: Duration = Duration::from_millis(100);
 
 /// Distinguishes pool workers of *this* run from foreign threads (and
@@ -80,10 +92,12 @@ thread_local! {
 }
 
 /// One schedulable unit: a spout (optionally with a fused bolt tail)
-/// or a bolt task / fused bolt chain with its inbox.
+/// or a bolt task / fused bolt chain with its inbox. The activation
+/// that finishes a task takes its state out and drops it — on the
+/// thread that ran it, not on the coordinator at teardown.
 enum SlotKind {
-    Spout(Box<Mutex<SpoutCore>>),
-    Bolt { unit: Box<Mutex<(BoltCore, WorkerCtx)>>, rx: InboxReceiver<Msg> },
+    Spout(Mutex<Option<Box<SpoutCore>>>),
+    Bolt { unit: Mutex<Option<Box<(BoltCore, WorkerCtx)>>>, rx: Receiver<Msg> },
 }
 
 struct Slot {
@@ -94,15 +108,77 @@ struct Slot {
     finished: AtomicBool,
 }
 
-/// Shared scheduler state. Slots are filled once (before any worker
+/// Where a dedicated thread sleeps between activations of its slot.
+#[derive(Default)]
+struct WakeCell {
+    state: Mutex<WakeState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct WakeState {
+    /// The slot was enqueued since its thread last woke.
+    pending: bool,
+    /// Earliest requested delayed re-activation.
+    deadline: Option<Instant>,
+    /// The thread is in `wait` (gates the notify syscall).
+    parked: bool,
+}
+
+impl WakeCell {
+    fn update(&self, f: impl FnOnce(&mut WakeState)) {
+        let mut st = self.state.lock().expect("wake cell lock poisoned");
+        f(&mut st);
+        if st.parked {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Sleep until the slot is enqueued or its deadline passes (at most
+    /// [`PARK_MAX`]), then clear both.
+    fn sleep(&self) {
+        let mut st = self.state.lock().expect("wake cell lock poisoned");
+        if !st.pending {
+            // (A busy slot re-enqueues itself and never reads the clock.)
+            let ceiling = Instant::now() + PARK_MAX;
+            loop {
+                let until = st.deadline.map_or(ceiling, |d| d.min(ceiling));
+                let now = Instant::now();
+                if st.pending || now >= until {
+                    break;
+                }
+                st.parked = true;
+                st = self.cv.wait_timeout(st, until - now).expect("wake cell lock poisoned").0;
+                st.parked = false;
+            }
+        }
+        st.pending = false;
+        st.deadline = None;
+    }
+}
+
+/// The shared pool's queues.
+struct Pool {
+    injector: Injector,
+    /// One per worker.
+    deques: Vec<WsDeque>,
+    /// Delayed re-activations: `(deadline, slot)` min-heap.
+    timers: Mutex<BinaryHeap<Reverse<(Instant, usize)>>>,
+}
+
+/// How slots map onto OS threads (see the module docs).
+enum Driver {
+    /// One wake cell per slot.
+    Dedicated(Vec<WakeCell>),
+    Pool(Pool),
+}
+
+/// Shared scheduler state. Slots are filled once (before any thread
 /// starts) and immutable thereafter.
 struct Sched {
     id: u64,
-    injector: Injector,
-    deques: Vec<WsDeque>,
+    driver: Driver,
     slots: OnceLock<Vec<Slot>>,
-    /// Delayed re-activations: `(deadline, slot)` min-heap.
-    timers: Mutex<BinaryHeap<Reverse<(Instant, usize)>>>,
     shutdown: AtomicBool,
     /// Coordinator waits here for slots to finish.
     done_mx: Mutex<()>,
@@ -110,13 +186,11 @@ struct Sched {
 }
 
 impl Sched {
-    fn new(workers: usize) -> Self {
+    fn new(driver: Driver) -> Self {
         Self {
             id: SCHED_IDS.fetch_add(1, Ordering::Relaxed),
-            injector: Injector::new(),
-            deques: (0..workers).map(|_| WsDeque::new(256)).collect(),
+            driver,
             slots: OnceLock::new(),
-            timers: Mutex::new(BinaryHeap::new()),
             shutdown: AtomicBool::new(false),
             done_mx: Mutex::new(()),
             done_cv: Condvar::new(),
@@ -142,46 +216,61 @@ impl Sched {
         self.enqueue(s);
     }
 
-    /// Enqueue an already-claimed slot: a pool worker keeps it local
-    /// (LIFO, cache-warm) and signals stealable surplus; everyone else
-    /// goes through the injector.
+    /// Enqueue an already-claimed slot: its own thread wakes (dedicated),
+    /// or a pool worker keeps it local (LIFO, cache-warm) and signals
+    /// stealable surplus while everyone else goes through the injector.
     fn enqueue(&self, s: usize) {
+        let pool = match &self.driver {
+            Driver::Dedicated(cells) => return cells[s].update(|st| st.pending = true),
+            Driver::Pool(pool) => pool,
+        };
         let (owner, wi) = WORKER.with(|w| w.get());
         if owner == self.id {
-            match self.deques[wi].push(s as u64) {
+            match pool.deques[wi].push(s as u64) {
                 Ok(()) => {
                     // Wake a parked sibling only when the push left
                     // stealable *surplus*: a lone item is popped by
                     // this worker right after its current activation,
                     // and waking someone to lose that race is a
                     // park/unpark round-trip per batch send.
-                    if self.deques[wi].len() > 1 {
-                        self.injector.wake_one();
+                    if pool.deques[wi].len() > 1 {
+                        pool.injector.wake_one();
                     }
                 }
-                Err(v) => self.injector.push(v),
+                Err(v) => pool.injector.push(v),
             }
         } else {
-            self.injector.push(s as u64);
+            pool.injector.push(s as u64);
         }
     }
 
-    /// Enqueue an already-claimed slot at the global FIFO — used for
-    /// self-requeues (a spout's next slice, a backlogged bolt's next
+    /// Enqueue an already-claimed slot at the pool's global FIFO — used
+    /// for self-requeues (a spout's next slice, a backlogged bolt's next
     /// drain) so local LIFO order cannot starve sibling slots.
     fn enqueue_global(&self, s: usize) {
-        self.injector.push(s as u64);
+        match &self.driver {
+            Driver::Dedicated(cells) => cells[s].update(|st| st.pending = true),
+            Driver::Pool(pool) => pool.injector.push(s as u64),
+        }
     }
 
+    /// Run `s` again at `at` (sooner if something schedules it).
     fn timer_at(&self, at: Instant, s: usize) {
-        self.timers.lock().unwrap().push(Reverse((at, s)));
+        match &self.driver {
+            Driver::Dedicated(cells) => {
+                cells[s].update(|st| st.deadline = Some(st.deadline.map_or(at, |d| d.min(at))))
+            }
+            Driver::Pool(pool) => {
+                pool.timers.lock().expect("timer heap lock poisoned").push(Reverse((at, s)))
+            }
+        }
     }
 
-    /// Schedule every due timer. Returns whether any fired.
-    fn fire_timers(&self, now: Instant) -> bool {
+    /// Schedule every due pool timer. Returns whether any fired.
+    fn fire_timers(&self, pool: &Pool, now: Instant) -> bool {
         let mut due = Vec::new();
         {
-            let mut heap = self.timers.lock().unwrap();
+            let mut heap = pool.timers.lock().expect("timer heap lock poisoned");
             while let Some(&Reverse((at, s))) = heap.peek() {
                 if at > now {
                     break;
@@ -196,42 +285,84 @@ impl Sched {
         !due.is_empty()
     }
 
-    fn next_timer(&self) -> Option<Instant> {
-        self.timers.lock().unwrap().peek().map(|&Reverse((at, _))| at)
-    }
-
     /// Mark `s` terminal and wake the coordinator.
     fn finish(&self, s: usize) {
         self.slots()[s].finished.store(true, Ordering::Release);
-        let _g = self.done_mx.lock().unwrap();
+        let _g = self.done_mx.lock().expect("done lock poisoned");
         self.done_cv.notify_all();
     }
 
-    /// Block the coordinator until every listed slot has finished.
+    /// Block the coordinator until every listed slot has finished (or
+    /// the run was stopped under it).
     fn wait_finished(&self, list: &[usize]) {
+        let mut g = self.done_mx.lock().expect("done lock poisoned");
         for &s in list {
-            while !self.slots()[s].finished.load(Ordering::Acquire) {
-                let g = self.done_mx.lock().unwrap();
-                if self.slots()[s].finished.load(Ordering::Acquire) {
-                    break;
-                }
-                drop(self.done_cv.wait_timeout(g, Duration::from_millis(20)).unwrap());
+            let slot = &self.slots()[s];
+            while !slot.finished.load(Ordering::Acquire) && !self.shutdown.load(Ordering::Acquire) {
+                g = self.done_cv.wait_timeout(g, PARK_MAX).expect("done lock poisoned").0;
             }
         }
     }
+
+    /// Stop every runtime thread and hang up every inbox, so nothing
+    /// stays blocked. Ends every run (only the pool workers still need
+    /// telling by then), and is what a runtime thread does before dying
+    /// of a panic outside supervision: the coordinator then reports the
+    /// panic instead of waiting on slots that will never finish.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        for slot in self.slots() {
+            if let SlotKind::Bolt { rx, .. } = &slot.kind {
+                rx.close();
+            }
+        }
+        match &self.driver {
+            Driver::Dedicated(cells) => cells.iter().for_each(|c| c.update(|st| st.pending = true)),
+            Driver::Pool(pool) => pool.injector.wake_all(),
+        }
+        let _g = self.done_mx.lock().expect("done lock poisoned");
+        self.done_cv.notify_all();
+    }
 }
 
-/// The worker loop: own deque (LIFO) → injector → steal (FIFO, oldest
-/// first) → fire timers → park. `prepare_park` + a steal re-check +
-/// `park`'s internal queue re-check make the descent lost-wakeup-free.
-fn worker(sched: Arc<Sched>, wi: usize, counters: SchedCounters) {
+/// Spawn one of the driver's threads.
+fn spawn(sched: &Arc<Sched>, body: impl FnOnce(&Arc<Sched>) + Send + 'static) -> JoinHandle<()> {
+    let sched = sched.clone();
+    std::thread::spawn(move || {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(&sched))) {
+            sched.stop();
+            resume_unwind(payload);
+        }
+    })
+}
+
+/// The dedicated driver: this thread runs slot `s` and nothing else.
+fn run_dedicated(sched: &Arc<Sched>, s: usize) {
+    let Driver::Dedicated(cells) = &sched.driver else {
+        unreachable!("dedicated threads are spawned by the dedicated driver")
+    };
+    let slot = &sched.slots()[s];
+    while !slot.finished.load(Ordering::Acquire) && !sched.shutdown.load(Ordering::Acquire) {
+        cells[s].sleep();
+        run_slot(sched, s);
+    }
+}
+
+/// The pool driver's worker loop: own deque (LIFO) → injector → steal
+/// (FIFO, oldest first) → fire timers → park. `prepare_park` + a steal
+/// re-check + `park`'s internal queue re-check make the descent
+/// lost-wakeup-free.
+fn worker(sched: &Arc<Sched>, wi: usize, counters: SchedCounters) {
+    let Driver::Pool(pool) = &sched.driver else {
+        unreachable!("pool workers are spawned by the pool driver")
+    };
     WORKER.with(|w| w.set((sched.id, wi)));
     loop {
         if sched.shutdown.load(Ordering::Acquire) {
             break;
         }
-        let found = sched.deques[wi].pop().or_else(|| sched.injector.try_pop()).or_else(|| {
-            let got = steal(&sched, wi);
+        let found = pool.deques[wi].pop().or_else(|| pool.injector.try_pop()).or_else(|| {
+            let got = pool.steal(wi);
             if got.is_some() {
                 counters.steals.add(1);
             }
@@ -239,35 +370,47 @@ fn worker(sched: Arc<Sched>, wi: usize, counters: SchedCounters) {
         });
         if let Some(s) = found {
             counters.runs.add(1);
-            run_slot(&sched, s as usize);
+            run_slot(sched, s as usize);
             continue;
         }
-        if sched.fire_timers(Instant::now()) {
+        if sched.fire_timers(pool, Instant::now()) {
             continue;
         }
         // Announce the park *before* the final re-check: any producer
         // that enqueues after this sees parked > 0 and notifies.
-        sched.injector.prepare_park();
-        if let Some(s) = steal(&sched, wi) {
-            sched.injector.cancel_park();
+        pool.injector.prepare_park();
+        if let Some(s) = pool.steal(wi) {
+            pool.injector.cancel_park();
             counters.steals.add(1);
             counters.runs.add(1);
-            run_slot(&sched, s as usize);
+            run_slot(sched, s as usize);
             continue;
         }
         if sched.shutdown.load(Ordering::Acquire) {
-            sched.injector.cancel_park();
+            pool.injector.cancel_park();
             break;
         }
-        let timeout = sched
+        let timeout = pool
             .next_timer()
             .map(|at| at.saturating_duration_since(Instant::now()))
             .map_or(PARK_MAX, |d| d.min(PARK_MAX));
         counters.parks.add(1);
-        if let Some(s) = sched.injector.park(timeout) {
+        if let Some(s) = pool.injector.park(timeout) {
             counters.runs.add(1);
-            run_slot(&sched, s as usize);
+            run_slot(sched, s as usize);
         }
+    }
+}
+
+impl Pool {
+    fn next_timer(&self) -> Option<Instant> {
+        self.timers.lock().expect("timer heap lock poisoned").peek().map(|&Reverse((at, _))| at)
+    }
+
+    /// One sweep over the sibling deques, oldest work first.
+    fn steal(&self, wi: usize) -> Option<u64> {
+        let n = self.deques.len();
+        (1..n).find_map(|k| self.deques[(wi + k) % n].steal())
     }
 }
 
@@ -281,12 +424,6 @@ fn msg_tuples(msg: &Msg) -> usize {
     }
 }
 
-/// One sweep over the sibling deques, oldest work first.
-fn steal(sched: &Sched, wi: usize) -> Option<u64> {
-    let n = sched.deques.len();
-    (1..n).find_map(|k| sched.deques[(wi + k) % n].steal())
-}
-
 /// Execute one activation. The caller owns the slot's `scheduled`
 /// claim; this either hands it back (clear → re-check → maybe
 /// re-claim), keeps it across a self-requeue, or retires the slot.
@@ -294,11 +431,10 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
     let slot = &sched.slots()[s];
     match &slot.kind {
         SlotKind::Bolt { unit, rx } => {
-            let mut guard = unit.lock().unwrap();
-            let (core, ctx) = &mut *guard;
-            if core.done {
-                return;
-            }
+            let mut guard = unit.lock().expect("bolt slot lock poisoned");
+            let Some((core, ctx)) = guard.as_deref_mut() else {
+                return; // finished; a stale enqueue raced the retire
+            };
             // Chunked drain: one inbox lock per DRAIN_MSGS messages,
             // processed inline until the tuple budget runs out — the
             // run-inline-after-drain loop keeps a steady producer from
@@ -316,7 +452,14 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
                     budget -= msg_tuples(&msg) as i64;
                     core.handle_msg(msg, ctx);
                     if core.done {
+                        // Retire: hang up the inbox (late senders get
+                        // `Disconnected` instead of filling a queue no
+                        // one drains) and free the task's state here,
+                        // before the coordinator is told it finished.
+                        let retired = guard.take();
                         drop(guard);
+                        rx.close();
+                        drop(retired);
                         sched.finish(s);
                         return;
                     }
@@ -343,18 +486,21 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
             }
         }
         SlotKind::Spout(mx) => {
-            let mut guard = mx.lock().unwrap();
-            match guard.run_slice(SPOUT_SLICE) {
+            let mut guard = mx.lock().expect("spout slot lock poisoned");
+            let Some(core) = guard.as_deref_mut() else {
+                return; // finished
+            };
+            match core.run_slice(SPOUT_SLICE) {
                 SpoutStep::Progress => {
                     drop(guard);
                     // Keep the claim; yield the worker between slices.
                     sched.enqueue_global(s);
                 }
                 SpoutStep::Idle { seen } => {
-                    let note = guard.ctx.ack_note.clone();
+                    let acks = core.ctx.ack_seq.clone();
                     drop(guard);
                     slot.scheduled.store(false, Ordering::Release);
-                    if note.seq() != seen {
+                    if acks.load(Ordering::Acquire) != seen {
                         // An ack landed between the settle and here:
                         // re-claim rather than sleep on a stale snapshot.
                         if !slot.scheduled.swap(true, Ordering::AcqRel) {
@@ -367,7 +513,9 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
                     }
                 }
                 SpoutStep::Done => {
+                    let retired = guard.take();
                     drop(guard);
+                    drop(retired);
                     sched.finish(s);
                 }
             }
@@ -386,24 +534,25 @@ enum UnitSpec {
 }
 
 pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
-    let workers = core.config.scheduling.worker_count().max(1);
+    // Pool size; thread-per-task has none and gets the dedicated driver.
+    let workers = core.config.scheduling.worker_count();
+    let dedicated = workers == 0;
     let instrumented = core.config.latency_sample_every > 0;
     let watermarks = core.config.watermarks.is_some();
     let mut built = std::mem::take(&mut core.built);
     let mut spout_insts = std::mem::take(&mut core.spouts);
 
     // --- Plan the schedulable units: fused chains (degree-1 co-located
-    //     pipelines collapse into one activation) or — with fusion off —
-    //     one unit per task. ---
-    let chains: Vec<Vec<usize>> = if core.config.fuse_chains {
+    //     pipelines collapse into one activation) or — with fusion off,
+    //     and always under the dedicated driver — one unit per task. ---
+    let chains: Vec<Vec<usize>> = if core.config.fuse_chains && !dedicated {
         plan_chains(&core.decls)
     } else {
         (0..core.decls.len()).map(|i| vec![i]).collect()
     };
 
-    // Spout task index (ack-root prefix) by declaration order — same
-    // assignment as the thread-per-task runtime, so root encodings are
-    // scheduler-independent.
+    // Spout task index (ack-root prefix) by declaration order, so root
+    // encodings do not depend on the chain plan.
     let mut spout_task: HashMap<(usize, usize), usize> = HashMap::new();
     let mut next_spout_task = 0usize;
     for (ci, c) in core.decls.iter().enumerate() {
@@ -433,27 +582,45 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
         }
     }
 
-    let sched = Arc::new(Sched::new(workers));
+    let sched = Arc::new(Sched::new(if dedicated {
+        Driver::Dedicated(specs.iter().map(|_| WakeCell::default()).collect())
+    } else {
+        Driver::Pool(Pool {
+            injector: Injector::new(),
+            deques: (0..workers).map(|_| WsDeque::new(256)).collect(),
+            timers: Mutex::new(BinaryHeap::new()),
+        })
+    }));
+    // The hooks below end up inside the slots (a task's routes own
+    // senders, a sender owns its wake hook), which the scheduler owns:
+    // a strong reference here would be a cycle that keeps every task's
+    // state alive after the run.
+    let weak: Weak<Sched> = Arc::downgrade(&sched);
 
     // Ack progress re-activates dormant spouts immediately (and bumps
-    // the run-wide notifier for the `Idle { seen }` re-check).
+    // the run-wide sequence for the `Idle { seen }` re-check).
     let on_ack: Arc<dyn Fn() + Send + Sync> = {
-        let note = core.ack_note.clone();
-        let sched = sched.clone();
+        let acks = core.ack_seq.clone();
+        let sched = weak.clone();
         let spout_slots = spout_slots.clone();
         Arc::new(move || {
-            note.notify();
-            for &s in &spout_slots {
-                sched.schedule(s);
+            acks.fetch_add(1, Ordering::Release);
+            if let Some(sched) = sched.upgrade() {
+                for &s in &spout_slots {
+                    sched.schedule(s);
+                }
             }
         })
     };
 
     // --- Inboxes: one per bolt unit; a send invokes the slot's wake
-    //     hook (schedule), not a thread unblock. One shared LinkStats
-    //     gauge per component, as on the other scheduler. ---
+    //     hook (schedule). Bounded under the dedicated driver — a full
+    //     inbox blocks its producer's thread, which is the backpressure
+    //     — and unbounded under the pool, whose workers must never
+    //     block in `send`. One shared LinkStats gauge per component. ---
+    let capacity = dedicated.then_some(core.config.channel_capacity);
     let mut senders: HashMap<String, Vec<Sender<Msg>>> = HashMap::new();
-    let mut inboxes: HashMap<usize, InboxReceiver<Msg>> = HashMap::new();
+    let mut inboxes: HashMap<usize, Receiver<Msg>> = HashMap::new();
     let mut link_stats: HashMap<String, crate::channel::LinkStats> = HashMap::new();
     for (slot, spec) in specs.iter().enumerate() {
         let UnitSpec::Bolt { chain, .. } = spec else { continue };
@@ -465,10 +632,14 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
                 .clone()
         });
         let wake: Arc<dyn Fn() + Send + Sync> = {
-            let sched = sched.clone();
-            Arc::new(move || sched.schedule(slot))
+            let sched = weak.clone();
+            Arc::new(move || {
+                if let Some(sched) = sched.upgrade() {
+                    sched.schedule(slot);
+                }
+            })
         };
-        let (tx, rx) = inbox_channel(stats, wake);
+        let (tx, rx) = link(capacity, stats, Some(wake));
         senders.entry(head.name.clone()).or_default().push(tx);
         inboxes.insert(slot, rx);
     }
@@ -513,7 +684,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     }
 
     // --- Build the slots. Seeds follow a mix64 chain in unit order,
-    //     one draw per unit, as on the other scheduler. ---
+    //     one draw per unit. ---
     let mut task_seed = core.config.seed;
     let mut slots: Vec<Slot> = Vec::new();
     for (slot_idx, spec) in specs.iter().enumerate() {
@@ -567,9 +738,9 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
                     );
                     (TaskBolt::Chain(fc), None)
                 };
-                let bc = BoltCore::new(0, *task_idx, my_id, bolt, factory, &ctx);
+                let bc = BoltCore::new(*task_idx, my_id, bolt, factory, &ctx);
                 let rx = inboxes.remove(&slot_idx).expect("bolt inbox");
-                SlotKind::Bolt { unit: Box::new(Mutex::new((bc, ctx))), rx }
+                SlotKind::Bolt { unit: Mutex::new(Some(Box::new((bc, ctx)))), rx }
             }
             UnitSpec::Spout { chain, local_idx } => {
                 let head = &core.decls[chain[0]];
@@ -604,7 +775,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
                     kill: core.config.kill.clone(),
                     wm_source: core.task_ids[&head.name][*local_idx],
                     watermarks: core.config.watermarks.clone(),
-                    ack_note: core.ack_note.clone(),
+                    ack_seq: core.ack_seq.clone(),
                     on_ack: on_ack.clone(),
                 };
                 let spout_chain = fused.then(|| {
@@ -637,7 +808,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
                 // Units are created in instance order, so the front of
                 // the remaining list is always this unit's instance.
                 let spout = spout_insts.get_mut(&head.name).expect("spout instances").remove(0);
-                SlotKind::Spout(Box::new(Mutex::new(SpoutCore::new(spout, ctx, spout_chain))))
+                SlotKind::Spout(Mutex::new(Some(Box::new(SpoutCore::new(spout, ctx, spout_chain)))))
             }
         };
         slots.push(Slot {
@@ -650,21 +821,29 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
         unreachable!("slots set exactly once");
     }
 
-    // --- Start the pool, then light the spouts. ---
+    // --- Start the driver's threads, then light the spouts. ---
     let mut joins = Vec::new();
-    for wi in 0..workers {
-        let sched = sched.clone();
-        let counters = core.metrics.register_sched_worker(wi);
-        joins.push(std::thread::spawn(move || worker(sched, wi, counters)));
+    if dedicated {
+        for s in 0..specs.len() {
+            joins.push(spawn(&sched, move |sched| run_dedicated(sched, s)));
+        }
+    } else {
+        for wi in 0..workers {
+            let counters = core.metrics.register_sched_worker(wi);
+            joins.push(spawn(&sched, move |sched| worker(sched, wi, counters)));
+        }
     }
     for &s in &spout_slots {
         sched.schedule(s);
     }
 
-    // --- Shutdown protocol (identical to thread-per-task): spouts
-    //     retire, then flush+terminate bolt units in topological order
-    //     so upstream flush output reaches live downstream slots. ---
+    // --- Shutdown protocol: spouts retire, then flush+terminate bolt
+    //     units in topological order so upstream flush output reaches
+    //     live downstream slots. ---
     sched.wait_finished(&spout_slots);
+    // A killed run tears down without flushing: bolts never get their
+    // final `flush()` call, as in a real crash — and is never clean,
+    // even if the kill landed after the spouts drained.
     let killed = core.config.kill.as_ref().is_some_and(|k| k.load(Ordering::Relaxed));
     if killed {
         core.unclean.store(true, Ordering::Relaxed);
@@ -681,12 +860,11 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
         }
         sched.wait_finished(&bolt_slots_of[name]);
     }
-    sched.shutdown.store(true, Ordering::Release);
-    sched.injector.wake_all();
-    for (wi, h) in joins.into_iter().enumerate() {
+    sched.stop();
+    for (i, h) in joins.into_iter().enumerate() {
         h.join().map_err(|payload| {
             SaError::Platform(format!(
-                "scheduler worker {wi} panicked outside supervision: {}",
+                "runtime thread {i} panicked outside supervision: {}",
                 panic_message(&*payload)
             ))
         })?;

@@ -15,7 +15,6 @@ use super::emit::EmitCtx;
 use super::fuse::{ChainOut, FusedChain};
 use super::{decode_root, encode_root, Route, Semantics, Sink};
 use crate::acker::Acker;
-use crate::channel::Notifier;
 use crate::metrics::{CounterHandle, HistogramHandle, Metrics, Sampler};
 use crate::supervise::{panic_message, RestartDecision, RestartPolicy, RestartTracker};
 use crate::time::{WatermarkConfig, WatermarkGen, WatermarkMerger};
@@ -24,7 +23,7 @@ use crate::tuple::{tuple_of, Tuple};
 use sa_core::rng::SplitMix64;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -63,9 +62,9 @@ pub(crate) struct SpoutCtx {
     pub(crate) wm_source: u32,
     /// Watermark policy (`None` = event-time layer off).
     pub(crate) watermarks: Option<WatermarkConfig>,
-    /// Bumped whenever ack progress lands anywhere in the topology —
-    /// what an idle spout waits on instead of sleep-polling.
-    pub(crate) ack_note: Arc<Notifier>,
+    /// Bumped whenever ack progress lands anywhere in the topology
+    /// (see [`SpoutStep::Idle`]).
+    pub(crate) ack_seq: Arc<AtomicU64>,
     /// Hook run after this spout settles roots belonging to *other*
     /// spouts (wakes them so the requeued roots are picked up).
     pub(crate) on_ack: Arc<dyn Fn() + Send + Sync>,
@@ -169,9 +168,10 @@ impl SpoutChain {
 pub(crate) enum SpoutStep {
     /// Produced a tuple (or recovered from a panic): call again soon.
     Progress,
-    /// Source exhausted for now. `seen` is the ack-notifier sequence
-    /// snapshotted *before* the final settle — waiting with
-    /// `wait_past(seen, …)` cannot miss an ack that landed in between.
+    /// Source exhausted for now. `seen` is the ack-progress sequence
+    /// snapshotted *before* the final settle — a runner that re-checks
+    /// it before going dormant cannot miss an ack that landed in
+    /// between.
     Idle { seen: u64 },
     /// Terminal: clean finish, shutdown timeout, kill, or escalation.
     Done,
@@ -186,7 +186,7 @@ enum ChainCall<'a> {
 }
 
 /// The spout state machine. `step()` is one iteration of the classic
-/// spout loop; both schedulers drive it.
+/// spout loop; an activation runs a slice of them.
 pub(crate) struct SpoutCore {
     spout: Box<dyn Spout>,
     pub(crate) ctx: SpoutCtx,
@@ -302,9 +302,8 @@ impl SpoutCore {
         }
     }
 
-    /// Run up to `budget` steps, stopping early on idle or done. The
-    /// work-stealing runner calls this so one activation cannot
-    /// monopolize a worker.
+    /// Run up to `budget` steps, stopping early on idle or done, so one
+    /// activation cannot monopolize a pool worker.
     pub(crate) fn run_slice(&mut self, budget: usize) -> SpoutStep {
         for _ in 0..budget {
             match self.step() {
@@ -317,7 +316,7 @@ impl SpoutCore {
 
     /// One iteration of the spout loop. Never blocks beyond supervised
     /// restart backoff and chaos delays.
-    pub(crate) fn step(&mut self) -> SpoutStep {
+    fn step(&mut self) -> SpoutStep {
         if self.done {
             return SpoutStep::Done;
         }
@@ -532,10 +531,11 @@ impl SpoutCore {
     /// The exhausted branch: flush, settle, and decide between clean
     /// finish, stall timeout, and parking.
     fn idle_step(&mut self) -> SpoutStep {
-        // Snapshot the notifier BEFORE settling: an ack landing after
-        // this point bumps the sequence and `wait_past(seen, …)` returns
-        // immediately instead of sleeping on missed progress.
-        let seen = self.ctx.ack_note.seq();
+        // Snapshot the sequence BEFORE settling: an ack landing after
+        // this point bumps the sequence, and the runner's re-check of
+        // `seen` re-activates the slot instead of sleeping on missed
+        // progress.
+        let seen = self.ctx.ack_seq.load(Ordering::Acquire);
         // Idle: commit the fused tail (may release held acks), then
         // ship partial batches and settle before deciding.
         self.chain_idle();

@@ -11,10 +11,12 @@
 //! * **Storm** — [`topology`]'s spout/bolt DAG with stream groupings,
 //!   and [`acker`]'s XOR-ack protocol giving at-least-once delivery
 //!   with replay.
-//! * **Heron** — [`executor::ExecutorModel::ProcessPerTask`]: one task
-//!   per worker, vs. Storm's multiplexed workers
-//!   ([`executor::ExecutorModel::Multiplexed`]) — the debuggability/
-//!   isolation redesign the paper describes, benchmarked in t18.
+//! * **Heron** — [`Scheduling::ThreadPerTask`]: one task per thread
+//!   over bounded inboxes with backpressure, vs. Storm's tasks
+//!   multiplexed over shared workers and unbounded queues
+//!   ([`Scheduling::WorkStealing`] with fewer workers than tasks) — the
+//!   debuggability/isolation redesign the paper describes, benchmarked
+//!   in t18. Both are drivers over one runtime ([`executor`]).
 //! * **MillWheel** — [`checkpoint`]'s versioned store with atomic
 //!   per-key commits and dedup tokens: exactly-once state updates.
 //! * **Samza / Kafka** — [`log`]'s durable partitioned log with offsets,
@@ -55,9 +57,7 @@ pub mod window;
 
 pub use channel::LinkStats;
 pub use checkpoint::{CheckpointStore, DurableConfig};
-pub use executor::{
-    run_topology, run_topology_with, ExecutorConfig, ExecutorModel, RunResult, Semantics,
-};
+pub use executor::{run_topology, run_topology_with, ExecutorConfig, RunResult, Semantics};
 pub use frame::{ColumnData, Frame};
 pub use log::{Consumer, Log, Record};
 pub use metrics::{

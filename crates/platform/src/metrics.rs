@@ -711,7 +711,7 @@ mod tests {
         let same = m.register_link("sink.input");
         l.on_send();
         same.on_send();
-        l.on_recv();
+        l.on_recv_n(1);
         l.on_stall(1_500);
         let s = m.snapshot();
         let snap = s.link("sink.input").unwrap();

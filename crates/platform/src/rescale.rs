@@ -938,7 +938,7 @@ mod tests {
         let widened = auto.active();
         // Drain: depth back to zero → calm ticks → scale down.
         for _ in 0..200 {
-            link.on_recv();
+            link.on_recv_n(1);
         }
         for _ in 0..12 {
             auto.tick();

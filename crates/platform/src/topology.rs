@@ -8,7 +8,10 @@ use sa_core::TopologyError;
 /// Message routing between components (Storm's stream groupings).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Grouping {
-    /// Round-robin across the downstream tasks.
+    /// Spread evenly across the downstream tasks: by the tuple's
+    /// lineage (the source message id, stable across replays, so a
+    /// replayed message returns to the task whose dedup state knows
+    /// it), round-robin for tuples that carry none.
     Shuffle,
     /// Hash of the named field indices: same key → same task (the
     /// grouping that makes stateful aggregation correct).
@@ -19,22 +22,30 @@ pub enum Grouping {
     All,
 }
 
-/// How the executor maps tasks onto OS threads (orthogonal to
-/// [`crate::ExecutorModel`], which only governs the thread-per-task
-/// scheduler's queue flavour).
+/// Which driver maps the runtime's task slots onto OS threads. Both
+/// run the same activation code over the same wiring; they differ in
+/// who runs an activation and in whether inboxes are bounded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scheduling {
-    /// One dedicated OS thread per task (the historical runtime):
-    /// topology width dictates thread count, and a `parallelism(N)`
-    /// hint multiplies threads.
+    /// Heron-style: one dedicated OS thread per task, sleeping on its
+    /// slot between activations. Inboxes hold
+    /// `ExecutorConfig::channel_capacity` batches, so a slow task
+    /// blocks its producers (backpressure). Topology width dictates
+    /// thread count, and a `parallelism(N)` hint multiplies threads.
+    /// Chains are never fused. The default: it has the lowest
+    /// end-to-end latency tail (DESIGN.md §9 records the numbers).
     #[default]
     ThreadPerTask,
     /// A fixed pool of workers with per-worker Chase–Lev deques and a
     /// global injector; the schedulable unit is "run this operator
-    /// task on this batch". Idle workers spin → steal → park on a
-    /// condvar. Co-located shuffle-degree-1 chains additionally fuse
-    /// into single activations when `ExecutorConfig::fuse_chains` is
-    /// set (see DESIGN.md §9 for the fusion rules).
+    /// task on its pending input". Idle workers spin → steal → park on
+    /// a condvar. Inboxes are unbounded (a pool worker must never
+    /// block in `send`), so with fewer workers than tasks this is also
+    /// the Storm-style "tasks multiplexed over shared workers and
+    /// unbounded queues" arm of the paper's Table 2. Co-located
+    /// degree-1 chains additionally fuse into single activations when
+    /// `ExecutorConfig::fuse_chains` is set (see DESIGN.md §9 for the
+    /// fusion rules).
     WorkStealing {
         /// Worker threads in the pool. `0` = `available_parallelism`.
         workers: usize,
@@ -43,7 +54,8 @@ pub enum Scheduling {
 
 impl Scheduling {
     /// The effective pool size: resolves `workers: 0` to the host's
-    /// available parallelism (at least 1).
+    /// available parallelism; at least 1 for a pool, 0 for
+    /// thread-per-task (which has none).
     pub fn worker_count(&self) -> usize {
         match self {
             Scheduling::ThreadPerTask => 0,

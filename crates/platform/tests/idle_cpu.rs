@@ -1,5 +1,5 @@
 //! Pin: an idle-but-running topology must not busy-wait. Both
-//! schedulers now block on condvars (inbox notifiers under
+//! drivers block on condvars (per-slot wake cells under
 //! thread-per-task, injector parking under work-stealing) instead of
 //! sleep-polling, so a topology whose spout has gone quiet should
 //! accumulate almost no CPU time while it waits out the shutdown
@@ -78,7 +78,7 @@ fn idle_run(scheduling: Scheduling) {
 /// ~1.2 s of wall-clock idling across both schedulers must cost well
 /// under a quarter of one core. Before the condvar rework, the
 /// sleep-poll loops burned CPU the whole time; parked workers and
-/// notifier waits make the idle period nearly free. The budget is
+/// wake-cell waits make the idle period nearly free. The budget is
 /// generous (it tolerates 2 ms settle sweeps and CI-noise) but a
 /// regression to spinning blows through it immediately.
 #[test]

@@ -12,11 +12,19 @@
 //!   spread across the fanout — the old raw-XOR hash combine collapsed
 //!   duplicated field indices to `h = 0`, piling the whole stream onto
 //!   task 0.
+//! * **scheduler leak**: a run must free its tasks' state when it
+//!   returns — the scheduler's wake hooks used to own the scheduler
+//!   that (through slots, routes and senders) owned them, a cycle that
+//!   kept every bolt alive after every pool run;
+//! * **unsupervised panic**: a callback the runtime does not supervise
+//!   (`Spout::ack`) that panics must fail the run with an error under
+//!   both drivers — the pool used to wait forever on the dead slot.
 
 use sa_platform::topology::{vec_spout, Spout};
 use sa_platform::tuple::tuple_of;
 use sa_platform::{
-    run_topology, Bolt, ExecutorConfig, OutputCollector, Semantics, TopologyBuilder, Tuple,
+    run_topology, Bolt, ExecutorConfig, OutputCollector, Scheduling, Semantics, TopologyBuilder,
+    Tuple,
 };
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -179,5 +187,70 @@ fn duplicated_field_indices_still_spread_across_tasks() {
             c >= fair / 2 && c <= fair * 2,
             "fields grouping skewed across tasks: {observed:?}"
         );
+    }
+}
+
+const DRIVERS: [Scheduling; 2] =
+    [Scheduling::ThreadPerTask, Scheduling::WorkStealing { workers: 2 }];
+
+/// Whatever a bolt owns must be gone once `run_topology` has returned
+/// and its result is dropped. (Pre-fix, `WorkStealing` left both
+/// clones of the token alive: count 3.)
+#[test]
+fn a_finished_run_frees_its_bolts() {
+    struct Holding(#[allow(dead_code)] Arc<()>);
+    impl Bolt for Holding {
+        fn execute(&mut self, input: &Tuple, out: &mut OutputCollector) {
+            out.emit(input.clone());
+        }
+    }
+    for scheduling in DRIVERS {
+        let token = Arc::new(());
+        let mut tb = TopologyBuilder::new();
+        tb.set_spout("src", vec![vec_spout((0..100i64).map(|i| tuple_of([i])).collect())]);
+        let bolts: Vec<_> =
+            (0..2).map(|_| Box::new(Holding(token.clone())) as Box<dyn Bolt>).collect();
+        tb.set_bolt("hold", bolts).shuffle("src");
+        let result = run_topology(tb, ExecutorConfig { scheduling, ..Default::default() }).unwrap();
+        assert_eq!(result.outputs["hold"].len(), 100);
+        drop(result);
+        assert_eq!(Arc::strong_count(&token), 1, "{scheduling:?} leaked its bolts");
+    }
+}
+
+/// `Spout::ack` runs outside supervision; when it panics the spout's
+/// slot can never finish. The run must end with the panic as its
+/// error, not hang.
+#[test]
+fn a_panic_outside_supervision_fails_the_run() {
+    struct AckPanics(u64);
+    impl Spout for AckPanics {
+        fn next_tuple(&mut self) -> Option<Tuple> {
+            (self.0 < 10).then(|| {
+                self.0 += 1;
+                let mut t = tuple_of([self.0 as i64]);
+                t.root = self.0;
+                t
+            })
+        }
+        fn ack(&mut self, _root: u64) {
+            panic!("ack blew up");
+        }
+        fn pending(&self) -> usize {
+            1
+        }
+    }
+    for scheduling in DRIVERS {
+        let mut tb = TopologyBuilder::new();
+        tb.set_spout("src", vec![Box::new(AckPanics(0)) as Box<dyn Spout>]);
+        tb.set_bolt(
+            "echo",
+            vec![Box::new(|t: &Tuple, out: &mut OutputCollector| out.emit(t.clone()))
+                as Box<dyn Bolt>],
+        )
+        .shuffle("src");
+        let err = run_topology(tb, ExecutorConfig { scheduling, ..Default::default() })
+            .expect_err("the panic must surface");
+        assert!(err.to_string().contains("ack blew up"), "{scheduling:?}: {err}");
     }
 }

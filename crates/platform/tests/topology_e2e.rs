@@ -11,7 +11,7 @@ use sa_platform::checkpoint::{counter_add, counter_value, CheckpointStore};
 use sa_platform::topology::vec_spout;
 use sa_platform::tuple::tuple_of;
 use sa_platform::{
-    run_topology, Bolt, ExecutorConfig, ExecutorModel, OutputCollector, Semantics, TopologyBuilder,
+    run_topology, Bolt, ExecutorConfig, OutputCollector, Scheduling, Semantics, TopologyBuilder,
     Tuple, Value,
 };
 use std::collections::HashMap;
@@ -282,13 +282,15 @@ fn all_grouping_replicates_to_every_task() {
     );
 }
 
+/// The Storm-style arm of the ablation: every task multiplexed over
+/// one shared worker and unbounded inboxes.
 #[test]
-fn multiplexed_model_produces_identical_counts() {
+fn one_shared_worker_produces_identical_counts() {
     let (tb, truth) = wordcount_builder(200, 4, 4);
     let result = run_topology(
         tb,
         ExecutorConfig {
-            model: ExecutorModel::Multiplexed { tasks_per_worker: 4 },
+            scheduling: Scheduling::WorkStealing { workers: 1 },
             ..Default::default()
         },
     )

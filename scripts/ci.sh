@@ -39,13 +39,17 @@ cargo run --release -q --example trending_hashtags > /dev/null
 cargo run --release -q --example lambda_wordcount > /dev/null
 cargo run --release -q -p sa-bench --bin experiments t2.g
 
-echo "== scheduler gate (work-stealing equivalence, chaos, idle CPU, fusion) =="
+echo "== scheduler gate (driver equivalence, chaos, idle CPU, fusion) =="
+# One runtime, two drivers: the dedicated driver (ThreadPerTask, a
+# thread per slot over bounded inboxes) and the pool driver
+# (WorkStealing) must agree tuple for tuple and both idle at ~0 CPU.
 cargo test -q -p sa-platform --test scheduler --test idle_cpu
-# One example under both runtimes (the example asserts identical counts
-# and that the per-worker steal/run/park counters are live).
+# One example under both drivers (the example asserts identical counts
+# and that the pool's per-worker steal/run/park counters are live).
 cargo run --release -q --example scheduled_wordcount | grep -q "identical counts"
-# T2.H kick-tires: worker sweep + fusion ablation; the bench asserts
-# clean runs and full delivery, and records the scaling ratios.
+# T2.H kick-tires: dedicated driver vs pool worker sweep + fusion
+# ablation; the bench asserts clean runs and full delivery, and records
+# the scaling ratios.
 cargo run --release -q -p sa-bench --bin experiments t2.h
 grep -q '"scaling_ok": true' BENCH_sched.json
 grep -q '"ws8_ok": true' BENCH_sched.json
@@ -79,5 +83,10 @@ cargo test -q --test durability
 # latency, and a kill -9 round-trip; the hard bar is exactness.
 cargo run --release -q -p sa-bench --bin experiments t2.k
 grep -q '"kill9_exact_ok": true' BENCH_durability.json
+
+echo "== benchmark smoke (repo benchmark builds, runs, matches its reference) =="
+# One quick workload, untraced and traced; run.sh exits non-zero on a
+# reference mismatch.
+bash benchmark/run.sh --quick --workload drain_mem > /dev/null
 
 echo "CI gate passed."

@@ -41,7 +41,10 @@ pub use sa_timeseries as timeseries;
 pub use sa_windows as windows;
 
 /// One-stop import for applications: the cross-crate summary traits and
-/// the platform's public surface.
+/// the platform's public surface. The platform has one runtime;
+/// `ExecutorConfig::scheduling` ([`prelude::Scheduling`]) picks the
+/// driver that maps its tasks onto threads — a thread per task over
+/// bounded inboxes (default), or a work-stealing pool.
 ///
 /// ```
 /// use streaming_analytics::prelude::*;
@@ -68,15 +71,14 @@ pub mod prelude {
         run_topology, run_topology_with, session, sliding, task_of_group, tumbling, tuple_of,
         vec_spout, AutoPolicy, AutoTick, Autoscaler, Batch, Bolt, BoltBuilder, BoltFactory,
         BoltHandle, CheckpointStore, CompiledQuery, Consumer, ContinuousQuery, CounterHandle,
-        DiskStorage, DurableConfig, EpochData, ExecutorConfig, ExecutorModel, FaultPlan,
-        FaultyStorage, GaugeHandle, Grouping, HistogramSummary, IntoBoltFactory, KeyGroupBolt,
-        Layer, LinkSnapshot, LinkStats, Log, LogSpout, MemStorage, MergeBolt, Metrics,
-        MetricsSnapshot, OperatorConfig, OutputCollector, Parallelism, Query, QueryHandle,
-        QueryResult, Record, RescaleController, RestartDecision, RestartPolicy, RestartTracker,
-        RunResult, SchedCounters, Scheduling, Semantics, ServingView, ShardTable, Spout,
-        SpoutHandle, Staleness, Storage, StorageFaults, StorageStats, SyncPolicy, SynopsisBolt,
-        TimerService, TopologyBuilder, Tuple, Value, VecSpout, ViewEntry, ViewHandle, ViewRead,
-        WatermarkConfig, WatermarkGen, WatermarkMerger, WindowBolt, WindowConfig, WindowSpec,
-        KEY_GROUPS,
+        DiskStorage, DurableConfig, EpochData, ExecutorConfig, FaultPlan, FaultyStorage,
+        GaugeHandle, Grouping, HistogramSummary, IntoBoltFactory, KeyGroupBolt, Layer,
+        LinkSnapshot, LinkStats, Log, LogSpout, MemStorage, MergeBolt, Metrics, MetricsSnapshot,
+        OperatorConfig, OutputCollector, Parallelism, Query, QueryHandle, QueryResult, Record,
+        RescaleController, RestartDecision, RestartPolicy, RestartTracker, RunResult,
+        SchedCounters, Scheduling, Semantics, ServingView, ShardTable, Spout, SpoutHandle,
+        Staleness, Storage, StorageFaults, StorageStats, SyncPolicy, SynopsisBolt, TimerService,
+        TopologyBuilder, Tuple, Value, VecSpout, ViewEntry, ViewHandle, ViewRead, WatermarkConfig,
+        WatermarkGen, WatermarkMerger, WindowBolt, WindowConfig, WindowSpec, KEY_GROUPS,
     };
 }

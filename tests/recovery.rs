@@ -456,3 +456,82 @@ fn merge_bolt_global_view_matches_single_instance() {
     // single-instance sketch — same registers, same estimate.
     assert_eq!(merged.estimate(), direct.estimate());
 }
+
+/// Regression (benchmark finding 1): a replay under *shuffle* grouping
+/// must return to the task that applied the first attempt. An unkeyed
+/// query's tasks dedup by lineage, each against its own tokens; a
+/// restarted `LogSpout` re-emits everything after its committed
+/// frontier, and a round-robin pick — whose counter restarts at zero —
+/// handed half of those records to the sibling task, which counted them
+/// a second time. Whether the old counter happened to line up depended
+/// on the parity of the restart offset, so the restart is tried from
+/// the frontier and from one record before it: both are legal replays,
+/// and one of them always misaligned the counter.
+#[test]
+fn shuffled_replay_after_restart_is_applied_once() {
+    use streaming_analytics::sketches::frequency::CountMinSketch;
+    const FRONTIER: &str = "log.frontier";
+    let template = || CountMinSketch::new(256, 4).unwrap();
+
+    // 2 050 records: not a multiple of the frontier cadence (100), so
+    // even a run that finishes leaves a tail beyond the last persisted
+    // frontier for the restart to replay.
+    let log = Log::new(1).unwrap();
+    let mut sequential = template();
+    let mut rng = SplitMix64::new(5);
+    for _ in 0..2_050 {
+        let word = format!("w{:02}", rng.next_below(30).min(rng.next_below(30)));
+        sequential.add(&word, 1);
+        log.append(&word, Vec::new());
+    }
+
+    let compile = |store: &CheckpointStore, from: u64, kill: Option<Arc<AtomicBool>>| {
+        // The crash lands once half the stream has *settled* (the
+        // persisted frontier says so), not merely been emitted.
+        let watch = store.clone();
+        let decode = move |r: &Record| {
+            if let Some(kill) = &kill {
+                if frontier_offset(&watch, FRONTIER) >= 1_000 {
+                    kill.store(true, Ordering::SeqCst);
+                }
+            }
+            tuple_of([r.key.as_str()])
+        };
+        let spout = LogSpout::new(&log, 0, from, 0, decode).with_frontier(store, FRONTIER, 100);
+        Query::from("events")
+            .parallelism(2)
+            .checkpoint_every(64)
+            .checkpoint(store)
+            .aggregate(template(), |t: &Tuple, s: &mut CountMinSketch| {
+                s.add(t.get(0).unwrap().as_str().unwrap(), 1)
+            })
+            .serve("sketch")
+            .compile(vec![Box::new(spout) as Box<dyn Spout>])
+            .unwrap()
+    };
+
+    for scheduling in schedulings() {
+        for back in [0, 1] {
+            let store = CheckpointStore::new();
+            let kill = Arc::new(AtomicBool::new(false));
+            compile(&store, 0, Some(kill.clone()))
+                .run(config(Semantics::AtLeastOnce, Some(kill), scheduling))
+                .unwrap();
+
+            // (Had the spout outrun the kill, the run finished and the
+            // frontier is wherever its last cadence hit found it; either
+            // way a tail is left to replay.)
+            let from = frontier_offset(&store, FRONTIER);
+            assert!(from < log.end_offset(0), "{scheduling:?}: nothing left to replay");
+            let restarted = compile(&store, from.saturating_sub(back), None);
+            let view = restarted.view();
+            let run = restarted.run(config(Semantics::AtLeastOnce, None, scheduling)).unwrap();
+            assert!(run.clean_shutdown);
+            assert_eq!(
+                view.global().expect("view published").value.snapshot(),
+                sequential.snapshot(),
+                "{scheduling:?}, restart {back} before the frontier: merged CountMin differs"
+            );
+        }
+    }
+}
