@@ -1170,7 +1170,7 @@ fn t2_platform(r: &mut Recorder) {
                 ExecutorConfig {
                     scheduling,
                     semantics,
-                    link_drop_prob: drop,
+                    faults: FaultPlan::default().drop_on("", drop),
                     ack_timeout: Duration::from_millis(400),
                     shutdown_timeout: Duration::from_secs(30),
                     ..Default::default()

@@ -115,8 +115,6 @@ pub struct ExecutorConfig {
     /// (Producers also flush whenever they go idle, so this only
     /// matters for tasks that stay busy without filling a batch.)
     pub batch_linger: Duration,
-    /// Probability that a link delivery is dropped (failure injection).
-    pub link_drop_prob: f64,
     /// Wall-clock age after which a pending tuple tree is failed and
     /// replayed (Storm's message timeout).
     pub ack_timeout: Duration,
@@ -177,7 +175,6 @@ impl Default for ExecutorConfig {
             channel_capacity: 1024,
             batch_size: 64,
             batch_linger: Duration::from_millis(2),
-            link_drop_prob: 0.0,
             ack_timeout: Duration::from_secs(5),
             shutdown_timeout: Duration::from_secs(10),
             latency_sample_every: 32,
@@ -345,12 +342,6 @@ impl RunCore {
     /// run default).
     pub(crate) fn restart_for(&self, decl: &ComponentDecl) -> RestartPolicy {
         decl.restart.clone().unwrap_or_else(|| self.config.restart.clone())
-    }
-
-    /// The link-drop probability for `name` (chaos override or the run
-    /// default).
-    pub(crate) fn drop_prob_for(&self, name: &str) -> f64 {
-        self.config.faults.drop_for(name).unwrap_or(self.config.link_drop_prob)
     }
 
     /// Surface an escalated failure, or hand back the terminal sink.

@@ -705,7 +705,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
                     semantics: core.config.semantics,
                     metrics: core.metrics.clone(),
                     sink: core.sink.clone(),
-                    drop_prob: core.drop_prob_for(&tail.name),
+                    drop_prob: core.config.faults.drop_for(&tail.name).unwrap_or(0.0),
                     delay: core.config.faults.delay_for(&tail.name),
                     panic_prob,
                     restart: core.restart_for(head),
@@ -757,7 +757,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
                     semantics: core.config.semantics,
                     metrics: core.metrics.clone(),
                     sink: core.sink.clone(),
-                    drop_prob: core.drop_prob_for(&tail.name),
+                    drop_prob: core.config.faults.drop_for(&tail.name).unwrap_or(0.0),
                     delay: core.config.faults.delay_for(&tail.name),
                     panic_prob: core.config.faults.panic_prob_for(&head.name),
                     restart: core.restart_for(head),

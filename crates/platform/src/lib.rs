@@ -65,8 +65,8 @@ pub use metrics::{
     MetricsSnapshot, Sampler, SchedCounters,
 };
 pub use operator::{
-    decode_checkpoint, frontier_offset, replay_offset, LogSpout, MergeBolt, OperatorConfig,
-    SynopsisBolt,
+    decode_checkpoint, frontier_offset, replay_offset, Checkpointed, LogSpout, MergeBolt,
+    OperatorConfig, OperatorState, SynopsisBolt, SynopsisState,
 };
 pub use query::{
     session, sliding, tumbling, CompiledQuery, ContinuousQuery, Parallelism, Query, ViewEntry,
@@ -74,7 +74,7 @@ pub use query::{
 };
 pub use rescale::{
     group_key, group_of_hash, key_group, task_of_group, AutoPolicy, AutoTick, Autoscaler,
-    KeyGroupBolt, RescaleController, ShardTable, KEY_GROUPS,
+    RescaleController, Shard, ShardTable, KEY_GROUPS,
 };
 pub use serving::{EpochData, Layer, QueryHandle, QueryResult, ServingView, Staleness, ViewRead};
 pub use storage::{
@@ -87,4 +87,4 @@ pub use topology::{
     OutputCollector, Scheduling, Spout, SpoutHandle, TopologyBuilder, VecSpout,
 };
 pub use tuple::{tuple_of, Batch, Tuple, Value};
-pub use window::{WindowBolt, WindowConfig, WindowSpec};
+pub use window::{WindowBolt, WindowConfig, WindowSpec, WindowState};

@@ -1,19 +1,32 @@
-//! The operator layer: checkpointed synopsis bolts with exactly-once
+//! The operator layer: checkpointed stateful bolts with exactly-once
 //! recovery — where the algorithm crates and the platform crate meet.
 //!
-//! [`SynopsisBolt`] runs any [`Synopsis`] (HyperLogLog, CountMin,
-//! SpaceSaving, GK, reservoir, DGIM, Bloom, Welford, k-means, …) as a
-//! partition-local stateful operator with MillWheel's exactly-once
-//! recipe:
+//! [`Checkpointed`] is the one exactly-once operator shell. It makes
+//! any [`OperatorState`] recoverable with MillWheel's recipe:
 //!
 //! 1. every applied tuple's stable record id ([`Tuple::lineage`]) is
-//!    remembered, and replayed ids are skipped;
-//! 2. the synopsis snapshot and the ids folded into it are committed to
+//!    remembered, and replayed ids are skipped (lineage 0 marks an
+//!    untracked input — the executor never delivers one — and is
+//!    applied without dedup);
+//! 2. the state snapshot and the ids folded into it are committed to
 //!    a [`CheckpointStore`] in one atomic step
 //!    ([`CheckpointStore::commit_batch`]), so a crash can never separate
-//!    state from its dedup tokens;
+//!    state from its dedup tokens, and every input's ack is held until
+//!    the commit that covers it is durable;
 //! 3. after the commit, dedup tokens below the GC horizon are freed
 //!    ([`CheckpointStore::gc`]) so the seen-set stays bounded.
+//!
+//! Two states run in it: [`SynopsisBolt`] folds the whole stream into
+//! one [`Synopsis`] (HyperLogLog, CountMin, SpaceSaving, GK, reservoir,
+//! DGIM, Bloom, Welford, k-means, …), and [`crate::window::WindowBolt`]
+//! keeps one synopsis per `(key, event-time window)`. A task holds an
+//! ordered list of *slots* — `(checkpoint key, state, pending ids)`.
+//! An unsharded task has exactly one, under the key its constructor was
+//! given; a task sharded by key-group ([`Checkpointed::sharded`], see
+//! [`crate::rescale`]) has one per owned group under
+//! [`group_key`]`(base, group)` and speaks the live-migration protocol
+//! against its [`Shard`] seat. Commit cadence is per slot; the task's
+//! held acks are released only when no slot has uncommitted ids.
 //!
 //! On restart the bolt's constructor finds the latest checkpoint and
 //! resumes from it; [`LogSpout`] replays the durable [`Log`] from
@@ -27,7 +40,7 @@
 //! ## Correctness envelope
 //!
 //! Replay-from-minimum ([`replay_offset`]) is exact when in-run
-//! delivery is FIFO and lossless (`link_drop_prob = 0`, no injected
+//! delivery is FIFO and lossless (no [`crate::FaultPlan`] drops or
 //! panics — the default): each task's committed `last applied id` then
 //! implies every lower id routed to it was applied. When tuples can
 //! settle *out of order* — supervised restarts, injected panics, link
@@ -47,17 +60,19 @@ use crate::checkpoint::CheckpointStore;
 use crate::frame::Frame;
 use crate::log::{Log, Record};
 use crate::metrics::{CounterHandle, Metrics};
+use crate::rescale::{group_key, key_group, Shard, KEY_GROUPS};
 use crate::supervise::RestartPolicy;
 use crate::topology::{Bolt, OutputCollector, Spout};
 use crate::tuple::{Tuple, Value};
 use sa_core::codec::{ByteReader, ByteWriter};
 use sa_core::traits::QuantileSketch;
-use sa_core::{Merge, Result, Synopsis};
+use sa_core::{Merge, Result, SaError, Synopsis};
 use sa_sketches::quantiles::GkSketch;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Knobs of a [`SynopsisBolt`].
+/// Knobs of a [`Checkpointed`] operator.
 #[derive(Clone, Debug)]
 pub struct OperatorConfig {
     /// Commit a checkpoint after this many freshly applied tuples.
@@ -106,7 +121,7 @@ impl Default for OperatorConfig {
 const CHECKPOINT_TAG: u8 = b'O';
 
 /// Encode a checkpoint value: the newest applied record id plus the
-/// synopsis snapshot, as one atomic unit.
+/// state snapshot, as one atomic unit.
 pub(crate) fn encode_checkpoint(last_applied: u64, snapshot: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(1 + 8 + 8 + snapshot.len());
     w.tag(CHECKPOINT_TAG).put_u64(last_applied).put_bytes(snapshot);
@@ -157,36 +172,94 @@ pub fn frontier_offset(store: &CheckpointStore, key: &str) -> u64 {
         .map_or(0, |(offset, _)| offset)
 }
 
-/// A partition-local checkpointed synopsis operator. See the module
-/// docs for the exactly-once protocol it implements.
-///
-/// `update` folds one tuple into the synopsis; it runs only for tuples
-/// whose record id has not been applied before. On `flush()` the bolt
-/// emits `[Str(checkpoint key), Bytes(snapshot)]` for a downstream
-/// [`MergeBolt`] (or any consumer of partial aggregates).
-/// Bulk update closure for [`SynopsisBolt`]: folds the fresh rows
-/// (second argument, indices into the frame) of a whole [`Frame`]
-/// into the synopsis in one call.
-pub type BulkUpdate<S> = Box<dyn FnMut(&Frame, &[usize], &mut S) + Send>;
+/// What a [`Checkpointed`] shell makes exactly-once: the state of one
+/// slot. The shell decides *whether* a tuple is applied (dedup), *when*
+/// the state is committed and *when* acks are released; the state only
+/// folds, encodes and emits.
+pub trait OperatorState: Send {
+    /// Fold one fresh (never applied) tuple into the state.
+    fn apply(&mut self, input: &Tuple, out: &mut OutputCollector);
 
-pub struct SynopsisBolt<S, F> {
-    key: std::sync::Arc<str>,
-    store: CheckpointStore,
-    summary: S,
-    update: F,
-    /// Columnar fast path (see [`SynopsisBolt::with_bulk`]): folds the
-    /// fresh rows of a whole [`Frame`] into the synopsis in one call.
-    bulk: Option<BulkUpdate<S>>,
-    cfg: OperatorConfig,
+    /// The checkpoint's snapshot payload (the shell wraps it in the
+    /// `last applied id` envelope, see [`decode_checkpoint`]).
+    fn encode(&self) -> Vec<u8>;
+
+    /// Replace the state with a decoded snapshot payload.
+    fn restore(&mut self, payload: &[u8]) -> Result<()>;
+
+    /// The task's merged watermark advanced to `wm`.
+    fn on_watermark(&mut self, _wm: u64, _out: &mut OutputCollector) {}
+
+    /// The partial to emit once a mid-run commit under
+    /// [`OperatorConfig::emit_on_commit`] has made `snapshot` (this
+    /// state's [`OperatorState::encode`]) durable under `key`, if any.
+    fn partial(&self, _key: &Arc<str>, _snapshot: Vec<u8>, _last_applied: u64) -> Option<Tuple> {
+        None
+    }
+
+    /// Topology drain: emit the final results.
+    fn drain(&mut self, key: &Arc<str>, out: &mut OutputCollector);
+
+    /// Whether [`OperatorState::apply_frame`] is implemented.
+    fn wants_frames(&self) -> bool {
+        false
+    }
+
+    /// Fold the rows `fresh` (indices, in arrival order) of `frame`.
+    fn apply_frame(&mut self, _frame: &Frame, _fresh: &[usize]) {}
+}
+
+/// One checkpoint key's worth of a task: the state plus its ledger of
+/// applied-but-not-yet-durable ids.
+struct Slot<St> {
+    /// Key-group of a sharded task's slot (0 for an unsharded task's
+    /// only slot); `Checkpointed::slots` is sorted by it.
+    group: usize,
+    key: Arc<str>,
+    state: St,
     /// Fresh ids applied since the last commit, in arrival order.
     pending: Vec<u64>,
     pending_set: HashSet<u64>,
-    /// Newest id ever folded into the synopsis (committed or pending).
+    /// Newest id ever folded into the state (committed or pending).
     last_applied: u64,
-    recovered: bool,
+}
+
+impl<St> Slot<St> {
+    /// Enter a freshly applied id into the ledger (0 = untracked).
+    fn record(&mut self, id: u64) {
+        if id != 0 {
+            self.pending.push(id);
+            self.pending_set.insert(id);
+            self.last_applied = self.last_applied.max(id);
+        }
+    }
+}
+
+/// The sharded half of a task: its seat in the component's shard table
+/// and the pristine state each newly materialised key-group copies
+/// (`fresh` is `St::clone`, kept as a fn pointer so unsharded operators
+/// need no `Clone` state).
+struct Sharding<St> {
+    seat: Shard,
+    base: Arc<str>,
+    pristine: St,
+    fresh: fn(&St) -> St,
+}
+
+/// The exactly-once operator shell (see the module docs for the
+/// protocol): dedup, the pending-id ledger, atomic commit with in-place
+/// retry, token GC, held acks, commit-on-idle and commit-on-flush —
+/// written once, over any [`OperatorState`]. Use it through
+/// [`SynopsisBolt`] or [`crate::window::WindowBolt`].
+pub struct Checkpointed<St> {
+    store: CheckpointStore,
+    cfg: OperatorConfig,
+    /// Sorted by group. Exactly one for an unsharded task.
+    slots: Vec<Slot<St>>,
+    sharding: Option<Sharding<St>>,
     duplicates_skipped: u64,
     /// Checkpoint writes rejected by the store after the in-place retry
-    /// budget (if any) was spent. The bolt keeps its pending batch and
+    /// budget (if any) was spent. The slot keeps its pending batch and
     /// retries on a later commit.
     commit_failures: u64,
     /// Transient commit errors absorbed by in-place retry (each one a
@@ -197,109 +270,208 @@ pub struct SynopsisBolt<S, F> {
     /// under an executor (absent when driven standalone).
     commit_failures_ctr: Option<CounterHandle>,
     commit_retries_ctr: Option<CounterHandle>,
-    /// Commit (snapshot + store write + gc) latency in µs — the bolt
+    /// Commit (encode + store write + gc) latency in µs — the bolt
     /// observes its own checkpoint cost with the repo's GK sketch.
     commit_us: GkSketch,
-    /// How long the constructor's checkpoint restore took, in µs.
+    /// Time spent restoring checkpoints, in µs (`None`: none restored).
     restore_us: Option<f64>,
 }
 
-impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
-    /// A bolt checkpointing under `key` in `store`. If `store` already
-    /// holds a checkpoint for `key`, the bolt *recovers*: `initial` is
-    /// replaced by the checkpointed synopsis and deduplication resumes
-    /// from the checkpointed id set. Each parallel instance of a
-    /// component needs its own key (e.g. `"wordcount/3"`).
-    pub fn new(key: &str, store: &CheckpointStore, initial: S, update: F) -> Result<Self> {
-        Self::with_config(key, store, initial, update, OperatorConfig::default())
-    }
-
-    /// [`SynopsisBolt::new`] with explicit [`OperatorConfig`].
-    pub fn with_config(
+impl<St: OperatorState> Checkpointed<St> {
+    /// An operator with one slot under `key`, recovered from `store`
+    /// when it holds a checkpoint there.
+    pub(crate) fn open(
         key: &str,
         store: &CheckpointStore,
-        mut initial: S,
-        update: F,
+        state: St,
         cfg: OperatorConfig,
     ) -> Result<Self> {
-        let mut last_applied = 0;
-        let mut recovered = false;
-        let mut restore_us = None;
-        if let Some((_, value)) = store.get(key) {
-            let restore_start = Instant::now();
-            let (applied, snapshot) = decode_checkpoint(&value)?;
-            initial.restore(&snapshot)?;
-            restore_us = Some(restore_start.elapsed().as_secs_f64() * 1e6);
-            last_applied = applied;
-            recovered = true;
-        }
-        Ok(Self {
-            key: std::sync::Arc::from(key),
+        let mut me = Self {
             store: store.clone(),
-            summary: initial,
-            update,
-            bulk: None,
             cfg,
-            pending: Vec::new(),
-            pending_set: HashSet::new(),
-            last_applied,
-            recovered,
+            slots: Vec::new(),
+            sharding: None,
             duplicates_skipped: 0,
             commit_failures: 0,
             commit_retries: 0,
             commit_failures_ctr: None,
             commit_retries_ctr: None,
             commit_us: GkSketch::new(0.005).expect("valid commit-latency epsilon"),
-            restore_us,
-        })
+            restore_us: None,
+        };
+        me.open_slot(0, Arc::from(key), state)?;
+        Ok(me)
     }
 
-    /// Opt into the columnar fast path. `bulk(frame, fresh, summary)`
-    /// must fold exactly the rows whose indices appear in `fresh` (the
-    /// deduplicated survivors, in arrival order) into the synopsis,
-    /// producing the same final state as `update` called once per fresh
-    /// row. With a bulk closure installed the bolt advertises
-    /// [`Bolt::wants_frames`], upstream links ship columnar
-    /// [`Frame`]s, and per-column hashes ([`Frame::column_hashes`]) are
-    /// computed once per batch instead of once per tuple per sketch.
-    ///
-    /// Checkpoint cadence is evaluated once per frame (not per row), so
-    /// commit *boundaries* may differ from the row-at-a-time path; the
-    /// synopsis contents, dedup guarantees, and post-flush checkpoint
-    /// are identical.
-    pub fn with_bulk(
-        mut self,
-        bulk: impl FnMut(&Frame, &[usize], &mut S) + Send + 'static,
-    ) -> Self {
-        self.bulk = Some(Box::new(bulk));
-        self
+    /// Re-seat this freshly built operator as one task of a component
+    /// sharded by key-group (see [`crate::rescale`]): instead of one
+    /// slot under its key, it keeps one per group `seat` owns, under
+    /// the task-agnostic [`group_key`]`(key, group)` — so a live rescale
+    /// moves state by re-reading the store — each starting as a copy of
+    /// the state it was built with. Owned groups that already have a
+    /// checkpoint (migrated here, or this task's own before a restart)
+    /// are restored now; the rest materialise on their first tuple.
+    /// Sharded tasks take rows, never frames.
+    pub fn sharded(mut self, seat: Shard) -> Result<Self>
+    where
+        St: Clone,
+    {
+        let pristine = self.restore_us.is_none() && self.sharding.is_none();
+        let Some(slot) = self.slots.pop().filter(|_| pristine) else {
+            let why = "needs an unsharded operator whose own key holds no checkpoint";
+            return Err(SaError::invalid("sharded", why));
+        };
+        self.sharding =
+            Some(Sharding { seat, base: slot.key, pristine: slot.state, fresh: St::clone });
+        self.restore_owned()?;
+        Ok(self)
     }
 
-    /// Commit the pending batch: snapshot + fresh ids, atomically.
-    /// Returns whether the pending batch is now durable (trivially true
-    /// when it was empty). On a failed write the checkpoint is
+    /// Insert the slot for `group`: `state`, replaced by the checkpoint
+    /// under `key` when the store has one. Returns the slot's index.
+    fn open_slot(&mut self, group: usize, key: Arc<str>, mut state: St) -> Result<usize> {
+        let mut last_applied = 0;
+        if let Some((_, value)) = self.store.get(&key) {
+            let restore_start = Instant::now();
+            let (applied, payload) = decode_checkpoint(&value)?;
+            state.restore(&payload)?;
+            *self.restore_us.get_or_insert(0.0) += restore_start.elapsed().as_secs_f64() * 1e6;
+            last_applied = applied;
+        }
+        let at = self.slots.partition_point(|s| s.group < group);
+        self.slots.insert(
+            at,
+            Slot {
+                group,
+                key,
+                state,
+                pending: Vec::new(),
+                pending_set: HashSet::new(),
+                last_applied,
+            },
+        );
+        Ok(at)
+    }
+
+    /// Sharded tasks: materialise `group` from a copy of the pristine
+    /// state (and its checkpoint, if any).
+    fn open_group(&mut self, group: usize) -> Result<usize> {
+        let sh = self.sharding.as_ref().expect("only sharded tasks open groups");
+        let state = (sh.fresh)(&sh.pristine);
+        self.open_slot(group, group_key(&sh.base, group).into(), state)
+    }
+
+    /// Sharded tasks: materialise every owned group that has a
+    /// checkpoint and no slot yet — at construction and after every
+    /// newly adopted assignment, so a migrated group fires its windows
+    /// and drains even if no tuple ever reaches it here.
+    fn restore_owned(&mut self) -> Result<()> {
+        for group in 0..KEY_GROUPS {
+            let sh = self.sharding.as_ref().expect("only sharded tasks restore groups");
+            if sh.seat.owns(group)
+                && self.slots.binary_search_by_key(&group, |s| s.group).is_err()
+                && self.store.get(&group_key(&sh.base, group)).is_some()
+            {
+                self.open_group(group)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Sharded tasks observe their shard table at the top of every
+    /// callback: a new quiesce generation drops every slot (uncommitted
+    /// effects are replayed — identical to the supervision rebuild
+    /// path), abandons the held acks and acknowledges; a new epoch
+    /// drops the groups this task no longer owns and restores the ones
+    /// it gained. A failed restore panics: supervision restarts the
+    /// task with backoff, which retries it. Returns whether the task
+    /// may take input and commit (not while a quiesce is in flight).
+    fn sync(&mut self, out: &mut OutputCollector) -> bool {
+        let Some(Sharding { seat, .. }) = self.sharding.as_mut() else { return true };
+        let gen = seat.table.quiesce_gen();
+        if gen != 0 && seat.acked_gen < gen {
+            seat.acked_gen = gen;
+            self.slots.clear();
+            out.abandon_held();
+            seat.table.ack_quiesce(seat.task, gen);
+        }
+        let epoch = seat.table.epoch();
+        if epoch != seat.seen_epoch {
+            seat.seen_epoch = epoch;
+            let before = self.slots.len();
+            self.slots.retain(|s| seat.owns(s.group));
+            if self.slots.len() != before {
+                // Conservative: replay everything uncommitted. Dedup
+                // absorbs replays of still-owned groups.
+                out.abandon_held();
+            }
+            self.restore_owned().unwrap_or_else(|e| panic!("key-group restore failed: {e}"));
+        }
+        gen == 0
+    }
+
+    /// The slot `input` belongs to: slot 0 of an unsharded task, no
+    /// lookup. A sharded task materialises the group on first touch, or
+    /// fails the input (so replay re-routes it) mid-migration and when
+    /// it does not own the group under the current assignment.
+    fn route(&mut self, input: &Tuple, out: &mut OutputCollector) -> Option<usize> {
+        if self.sharding.is_none() {
+            return Some(0);
+        }
+        let accepting = self.sync(out);
+        let seat = &self.sharding.as_ref().expect("checked above").seat;
+        let group = key_group(input, &seat.fields);
+        if !accepting || !seat.owns(group) {
+            out.fail();
+            return None;
+        }
+        Some(self.slots.binary_search_by_key(&group, |s| s.group).unwrap_or_else(|_| {
+            self.open_group(group).unwrap_or_else(|e| panic!("key-group restore failed: {e}"))
+        }))
+    }
+
+    /// Exactly-once dedup of `id` against slot `i`: `Some(durable)` for
+    /// a replay. A durable duplicate acks immediately; one whose commit
+    /// is still pending must be held like its original attempt — acking
+    /// now would settle a record that a crash could still lose.
+    fn duplicate(&mut self, i: usize, id: u64) -> Option<bool> {
+        let slot = &self.slots[i];
+        let pending = id != 0 && slot.pending_set.contains(&id);
+        if !pending && (id == 0 || !self.store.is_seen(&slot.key, id)) {
+            return None;
+        }
+        self.duplicates_skipped += 1;
+        Some(!pending)
+    }
+
+    /// Commit slot `i`'s pending batch: snapshot + fresh ids,
+    /// atomically. Returns whether the batch is now durable (trivially
+    /// true when it was empty). On a failed write the checkpoint is
     /// *skipped, state intact*: the pending ids stay pending (so the
     /// stored `last applied` — and with it [`replay_offset`] — never
     /// advances past unpersisted state) and the next commit retries
-    /// them together with anything newer.
-    fn commit(&mut self) -> bool {
-        if self.pending.is_empty() {
+    /// them together with anything newer. A successful commit emits the
+    /// [`OperatorConfig::emit_on_commit`] partial into `partial_to`.
+    fn commit(&mut self, i: usize, partial_to: Option<&mut OutputCollector>) -> bool {
+        let slot = &mut self.slots[i];
+        if slot.pending.is_empty() {
             return true;
         }
         let commit_start = Instant::now();
+        let snapshot = slot.state.encode();
         let mut attempt: u32 = 0;
         loop {
-            let value = encode_checkpoint(self.last_applied, &self.summary.snapshot());
-            let Err(e) = self.store.commit_batch(&self.key, &self.pending, value) else { break };
-            let budget = self.cfg.commit_retry.as_ref().map_or(0, |p| p.max_restarts);
-            if !e.is_transient() || attempt >= budget {
+            let value = encode_checkpoint(slot.last_applied, &snapshot);
+            let Err(e) = self.store.commit_batch(&slot.key, &slot.pending, value) else { break };
+            let retry = self.cfg.commit_retry.as_ref();
+            if !e.is_transient() || attempt >= retry.map_or(0, |p| p.max_restarts) {
                 self.commit_failures += 1;
                 if let Some(c) = &self.commit_failures_ctr {
                     c.add(1);
                 }
                 return false;
             }
-            let backoff = self.cfg.commit_retry.as_ref().expect("budget > 0").backoff(attempt);
+            let backoff = retry.expect("budget > 0").backoff(attempt);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
@@ -309,28 +481,47 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
                 c.add(1);
             }
         }
-        self.pending.clear();
-        self.pending_set.clear();
+        slot.pending.clear();
+        slot.pending_set.clear();
         if let Some(horizon) = self.cfg.gc_horizon {
-            self.store.gc(&self.key, self.last_applied.saturating_sub(horizon));
+            self.store.gc(&slot.key, slot.last_applied.saturating_sub(horizon));
         }
         self.commit_us.insert(commit_start.elapsed().as_secs_f64() * 1e6);
+        if let (true, Some(out)) = (self.cfg.emit_on_commit, partial_to) {
+            out.emitted.extend(slot.state.partial(&slot.key, snapshot, slot.last_applied));
+        }
         true
     }
 
-    /// The live synopsis.
-    pub fn summary(&self) -> &S {
-        &self.summary
+    /// Whether no slot has applied-but-uncommitted ids — the only time
+    /// the task's held acks may be released (the runtime's ledger is
+    /// per task, so one dirty slot keeps every held ack parked; acks of
+    /// already-durable inputs are merely delayed, never lost).
+    fn all_durable(&self) -> bool {
+        self.slots.iter().all(|s| s.pending.is_empty())
     }
 
-    /// Newest record id folded into the synopsis.
+    /// After applying to slot `i`: commit it when its cadence is due
+    /// and release the task's acks if that left every slot durable;
+    /// otherwise hold this input's ack (when `hold`) so a restart
+    /// replays it.
+    fn checkpoint_if_due(&mut self, i: usize, hold: bool, out: &mut OutputCollector) {
+        let due = self.slots[i].pending.len() as u64 >= self.cfg.checkpoint_every;
+        if due && self.commit(i, Some(&mut *out)) && self.all_durable() {
+            out.release_acks();
+        } else if hold {
+            out.hold_ack();
+        }
+    }
+
+    /// Newest record id folded into the state.
     pub fn last_applied(&self) -> u64 {
-        self.last_applied
+        self.slots.iter().map(|s| s.last_applied).max().unwrap_or(0)
     }
 
-    /// Whether construction restored a prior checkpoint.
+    /// Whether a prior checkpoint was restored.
     pub fn recovered(&self) -> bool {
-        self.recovered
+        self.restore_us.is_some()
     }
 
     /// Replayed tuples dropped by deduplication.
@@ -353,129 +544,113 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
     /// Commit-latency quantiles `(p50, p90, p99)` in µs across the
     /// commits this bolt has performed; `None` before the first commit.
     pub fn commit_latency_us(&self) -> Option<(f64, f64, f64)> {
-        if self.commit_us.count() == 0 {
-            return None;
-        }
-        Some((
-            self.commit_us.query(0.5).unwrap_or(0.0),
-            self.commit_us.query(0.9).unwrap_or(0.0),
-            self.commit_us.query(0.99).unwrap_or(0.0),
-        ))
+        let q = |phi| self.commit_us.query(phi).unwrap_or(0.0);
+        (self.commit_us.count() > 0).then(|| (q(0.5), q(0.9), q(0.99)))
     }
 
-    /// How long the constructor's checkpoint restore took, in µs
-    /// (`None` when the bolt started fresh).
+    /// How long restoring checkpoints took, in µs — the constructor's
+    /// restore for an unsharded task, summed over restored key-groups
+    /// for a sharded one (`None` when nothing was restored).
     pub fn restore_us(&self) -> Option<f64> {
         self.restore_us
     }
 
-    /// Emit the just-committed partial (see
-    /// [`OperatorConfig::emit_on_commit`]): checkpoint key, durable
-    /// snapshot, and the progress marker consumers fold into their
-    /// `covers` watermark.
-    fn emit_partial(&self, out: &mut OutputCollector) {
-        out.emit(Tuple::new(vec![
-            Value::Str(self.key.clone()),
-            Value::Bytes(self.summary.snapshot().into()),
-            Value::Int(self.last_applied as i64),
-        ]));
+    /// The live states, in key-group order: one for an unsharded task,
+    /// one per materialised key-group for a sharded one.
+    pub(crate) fn states(&self) -> impl ExactSizeIterator<Item = &St> {
+        self.slots.iter().map(|s| &s.state)
     }
 }
 
-impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt for SynopsisBolt<S, F> {
+impl<St: OperatorState> Bolt for Checkpointed<St> {
     fn execute(&mut self, input: &Tuple, out: &mut OutputCollector) {
+        let Some(i) = self.route(input, out) else { return };
         let id = input.lineage;
-        if self.pending_set.contains(&id) {
-            // Replay of an id that is applied but not yet durable: its
-            // original attempt's ack is held, so this one must be held
-            // too — acking now would settle a record that a crash could
-            // still lose.
-            self.duplicates_skipped += 1;
-            out.hold_ack();
-            return;
-        }
-        if self.store.is_seen(&self.key, id) {
-            // Durable duplicate: the replay acks immediately.
-            self.duplicates_skipped += 1;
-            return;
-        }
-        (self.update)(input, &mut self.summary);
-        self.pending.push(id);
-        self.pending_set.insert(id);
-        self.last_applied = self.last_applied.max(id);
-        if self.pending.len() as u64 >= self.cfg.checkpoint_every && self.commit() {
-            // The commit covered every held input including this one.
-            out.release_acks();
-            if self.cfg.emit_on_commit {
-                self.emit_partial(out);
+        // Exactly-once dedup first: a replayed tuple must not be folded
+        // into the state again.
+        if let Some(durable) = self.duplicate(i, id) {
+            if !durable {
+                out.hold_ack();
             }
-        } else {
-            // Not yet durable (below the cadence, or the write failed):
-            // hold the ack so a restart replays this tuple.
-            out.hold_ack();
+            return;
+        }
+        self.slots[i].state.apply(input, out);
+        if id != 0 {
+            self.slots[i].record(id);
+            self.checkpoint_if_due(i, true, out);
         }
     }
 
     fn wants_frames(&self) -> bool {
-        self.bulk.is_some()
+        self.sharding.is_none() && self.slots[0].state.wants_frames()
     }
 
     fn execute_frame(&mut self, frame: &Frame, out: &mut OutputCollector) {
-        // Dedup is protocol state and stays row-at-a-time; the synopsis
-        // fold — the hot part — goes through the bulk closure once.
+        // Dedup is protocol state and stays row-at-a-time; the fold —
+        // the hot part — goes through the state once.
         let mut fresh: Vec<usize> = Vec::with_capacity(frame.len());
         let mut nondurable_dup = false;
-        for (i, &id) in frame.lineages().iter().enumerate() {
-            if self.pending_set.contains(&id) {
-                // Replay of an id applied but not yet durable (or a
-                // duplicate earlier in this very frame): hold, as the
-                // row path would.
-                self.duplicates_skipped += 1;
-                nondurable_dup = true;
-            } else if self.store.is_seen(&self.key, id) {
-                self.duplicates_skipped += 1;
-            } else {
-                fresh.push(i);
-                self.pending.push(id);
-                self.pending_set.insert(id);
-                self.last_applied = self.last_applied.max(id);
+        for (row, &id) in frame.lineages().iter().enumerate() {
+            match self.duplicate(0, id) {
+                // Also catches a duplicate earlier in this very frame.
+                Some(durable) => nondurable_dup |= !durable,
+                None => {
+                    fresh.push(row);
+                    self.slots[0].record(id);
+                }
             }
         }
         if !fresh.is_empty() {
-            (self.bulk.as_mut().expect("frames imply bulk"))(frame, &fresh, &mut self.summary);
+            self.slots[0].state.apply_frame(frame, &fresh);
         }
-        if self.pending.len() as u64 >= self.cfg.checkpoint_every && self.commit() {
-            out.release_acks();
-            if self.cfg.emit_on_commit {
-                self.emit_partial(out);
+        // Some row applied-but-not-durable holds the whole frame's acks
+        // for the next commit to release. (Holding the durable-duplicate
+        // rows too is safe — their release rides the same commit.)
+        self.checkpoint_if_due(0, !fresh.is_empty() || nondurable_dup, out);
+    }
+
+    fn on_watermark(&mut self, wm: u64, out: &mut OutputCollector) {
+        if self.sync(out) {
+            for slot in &mut self.slots {
+                slot.state.on_watermark(wm, out);
             }
-        } else if !fresh.is_empty() || nondurable_dup {
-            // Some row in this frame is applied-but-not-durable: hold
-            // the whole frame's acks for the next commit to release.
-            // (Holding the durable-duplicate rows too is safe — their
-            // release rides the same commit.)
-            out.hold_ack();
+        }
+    }
+
+    fn on_idle(&mut self, out: &mut OutputCollector) {
+        // Input queue drained: make every slot's tail durable and
+        // release the held acks so the spout can settle.
+        if !self.sync(out) {
+            return;
+        }
+        let mut committed = false;
+        for i in 0..self.slots.len() {
+            if !self.slots[i].pending.is_empty() {
+                committed |= self.commit(i, Some(&mut *out));
+            }
+        }
+        if committed && self.all_durable() {
+            out.release_acks();
         }
     }
 
     fn flush(&mut self, out: &mut OutputCollector) {
-        if self.cfg.commit_on_flush && self.commit() {
-            out.release_acks();
+        if self.sharding.is_some() {
+            self.sync(out);
+            // A quiesce acknowledged just before the drain dropped the
+            // slots; their final state is still owed downstream.
+            self.restore_owned().unwrap_or_else(|e| panic!("key-group restore failed: {e}"));
         }
-        out.emit(Tuple::new(vec![
-            Value::Str(self.key.clone()),
-            Value::Bytes(self.summary.snapshot().into()),
-        ]));
-    }
-
-    fn on_idle(&mut self, out: &mut OutputCollector) {
-        // Input queue drained: make the tail durable and release its
-        // held acks so the spout can settle.
-        if !self.pending.is_empty() && self.commit() {
-            out.release_acks();
-            if self.cfg.emit_on_commit {
-                self.emit_partial(out);
+        if self.cfg.commit_on_flush {
+            for i in 0..self.slots.len() {
+                self.commit(i, None);
             }
+            if self.all_durable() {
+                out.release_acks();
+            }
+        }
+        for slot in &mut self.slots {
+            slot.state.drain(&slot.key, out);
         }
     }
 
@@ -483,6 +658,143 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt for SynopsisBolt<
         self.commit_failures_ctr = Some(metrics.register(&format!("{component}.commit_failures")));
         self.commit_retries_ctr = Some(metrics.register(&format!("{component}.commit_retries")));
     }
+}
+
+/// Bulk update closure for [`SynopsisBolt`]: folds the fresh rows
+/// (second argument, indices into the frame) of a whole [`Frame`]
+/// into the synopsis in one call.
+pub type BulkUpdate<S> = Box<dyn FnMut(&Frame, &[usize], &mut S) + Send>;
+
+/// The whole-stream [`OperatorState`]: one [`Synopsis`] and the closure
+/// that folds a tuple into it.
+pub struct SynopsisState<S, F> {
+    summary: S,
+    update: F,
+    /// Columnar fast path (see [`SynopsisBolt::with_bulk`]).
+    bulk: Option<BulkUpdate<S>>,
+}
+
+/// A copy seeds one key-group of a sharded task, which takes rows: the
+/// bulk closure is not carried over.
+impl<S: Clone, F: Clone> Clone for SynopsisState<S, F> {
+    fn clone(&self) -> Self {
+        Self { summary: self.summary.clone(), update: self.update.clone(), bulk: None }
+    }
+}
+
+impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> OperatorState for SynopsisState<S, F> {
+    fn apply(&mut self, input: &Tuple, _out: &mut OutputCollector) {
+        (self.update)(input, &mut self.summary);
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        self.summary.snapshot()
+    }
+
+    fn restore(&mut self, payload: &[u8]) -> Result<()> {
+        self.summary.restore(payload)
+    }
+
+    fn partial(&self, key: &Arc<str>, snapshot: Vec<u8>, last_applied: u64) -> Option<Tuple> {
+        // Checkpoint key, durable snapshot, and the progress marker
+        // consumers fold into their `covers` watermark.
+        let applied = Value::Int(last_applied as i64);
+        Some(Tuple::new(vec![Value::Str(key.clone()), Value::Bytes(snapshot.into()), applied]))
+    }
+
+    fn drain(&mut self, key: &Arc<str>, out: &mut OutputCollector) {
+        let snapshot = Value::Bytes(self.summary.snapshot().into());
+        out.emit(Tuple::new(vec![Value::Str(key.clone()), snapshot]));
+    }
+
+    fn wants_frames(&self) -> bool {
+        self.bulk.is_some()
+    }
+
+    fn apply_frame(&mut self, frame: &Frame, fresh: &[usize]) {
+        (self.bulk.as_mut().expect("frames imply bulk"))(frame, fresh, &mut self.summary);
+    }
+}
+
+/// A partition-local checkpointed synopsis operator: the
+/// [`Checkpointed`] shell over one whole-stream [`Synopsis`].
+///
+/// `update` folds one tuple into the synopsis; it runs only for tuples
+/// whose record id has not been applied before. On `flush()` the bolt
+/// emits `[Str(checkpoint key), Bytes(snapshot)]` for a downstream
+/// [`MergeBolt`] (or any consumer of partial aggregates).
+pub type SynopsisBolt<S, F> = Checkpointed<SynopsisState<S, F>>;
+
+impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
+    /// A bolt checkpointing under `key` in `store`. If `store` already
+    /// holds a checkpoint for `key`, the bolt *recovers*: `initial` is
+    /// replaced by the checkpointed synopsis and deduplication resumes
+    /// from the checkpointed id set. Each parallel instance of a
+    /// component needs its own key (e.g. `"wordcount/3"`).
+    pub fn new(key: &str, store: &CheckpointStore, initial: S, update: F) -> Result<Self> {
+        Self::with_config(key, store, initial, update, OperatorConfig::default())
+    }
+
+    /// [`SynopsisBolt::new`] with explicit [`OperatorConfig`].
+    pub fn with_config(
+        key: &str,
+        store: &CheckpointStore,
+        initial: S,
+        update: F,
+        cfg: OperatorConfig,
+    ) -> Result<Self> {
+        Self::open(key, store, SynopsisState { summary: initial, update, bulk: None }, cfg)
+    }
+
+    /// Opt into the columnar fast path. `bulk(frame, fresh, summary)`
+    /// must fold exactly the rows whose indices appear in `fresh` (the
+    /// deduplicated survivors, in arrival order) into the synopsis,
+    /// producing the same final state as `update` called once per fresh
+    /// row. With a bulk closure installed the bolt advertises
+    /// [`Bolt::wants_frames`], upstream links ship columnar
+    /// [`Frame`]s, and per-column hashes ([`Frame::column_hashes`]) are
+    /// computed once per batch instead of once per tuple per sketch.
+    ///
+    /// Checkpoint cadence is evaluated once per frame (not per row), so
+    /// commit *boundaries* may differ from the row-at-a-time path; the
+    /// synopsis contents, dedup guarantees, and post-flush checkpoint
+    /// are identical.
+    pub fn with_bulk(
+        mut self,
+        bulk: impl FnMut(&Frame, &[usize], &mut S) + Send + 'static,
+    ) -> Self {
+        if let Some(slot) = self.slots.first_mut() {
+            slot.state.bulk = Some(Box::new(bulk));
+        }
+        self
+    }
+
+    /// The live synopsis (a sharded task's lowest materialised
+    /// key-group's; its pristine one when none is).
+    pub fn summary(&self) -> &S {
+        let pristine = self.sharding.as_ref().map(|sh| &sh.pristine);
+        &self.states().next().or(pristine).expect("an unsharded task has one slot").summary
+    }
+}
+
+/// Restore each partial into a clone of `template` and merge them, in
+/// key order (a deterministic merge order). A partial that fails to
+/// restore or merge is reported to `bad_part` and skipped.
+pub(crate) fn merge_partials<'a, S: Synopsis + Merge + Clone>(
+    template: &S,
+    parts: impl IntoIterator<Item = (&'a String, &'a Vec<u8>)>,
+    mut bad_part: impl FnMut(SaError),
+) -> S {
+    let mut parts: Vec<_> = parts.into_iter().collect();
+    parts.sort_by_key(|(key, _)| *key);
+    let mut global = template.clone();
+    for (_, bytes) in parts {
+        let mut part = template.clone();
+        if let Err(e) = part.restore(bytes).and_then(|()| global.merge(&part)) {
+            bad_part(e);
+        }
+    }
+    global
 }
 
 /// The global-view aggregator: collects the latest
@@ -507,15 +819,11 @@ impl<S: Synopsis + Merge + Clone + Send> MergeBolt<S> {
 
     /// Merge the collected partials into one synopsis.
     pub fn merged(&mut self) -> Result<S> {
-        let mut global = self.template.clone();
-        let mut keys: Vec<&String> = self.parts.keys().collect();
-        keys.sort(); // deterministic merge order
-        for key in keys {
-            let mut part = self.template.clone();
-            part.restore(&self.parts[key])?;
-            global.merge(&part)?;
-        }
-        Ok(global)
+        let mut first_error = None;
+        let global = merge_partials(&self.template, &self.parts, |e| {
+            first_error.get_or_insert(e);
+        });
+        first_error.map_or(Ok(global), Err)
     }
 
     /// Malformed or incompatible partials dropped so far.
@@ -967,6 +1275,29 @@ mod tests {
             SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg).unwrap();
         assert!(restarted.recovered());
         assert!(restarted.restore_us().is_some(), "recovery must time the restore");
+    }
+
+    /// What an unsharded task stores is a compatibility surface — a
+    /// restart after an upgrade reads it: under exactly the caller's
+    /// key, envelope tag `O`, the last applied id, the length-prefixed
+    /// synopsis snapshot.
+    #[test]
+    fn checkpoint_key_and_bytes_keep_the_documented_layout() {
+        let golden = |last_applied: u64, state: CountSum| {
+            let mut w = ByteWriter::new();
+            w.tag(b'O').put_u64(last_applied).put_bytes(&state.snapshot());
+            w.finish()
+        };
+        let store = CheckpointStore::new();
+        store.put("k", golden(7, CountSum { n: 3, sum: 30 }));
+        let mut bolt = SynopsisBolt::new("k", &store, CountSum::default(), apply).unwrap();
+        assert!(bolt.recovered());
+        assert_eq!((bolt.last_applied(), bolt.summary()), (7, &CountSum { n: 3, sum: 30 }));
+        let mut out = OutputCollector::new();
+        bolt.execute(&int_tuple(5, 9), &mut out);
+        bolt.on_idle(&mut out);
+        assert_eq!(store.get("k").unwrap().1, golden(9, CountSum { n: 4, sum: 35 }));
+        assert_eq!(store.len(), 1, "nothing is written beside the caller's key");
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!   With a `window(...)` clause the tasks are [`WindowBolt`]s
 //!   (`"{view}.win/{task}"`) and the executor's watermark layer is
 //!   enabled at `run` time if the caller's config didn't already.
+//!   Both are one operator shell ([`Checkpointed`]): a `Fixed` task
+//!   keeps its state in one slot under that key; a
+//!   [`Parallelism::Auto`] task is the same shell sharded by key-group,
+//!   one slot per owned group under `"{view}.agg@g{group}"`.
 //! * **Serving.** A single serve bolt (named after the view) collects
 //!   the partitions' durable partials — `emit_on_commit` streams each
 //!   successful checkpoint downstream, so the view only ever reflects
@@ -43,8 +47,8 @@
 use crate::checkpoint::CheckpointStore;
 use crate::executor::{run_topology_with, ExecutorConfig, RunResult};
 use crate::metrics::Metrics;
-use crate::operator::{OperatorConfig, SynopsisBolt};
-use crate::rescale::{AutoPolicy, Autoscaler, KeyGroupBolt, RescaleController};
+use crate::operator::{merge_partials, Checkpointed, OperatorConfig, OperatorState, SynopsisBolt};
+use crate::rescale::{AutoPolicy, Autoscaler, RescaleController, Shard};
 use crate::serving::{EpochData, QueryResult, ServingView, Staleness, ViewRead};
 use crate::topology::{Bolt, BoltBuilder, OutputCollector, Spout, TopologyBuilder};
 use crate::tuple::{Tuple, Value};
@@ -264,8 +268,8 @@ where
         // An Auto plan compiles `max` task slots governed by a shard
         // table, `min` of them initially active; resizing happens at
         // runtime through the controller (see `autoscaler`).
-        let controller = match plan.parallelism {
-            Parallelism::Fixed(_) => None,
+        let (slots, auto) = match plan.parallelism {
+            Parallelism::Fixed(n) => (n, None),
             Parallelism::Auto { min, max } => {
                 if plan.key_fields.is_empty() {
                     return Err(SaError::invalid(
@@ -275,83 +279,43 @@ where
                     ));
                 }
                 let ctl = RescaleController::new();
-                ctl.table(&agg_name, max, min);
-                Some((ctl, min, max))
+                let table = ctl.table(&agg_name, max, min);
+                (max, Some((ctl, table, min, max)))
             }
         };
-        let slots = match plan.parallelism {
-            Parallelism::Fixed(n) => n,
-            Parallelism::Auto { max, .. } => max,
-        };
 
-        // One inner stateful bolt under a given checkpoint key — the
-        // unit both fixed tasks and key-group shards are made of.
+        // One checkpointed operator per task slot. A Fixed task keeps
+        // its state in one slot under "{agg_name}/{task}"; an Auto task
+        // is the same operator sharded by key-group, one slot per owned
+        // group under the task-agnostic "{agg_name}@g{group}".
         let cfg = OperatorConfig {
             checkpoint_every: plan.checkpoint_every,
             emit_on_commit: true,
             ..OperatorConfig::default()
         };
-        let make_inner = {
-            let store = store.clone();
-            let template = template.clone();
-            let update = update.clone();
-            let window = plan.window;
-            let key_fields = plan.key_fields.clone();
-            let lateness = plan.lateness;
-            move |key: &str| -> Result<Box<dyn Bolt>> {
-                match window {
-                    None => {
-                        let bolt = SynopsisBolt::with_config(
-                            key,
-                            &store,
-                            template.clone(),
-                            update.clone(),
-                            cfg.clone(),
-                        )?;
-                        Ok(Box::new(bolt) as Box<dyn Bolt>)
-                    }
-                    Some(spec) => {
-                        let wc = WindowConfig {
-                            spec,
-                            key_fields: key_fields.clone(),
-                            allowed_lateness: lateness,
-                            checkpoint: cfg.clone(),
-                        };
-                        let bolt =
-                            WindowBolt::new(key, &store, template.clone(), wc, update.clone())?;
-                        Ok(Box::new(bolt) as Box<dyn Bolt>)
-                    }
-                }
-            }
-        };
-
+        let window = plan.window.map(|spec| WindowConfig {
+            spec,
+            key_fields: plan.key_fields.clone(),
+            allowed_lateness: plan.lateness,
+            checkpoint: cfg.clone(),
+        });
+        let table = auto.as_ref().map(|(_, table, ..)| table.clone());
         let mut builders: Vec<BoltBuilder> = Vec::with_capacity(slots);
         for task in 0..slots {
-            let builder: BoltBuilder = match &controller {
-                None => {
-                    let key = format!("{agg_name}/{task}");
-                    let make = make_inner.clone();
-                    Box::new(move || make(&key))
+            let (store, template, update) = (store.clone(), template.clone(), update.clone());
+            let (cfg, window, table) = (cfg.clone(), window.clone(), table.clone());
+            let key_fields = plan.key_fields.clone();
+            let key = if table.is_some() { agg_name.clone() } else { format!("{agg_name}/{task}") };
+            builders.push(Box::new(move || {
+                let (t, u) = (template.clone(), update.clone());
+                let seat = table.as_ref().map(|table| table.shard(task, key_fields.clone()));
+                match window.clone() {
+                    None => {
+                        seated(SynopsisBolt::with_config(&key, &store, t, u, cfg.clone())?, seat)
+                    }
+                    Some(wc) => seated(WindowBolt::new(&key, &store, t, wc, u)?, seat),
                 }
-                Some((ctl, _, _)) => {
-                    let table = ctl.table_of(&agg_name).expect("table registered above");
-                    let base = agg_name.clone();
-                    let fields = plan.key_fields.clone();
-                    let store = store.clone();
-                    let make = make_inner.clone();
-                    Box::new(move || {
-                        Ok(Box::new(KeyGroupBolt::new(
-                            &base,
-                            fields.clone(),
-                            table.clone(),
-                            task,
-                            &store,
-                            make.clone(),
-                        )) as Box<dyn Bolt>)
-                    })
-                }
-            };
-            builders.push(builder);
+            }));
         }
         let agg_handle = tb.set_bolt(&agg_name, builders);
         let agg_handle = if plan.key_fields.is_empty() {
@@ -397,11 +361,23 @@ where
             metrics,
             view: ViewHandle { view: serving },
             windowed,
-            controller: controller.as_ref().map(|(ctl, _, _)| ctl.clone()),
+            controller: auto.as_ref().map(|(ctl, ..)| ctl.clone()),
             agg_name,
-            auto_bounds: controller.map(|(_, min, max)| (min, max)),
+            auto_bounds: auto.map(|(.., min, max)| (min, max)),
         })
     }
+}
+
+/// `bolt` as built (a Fixed plan's task), or seated at the plan's shard
+/// table (an Auto plan's).
+fn seated<St: OperatorState + Clone + 'static>(
+    bolt: Checkpointed<St>,
+    seat: Option<Shard>,
+) -> Result<Box<dyn Bolt>> {
+    Ok(Box::new(match seat {
+        Some(seat) => bolt.sharded(seat)?,
+        None => bolt,
+    }))
 }
 
 /// A compiled plan: the generated topology, its metrics registry, and
@@ -573,18 +549,9 @@ impl<S: Aggregator + Sync> MergeServe<S> {
     /// Merge the collected partials and publish a new epoch. Returns
     /// the merged aggregate for the drain-time emission.
     fn publish(&mut self) -> S {
-        let mut global = self.template.clone();
-        let mut covers = 0;
-        let mut keys: Vec<&String> = self.parts.keys().collect();
-        keys.sort(); // deterministic merge order
-        for key in keys {
-            let (bytes, applied) = &self.parts[key];
-            covers = covers.max(*applied);
-            let mut part = self.template.clone();
-            if part.restore(bytes).is_err() || global.merge(&part).is_err() {
-                self.errors += 1;
-            }
-        }
+        let covers = self.parts.values().map(|(_, applied)| *applied).max().unwrap_or(0);
+        let parts = self.parts.iter().map(|(key, (bytes, _))| (key, bytes));
+        let global = merge_partials(&self.template, parts, |_| self.errors += 1);
         let mut table = HashMap::with_capacity(1);
         table.insert(String::new(), ViewEntry { agg: global.clone(), window: None });
         self.view.publish(table, covers);

@@ -5,7 +5,7 @@
 //! a contiguous range of groups — never individual keys. State is
 //! checkpointed *per key-group*, so changing the parallelism is a remap
 //! of whole groups: the new owner restores each migrated group from the
-//! shared [`CheckpointStore`], and a scale-down merges groups with the
+//! shared [`crate::CheckpointStore`], and a scale-down merges groups with the
 //! synopsis's own [`sa_core::Merge`] — state is never split. This
 //! module brings that design to the topology runtime (DESIGN.md §12):
 //!
@@ -22,10 +22,10 @@
 //!   the new owners, which restore the migrated groups from the store.
 //!   Exactly-once is preserved because uncommitted effects are replayed
 //!   and committed effects are deduplicated per group key.
-//! * [`KeyGroupBolt`] — wraps any per-key checkpointed bolt factory
-//!   ([`crate::operator::SynopsisBolt`], [`crate::window::WindowBolt`])
-//!   into a sharded task that lazily materialises one inner bolt per
-//!   owned group under the task-agnostic key `"{base}@g{group}"`.
+//! * [`Shard`] — one task's seat at the table. Sharding is a property
+//!   of the one operator shell, not a wrapper around it:
+//!   [`crate::operator::Checkpointed::sharded`] keeps one checkpointed
+//!   slot per owned group under the task-agnostic `"{base}@g{group}"`.
 //! * [`Autoscaler`] — a policy loop over [`crate::MetricsSnapshot`]
 //!   signals (input-queue depth, backpressure stall ns, `execute_us`
 //!   p99) that widens a component under load and drains it after,
@@ -36,13 +36,11 @@
 //! redeliver them to the new owners.
 
 use crate::channel::Sender;
-use crate::checkpoint::CheckpointStore;
 use crate::executor::Msg;
 use crate::metrics::{GaugeHandle, Metrics, MetricsSnapshot};
-use crate::topology::{Bolt, OutputCollector};
 use crate::tuple::Tuple;
 use sa_core::{Result, SaError};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -70,8 +68,8 @@ pub fn task_of_group(group: usize, active: usize) -> usize {
 }
 
 /// The key-group of a tuple under a fields grouping — the same
-/// mix-combined hash the routing layer uses, so a [`KeyGroupBolt`] and
-/// the emitter that routed to it always agree on the group.
+/// mix-combined hash the routing layer uses, so a sharded task and the
+/// emitter that routed to it always agree on the group.
 #[inline]
 pub fn key_group(tuple: &Tuple, fields: &[usize]) -> usize {
     group_of_hash(crate::executor::fields_hash(tuple, fields))
@@ -163,6 +161,12 @@ impl ShardTable {
         self.task_of(group) == task
     }
 
+    /// `task`'s seat at this table, sharding by the key-group of
+    /// `fields` (the fields-grouping the component is wired with).
+    pub fn shard(&self, task: usize, fields: Vec<usize>) -> Shard {
+        Shard { table: self.clone(), task, fields, seen_epoch: self.epoch(), acked_gen: 0 }
+    }
+
     /// Groups moved across all completed rescales.
     pub fn migrated_groups(&self) -> u64 {
         self.inner.migrations.load(Ordering::SeqCst)
@@ -183,7 +187,7 @@ impl ShardTable {
 
     /// Record `task`'s acknowledgement of quiesce generation `gen`.
     /// Idempotent per (task, generation) — restarts cannot double-ack.
-    fn ack_quiesce(&self, task: usize, gen: u64) {
+    pub(crate) fn ack_quiesce(&self, task: usize, gen: u64) {
         if self.quiesce_gen() == gen {
             self.inner.acked.lock().unwrap().insert(task);
         }
@@ -207,9 +211,12 @@ impl ShardTable {
     }
 
     /// Abandon an in-flight quiesce without installing (timeout path).
-    /// Tasks that already dropped their uncommitted state are in the
-    /// same state as after a crash: replay re-drives them.
+    /// Tasks that already dropped their state are in the same state as
+    /// after a crash: replay re-drives the uncommitted part, and the
+    /// unchanged assignment is published as a new epoch so they restore
+    /// the committed part.
     fn abort_quiesce(&self) {
+        self.inner.epoch.store(self.quiesce_gen(), Ordering::SeqCst);
         self.inner.quiesce.store(0, Ordering::SeqCst);
         self.inner.acked.lock().unwrap().clear();
     }
@@ -354,224 +361,27 @@ impl RescaleController {
     }
 }
 
-/// Factory for one key-group's inner bolt, handed its checkpoint key.
-pub type GroupBoltFactory = Box<dyn FnMut(&str) -> Result<Box<dyn Bolt>> + Send>;
-
-/// A sharded stateful task: routes each input to its key-group's inner
-/// bolt, materialised lazily under the task-agnostic checkpoint key
-/// [`group_key`], and speaks the migration protocol against a
-/// [`ShardTable`].
-///
-/// The inner bolts own the exactly-once machinery (dedup, held acks,
-/// commit cadence — see [`crate::operator::SynopsisBolt`]); this
-/// wrapper translates their per-group ack flags to task-level flags:
-/// a group's `release` becomes a task-level release only once *no*
-/// group has uncommitted state (held acks of already-durable inputs are
-/// merely delayed, never lost), and during a quiesce or for unowned
-/// groups the input is failed so replay re-routes it.
-pub struct KeyGroupBolt {
-    base: String,
-    fields: Vec<usize>,
-    table: ShardTable,
-    task: usize,
-    store: CheckpointStore,
-    make: GroupBoltFactory,
-    groups: BTreeMap<usize, Box<dyn Bolt>>,
-    /// Groups with uncommitted (held) state.
-    dirty: BTreeSet<usize>,
-    seen_epoch: u64,
-    acked_gen: u64,
-    rerouted: u64,
+/// One task's seat in a sharded component: the [`ShardTable`] that
+/// governs it, the task's index, the fields whose hash picks a tuple's
+/// key-group, and the quiesce generation and epoch the task last
+/// reacted to. Built by [`ShardTable::shard`] and handed to
+/// [`crate::operator::Checkpointed::sharded`], which keeps one
+/// checkpointed slot per owned group under [`group_key`] and speaks
+/// the migration protocol against the table at the top of every
+/// callback.
+#[derive(Debug)]
+pub struct Shard {
+    pub(crate) table: ShardTable,
+    pub(crate) task: usize,
+    pub(crate) fields: Vec<usize>,
+    pub(crate) seen_epoch: u64,
+    pub(crate) acked_gen: u64,
 }
 
-impl KeyGroupBolt {
-    /// Shard `base`'s state by the key-group of `fields`, as `task` of
-    /// the component governed by `table`. `make` builds (or restores —
-    /// it is called with the group's checkpoint key) one inner bolt per
-    /// owned group; `store` is only probed at flush time to find
-    /// migrated groups that saw no post-rescale traffic.
-    pub fn new<F>(
-        base: &str,
-        fields: Vec<usize>,
-        table: ShardTable,
-        task: usize,
-        store: &CheckpointStore,
-        make: F,
-    ) -> Self
-    where
-        F: FnMut(&str) -> Result<Box<dyn Bolt>> + Send + 'static,
-    {
-        let seen_epoch = table.epoch();
-        Self {
-            base: base.to_string(),
-            fields,
-            table,
-            task,
-            store: store.clone(),
-            make: Box::new(make),
-            groups: BTreeMap::new(),
-            dirty: BTreeSet::new(),
-            seen_epoch,
-            acked_gen: 0,
-            rerouted: 0,
-        }
-    }
-
-    /// Inputs failed because they arrived during a quiesce or for a
-    /// group this task no longer owns (diagnostic).
-    pub fn rerouted(&self) -> u64 {
-        self.rerouted
-    }
-
-    /// Live (materialised) groups on this task.
-    pub fn live_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Observe the shard table: acknowledge a new quiesce generation by
-    /// dropping every in-memory group (uncommitted effects are replayed
-    /// — identical to the supervision rebuild path) and abandoning held
-    /// acks; adopt a new epoch by discarding groups this task no longer
-    /// owns. Runs at the top of every callback.
-    fn sync(&mut self, out: &mut OutputCollector) {
-        let gen = self.table.quiesce_gen();
-        if gen != 0 && self.acked_gen < gen {
-            self.acked_gen = gen;
-            self.groups.clear();
-            self.dirty.clear();
-            out.abandon_held();
-            self.table.ack_quiesce(self.task, gen);
-        }
-        let epoch = self.table.epoch();
-        if epoch != self.seen_epoch {
-            self.seen_epoch = epoch;
-            let disowned: Vec<usize> =
-                self.groups.keys().copied().filter(|&g| !self.table.owns(g, self.task)).collect();
-            if !disowned.is_empty() {
-                for g in disowned {
-                    self.groups.remove(&g);
-                    self.dirty.remove(&g);
-                }
-                // Conservative: replay everything uncommitted. Inner
-                // dedup absorbs replays of still-owned groups.
-                out.abandon_held();
-            }
-        }
-    }
-
-    fn quiescing(&self) -> bool {
-        self.table.quiesce_gen() != 0
-    }
-
-    /// Materialise the inner bolt for `group` (restoring from its
-    /// checkpoint). A factory failure panics: supervision restarts the
-    /// task with backoff, which retries the restore.
-    fn ensure_group(&mut self, group: usize) -> &mut Box<dyn Bolt> {
-        if !self.groups.contains_key(&group) {
-            let key = group_key(&self.base, group);
-            let bolt = (self.make)(&key)
-                .unwrap_or_else(|e| panic!("key-group {group} ({key}) restore failed: {e}"));
-            self.groups.insert(group, bolt);
-        }
-        self.groups.get_mut(&group).unwrap()
-    }
-
-    /// Translate one inner collector into the task-level collector.
-    fn apply(&mut self, group: usize, scratch: OutputCollector, out: &mut OutputCollector) {
-        for t in scratch.emitted {
-            out.emit(t);
-        }
-        for t in scratch.late {
-            out.emit_late(t);
-        }
-        if scratch.failed {
-            out.fail();
-            return;
-        }
-        if scratch.release {
-            self.dirty.remove(&group);
-        }
-        if scratch.hold {
-            self.dirty.insert(group);
-        }
-        if scratch.release && self.dirty.is_empty() {
-            // Every group is durable: release the whole task's ledger.
-            out.release_acks();
-        } else if scratch.release || scratch.hold {
-            // This input is (or just became) durable but another group
-            // still holds uncommitted state — keep its ack parked; the
-            // idle hook releases once the stragglers commit.
-            out.hold_ack();
-        }
-        // Neither flag (durable duplicate): plain ack, pass through.
-    }
-
-    /// Run `call` against `group`'s inner bolt and fold the result.
-    fn drive<F>(&mut self, group: usize, out: &mut OutputCollector, call: F)
-    where
-        F: FnOnce(&mut Box<dyn Bolt>, &mut OutputCollector),
-    {
-        let mut scratch = OutputCollector::new();
-        call(self.ensure_group(group), &mut scratch);
-        self.apply(group, scratch, out);
-    }
-}
-
-impl Bolt for KeyGroupBolt {
-    fn execute(&mut self, input: &Tuple, out: &mut OutputCollector) {
-        self.sync(out);
-        if self.quiescing() {
-            // Mid-migration: reject so replay re-routes after install.
-            self.rerouted += 1;
-            out.fail();
-            return;
-        }
-        let group = key_group(input, &self.fields);
-        if !self.table.owns(group, self.task) {
-            // Routed under an assignment we no longer serve.
-            self.rerouted += 1;
-            out.fail();
-            return;
-        }
-        self.drive(group, out, |b, o| b.execute(input, o));
-    }
-
-    fn on_idle(&mut self, out: &mut OutputCollector) {
-        self.sync(out);
-        if self.quiescing() || self.dirty.is_empty() {
-            return;
-        }
-        for group in self.dirty.clone() {
-            self.drive(group, out, |b, o| b.on_idle(o));
-        }
-    }
-
-    fn on_watermark(&mut self, wm: u64, out: &mut OutputCollector) {
-        self.sync(out);
-        if self.quiescing() {
-            return;
-        }
-        for group in self.groups.keys().copied().collect::<Vec<_>>() {
-            self.drive(group, out, |b, o| b.on_watermark(wm, o));
-        }
-    }
-
-    fn flush(&mut self, out: &mut OutputCollector) {
-        self.sync(out);
-        // Flush every owned group — including migrated groups that saw
-        // no traffic since the rescale (their old owner dropped them at
-        // the quiesce, so this task must emit their final state).
-        for group in 0..KEY_GROUPS {
-            if !self.table.owns(group, self.task) {
-                continue;
-            }
-            let present = self.groups.contains_key(&group)
-                || self.store.get(&group_key(&self.base, group)).is_some();
-            if !present {
-                continue;
-            }
-            self.drive(group, out, |b, o| b.flush(o));
-        }
+impl Shard {
+    /// Whether this task owns `group` under the current assignment.
+    pub(crate) fn owns(&self, group: usize) -> bool {
+        self.table.owns(group, self.task)
     }
 }
 
@@ -739,7 +549,9 @@ impl Autoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointStore;
     use crate::operator::{OperatorConfig, SynopsisBolt};
+    use crate::topology::{Bolt, OutputCollector};
     use crate::tuple::{tuple_of, Value};
     use sa_sketches::heavy_hitters::SpaceSaving;
 
@@ -809,26 +621,20 @@ mod tests {
         assert!(ctl.resize("ghost", 2).is_err());
     }
 
-    fn counting_group_bolt(
-        table: &ShardTable,
-        task: usize,
-        store: &CheckpointStore,
-    ) -> KeyGroupBolt {
-        let store2 = store.clone();
-        KeyGroupBolt::new("kg", vec![0], table.clone(), task, store, move |key| {
-            let bolt = SynopsisBolt::with_config(
-                key,
-                &store2,
-                SpaceSaving::<String>::new(64)?,
-                |t: &Tuple, s: &mut SpaceSaving<String>| {
-                    if let Some(w) = t.get(0).and_then(Value::as_str) {
-                        s.insert(w.to_string());
-                    }
-                },
-                OperatorConfig { checkpoint_every: 2, ..OperatorConfig::default() },
-            )?;
-            Ok(Box::new(bolt) as Box<dyn Bolt>)
-        })
+    type Counter = SynopsisBolt<SpaceSaving<String>, fn(&Tuple, &mut SpaceSaving<String>)>;
+
+    fn count_word(t: &Tuple, s: &mut SpaceSaving<String>) {
+        if let Some(w) = t.get(0).and_then(Value::as_str) {
+            s.insert(w.to_string());
+        }
+    }
+
+    fn counting_group_bolt(table: &ShardTable, task: usize, store: &CheckpointStore) -> Counter {
+        let cfg = OperatorConfig { checkpoint_every: 2, ..OperatorConfig::default() };
+        let count = count_word as fn(&Tuple, &mut SpaceSaving<String>);
+        SynopsisBolt::with_config("kg", store, SpaceSaving::<String>::new(64).unwrap(), count, cfg)
+            .and_then(|bolt| bolt.sharded(table.shard(task, vec![0])))
+            .unwrap()
     }
 
     fn lineage(tuple: Tuple, root: u64, id: u64) -> Tuple {
@@ -854,7 +660,7 @@ mod tests {
             assert!(!out.failed, "task 0 owns everything at active=1");
             id += 1;
         }
-        assert!(t0.live_groups() > 1, "keys spread across groups");
+        assert!(t0.states().len() > 1, "keys spread across groups");
         // Commit the tail so every group is durable.
         let mut out = OutputCollector::new();
         t0.on_idle(&mut out);
@@ -866,7 +672,7 @@ mod tests {
         t0.on_idle(&mut out); // observes the quiesce, acks
         assert_eq!(table.acks(), 1);
         table.install(2, gen);
-        assert_eq!(t0.live_groups(), 0, "quiesce dropped in-memory groups");
+        assert_eq!(t0.states().len(), 0, "quiesce dropped in-memory groups");
 
         // Task 0 now rejects tuples owned by task 1.
         let mut t1 = counting_group_bolt(&table, 1, &store);
@@ -911,6 +717,116 @@ mod tests {
         for i in 0..40u64 {
             assert_eq!(merged.estimate(&format!("k{i}")), 2, "k{i} applied once per round");
         }
+    }
+
+    /// Two keys living in different key-groups.
+    fn keys_in_two_groups() -> (String, String) {
+        let group = |k: &String| key_group(&tuple_of([k.clone()]), &[0]);
+        let a = "k0".to_string();
+        let b = (1..).map(|i| format!("k{i}")).find(|k| group(k) != group(&a)).unwrap();
+        (a, b)
+    }
+
+    /// The flattened shell's ack rule: cadence is per slot, but the
+    /// task's held acks are released only once *no* slot is dirty.
+    #[test]
+    fn held_acks_release_only_when_every_slot_is_durable() {
+        let store = CheckpointStore::new();
+        let table = ShardTable::new(1, 1);
+        let mut bolt = counting_group_bolt(&table, 0, &store); // cadence: 2 per slot
+        let (a, b) = keys_in_two_groups();
+        let mut flags = Vec::new();
+        for (id, key) in [&a, &b, &a, &b].into_iter().enumerate() {
+            let mut out = OutputCollector::new();
+            bolt.execute(&lineage(tuple_of([key.clone()]), id as u64 + 1, id as u64 + 1), &mut out);
+            flags.push((out.hold, out.release));
+        }
+        // a, b: below cadence. Second a: its slot commits, b's is still
+        // dirty → hold. Second b: the last dirty slot commits → release.
+        assert_eq!(flags, [(true, false), (true, false), (true, false), (false, true)]);
+    }
+
+    /// A commit writes only the slots that have pending ids: touching
+    /// two key-groups bumps the store version of exactly those two
+    /// `"{base}@g{g}"` keys.
+    #[test]
+    fn a_commit_touches_only_the_dirty_groups_keys() {
+        let store = CheckpointStore::new();
+        let table = ShardTable::new(1, 1);
+        let mut bolt = counting_group_bolt(&table, 0, &store);
+        let mut id = 0u64;
+        let mut feed = |bolt: &mut Counter, key: &str| {
+            id += 1;
+            bolt.execute(
+                &lineage(tuple_of([key.to_string()]), id, id),
+                &mut OutputCollector::new(),
+            );
+        };
+        for i in 0..40 {
+            feed(&mut bolt, &format!("k{i}"));
+        }
+        bolt.on_idle(&mut OutputCollector::new());
+        let versions = |store: &CheckpointStore| -> Vec<Option<u64>> {
+            (0..KEY_GROUPS).map(|g| store.get(&group_key("kg", g)).map(|(v, _)| v)).collect()
+        };
+        let before = versions(&store);
+        let (a, b) = keys_in_two_groups();
+        feed(&mut bolt, &a);
+        feed(&mut bolt, &b);
+        bolt.on_idle(&mut OutputCollector::new());
+        let after = versions(&store);
+        let bumped: Vec<usize> = (0..KEY_GROUPS).filter(|&g| before[g] != after[g]).collect();
+        let mut touched = vec![key_group(&tuple_of([a]), &[0]), key_group(&tuple_of([b]), &[0])];
+        touched.sort_unstable();
+        assert_eq!(bumped, touched);
+    }
+
+    /// Regression: a window group migrated by a rescale must fire on
+    /// its new owner even if no tuple reaches it there — the new owner
+    /// restores every owned group when it adopts the epoch, not lazily
+    /// on the group's first tuple.
+    #[test]
+    fn migrated_idle_window_group_fires_on_its_new_owner() {
+        use crate::window::{WindowBolt, WindowConfig, WindowSpec};
+        let store = CheckpointStore::new();
+        let table = ShardTable::new(2, 1);
+        let task = |task: usize| {
+            let cfg = WindowConfig::new(WindowSpec::Tumbling { size: 10 }, vec![0]);
+            let count = count_word as fn(&Tuple, &mut SpaceSaving<String>);
+            WindowBolt::new("kw", &store, SpaceSaving::<String>::new(8).unwrap(), cfg, count)
+                .and_then(|bolt| bolt.sharded(table.shard(task, vec![0])))
+                .unwrap()
+        };
+        let (mut t0, mut t1) = (task(0), task(1));
+        // A key whose group moves to task 1 at parallelism 2.
+        let group = |k: &String| key_group(&tuple_of([k.clone()]), &[0]);
+        let key = (0..).map(|i| format!("k{i}")).find(|k| task_of_group(group(k), 2) == 1).unwrap();
+        for id in 1..=3u64 {
+            let t = lineage(tuple_of([key.clone()]).at(5), id, id);
+            t0.execute(&t, &mut OutputCollector::new());
+        }
+        let mut out = OutputCollector::new();
+        t0.on_idle(&mut out);
+        assert!(out.release, "the window state is durable");
+
+        let gen = table.begin_quiesce();
+        t0.on_idle(&mut OutputCollector::new());
+        t1.on_idle(&mut OutputCollector::new());
+        assert_eq!(table.acks(), 2);
+        table.install(2, gen);
+
+        // No post-rescale traffic for the key: task 1 only goes idle
+        // (adopting the epoch) and sees the watermark pass the window.
+        let mut out = OutputCollector::new();
+        t1.on_idle(&mut out);
+        t1.on_watermark(10, &mut out);
+        assert_eq!(out.emitted.len(), 1, "the migrated window fires on its new owner");
+        let fired = &out.emitted[0];
+        assert_eq!(fired.get(0).unwrap().as_str(), Some(key.as_str()));
+        assert_eq!(
+            (fired.get(1).unwrap().as_int(), fired.get(2).unwrap().as_int()),
+            (Some(0), Some(10))
+        );
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //!   to the `"{spout}.dlq"` terminal sink and counted, instead of being
 //!   replayed forever (the classic poison-tuple defence).
 //!
-//! [`FaultPlan`] generalises the ad-hoc `link_drop_prob`/`kill` knobs
-//! into one chaos harness: per-component panic probability, per-link
-//! drop/delay injection, and checkpoint-write failure injection (armed
-//! onto a [`crate::checkpoint::CheckpointStore`] with
+//! [`FaultPlan`] is the one chaos harness: per-component panic
+//! probability, per-link drop/delay injection, and checkpoint-write
+//! failure injection (armed onto a
+//! [`crate::checkpoint::CheckpointStore`] with
 //! [`FaultPlan::arm_store`]), all seeded and deterministic.
 
 use crate::checkpoint::CheckpointStore;
@@ -186,7 +186,7 @@ pub struct FaultPlan {
     /// or `execute` call) panics.
     panic_prob: Vec<(String, f64)>,
     /// Per-component probability that an outgoing delivery is dropped
-    /// in flight (overrides `ExecutorConfig::link_drop_prob`).
+    /// in flight.
     link_drop: Vec<(String, f64)>,
     /// Per-component `(probability, delay)` injected before an outgoing
     /// batch send (network latency spikes).

@@ -25,22 +25,23 @@
 //!   component's `dropped_late` metric — it can no longer change any
 //!   result, but it is not silently discarded.
 //!
-//! State — every `(key, window)` aggregate, the open sessions, and the
-//! applied-tuple dedup ids — snapshots and restores through the same
-//! [`CheckpointStore`] path as [`crate::operator::SynopsisBolt`]
-//! (atomic `commit_batch`, GC'd dedup tokens), so crash recovery via
-//! log replay reproduces the exact window results of an uncrashed run.
+//! [`WindowBolt`] is the [`Checkpointed`] exactly-once shell over
+//! [`WindowState`] — every `(key, window)` aggregate, the open
+//! sessions and the timers. Dedup, the atomic `commit_batch` of state
+//! plus applied ids, token GC and held acks are the shell's, shared
+//! with [`crate::operator::SynopsisBolt`], so crash recovery via log
+//! replay reproduces the exact window results of an uncrashed run.
 
 use crate::checkpoint::CheckpointStore;
-use crate::metrics::{CounterHandle, Metrics};
-use crate::operator::OperatorConfig;
-use crate::topology::{Bolt, OutputCollector};
+use crate::operator::{Checkpointed, OperatorConfig, OperatorState};
+use crate::topology::OutputCollector;
 use crate::tuple::{Tuple, Value};
 use sa_core::codec::{ByteReader, ByteWriter};
 use sa_core::{Merge, Result, Synopsis};
 use sa_windows::assigners::{sliding, tumbling, SessionWindows, Window};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Which windows a timestamp maps to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,50 +107,40 @@ enum TimerKind {
 type TimerKey = (String, Window, TimerKind);
 
 /// One live `(key, window)` aggregate.
-struct WindowState<S> {
+#[derive(Clone)]
+struct Pane<S> {
     agg: S,
-    /// Updates applied since the last firing — `flush` emits only
+    /// Updates applied since the last firing — the drain emits only
     /// dirty groups, so a fired-and-unchanged window is not repeated.
     dirty: bool,
 }
 
 const WINDOW_TAG: u8 = b'W';
 
-/// A keyed, windowed, checkpointed aggregation bolt. See the module
+/// The keyed, windowed [`OperatorState`]: assigners, sessions, timers
+/// and lateness over one synopsis per `(key, window)`. See the module
 /// docs for semantics. `update` folds one tuple into the per-window
 /// synopsis; `Merge` is required because session windows that grow
 /// together must merge their aggregates.
-pub struct WindowBolt<S, F> {
-    key: String,
-    store: CheckpointStore,
+#[derive(Clone)]
+pub struct WindowState<S, F> {
     template: S,
     update: F,
     cfg: WindowConfig,
     /// Live aggregates, ordered for deterministic emission/encoding.
-    groups: BTreeMap<(String, Window), WindowState<S>>,
+    groups: BTreeMap<(String, Window), Pane<S>>,
     /// Open sessions per key (session spec only).
     sessions: HashMap<String, SessionWindows>,
     timers: crate::time::TimerService<TimerKey>,
     /// Local watermark (None until the first `on_watermark`).
     wm: Option<u64>,
-    /// Exactly-once bookkeeping, as in `SynopsisBolt`.
-    pending: Vec<u64>,
-    pending_set: HashSet<u64>,
-    last_applied: u64,
-    recovered: bool,
-    duplicates_skipped: u64,
     /// Session-aggregate merges that failed (incompatible synopses).
     merge_errors: u64,
-    /// Checkpoint writes rejected by the store (state kept, retried).
-    commit_failures: u64,
-    /// Transient commit errors absorbed by in-place retry
-    /// ([`OperatorConfig::commit_retry`]).
-    commit_retries: u64,
-    /// `{component}.commit_failures` / `{component}.commit_retries`,
-    /// wired by [`Bolt::register_metrics`] under an executor.
-    commit_failures_ctr: Option<CounterHandle>,
-    commit_retries_ctr: Option<CounterHandle>,
 }
+
+/// A keyed, windowed, checkpointed aggregation bolt: the
+/// [`Checkpointed`] shell over [`WindowState`].
+pub type WindowBolt<S, F> = Checkpointed<WindowState<S, F>>;
 
 impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> WindowBolt<S, F> {
     /// A bolt checkpointing under `key` in `store`. If a checkpoint
@@ -162,9 +153,24 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
         cfg: WindowConfig,
         update: F,
     ) -> Result<Self> {
-        let mut me = Self {
-            key: key.to_string(),
-            store: store.clone(),
+        let checkpoint = cfg.checkpoint.clone();
+        Self::open(key, store, WindowState::new(template, cfg, update), checkpoint)
+    }
+
+    /// Live `(key, window)` groups.
+    pub fn live_windows(&self) -> usize {
+        self.states().map(|st| st.groups.len()).sum()
+    }
+
+    /// Failed session-aggregate merges.
+    pub fn merge_errors(&self) -> u64 {
+        self.states().map(|st| st.merge_errors).sum()
+    }
+}
+
+impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> WindowState<S, F> {
+    fn new(template: S, cfg: WindowConfig, update: F) -> Self {
+        Self {
             template,
             update,
             cfg,
@@ -172,24 +178,8 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
             sessions: HashMap::new(),
             timers: crate::time::TimerService::new(),
             wm: None,
-            pending: Vec::new(),
-            pending_set: HashSet::new(),
-            last_applied: 0,
-            recovered: false,
-            duplicates_skipped: 0,
             merge_errors: 0,
-            commit_failures: 0,
-            commit_retries: 0,
-            commit_failures_ctr: None,
-            commit_retries_ctr: None,
-        };
-        if let Some((_, value)) = store.get(key) {
-            let (applied, payload) = crate::operator::decode_checkpoint(&value)?;
-            me.last_applied = applied;
-            me.restore_state(&payload)?;
-            me.recovered = true;
         }
-        Ok(me)
     }
 
     /// The grouping key of a tuple: key fields' `Display` forms joined
@@ -252,7 +242,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
         let entry = self
             .groups
             .entry((key.to_string(), w))
-            .or_insert_with(|| WindowState { agg: self.template.clone(), dirty: false });
+            .or_insert_with(|| Pane { agg: self.template.clone(), dirty: false });
         (self.update)(input, &mut entry.agg);
         entry.dirty = true;
         if self.already_fired(&w) {
@@ -284,7 +274,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
             }
         }
         (self.update)(input, &mut agg);
-        self.groups.insert((key.to_string(), merged), WindowState { agg, dirty: true });
+        self.groups.insert((key.to_string(), merged), Pane { agg, dirty: true });
         // Timers for absorbed windows go stale; their firings find no
         // group and are ignored (lazy deletion).
         if self.already_fired(&merged) {
@@ -293,11 +283,58 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
             self.arm(key, merged);
         }
     }
+}
+
+impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> OperatorState
+    for WindowState<S, F>
+{
+    fn apply(&mut self, input: &Tuple, out: &mut OutputCollector) {
+        // A tuple diverted to the late side output still counts as
+        // applied: the shell records its id either way, since a replay
+        // of it would be just as late.
+        let Some(et) = input.event_time else {
+            // Unstamped tuples cannot be windowed.
+            out.emit_late(input.clone());
+            return;
+        };
+        let key = self.group_key(input);
+        match self.cfg.spec {
+            WindowSpec::Tumbling { size } => {
+                let w = tumbling(et, size);
+                if self.expired(&w) {
+                    out.emit_late(input.clone());
+                } else {
+                    self.apply_to(&key, w, input, out);
+                }
+            }
+            WindowSpec::Sliding { size, slide } => {
+                let live: Vec<Window> =
+                    sliding(et, size, slide).into_iter().filter(|w| !self.expired(w)).collect();
+                if live.is_empty() {
+                    out.emit_late(input.clone());
+                }
+                for w in live {
+                    self.apply_to(&key, w, input, out);
+                }
+            }
+            WindowSpec::Session { gap } => {
+                // The session this event would create ends at
+                // et + gap; merging into an open session only
+                // pushes the end later, so this bound decides.
+                let probe = Window { start: et, end: et.saturating_add(gap) };
+                if self.expired(&probe) {
+                    out.emit_late(input.clone());
+                } else {
+                    self.apply_session(&key, et, gap, input, out);
+                }
+            }
+        }
+    }
 
     /// Encode every live group and session as the checkpoint's snapshot
     /// payload (the newest applied id travels in the standard operator
     /// envelope so [`crate::operator::replay_offset`] can read it).
-    fn encode_state(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.tag(WINDOW_TAG);
         w.put_u64(self.groups.len() as u64);
@@ -322,7 +359,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
     }
 
     /// Rebuild groups, sessions, and timers from a snapshot payload.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<()> {
+    fn restore(&mut self, bytes: &[u8]) -> Result<()> {
         let mut r = ByteReader::new(bytes);
         r.expect_tag(WINDOW_TAG, "window checkpoint")?;
         let n_groups = r.get_len(17)?;
@@ -333,7 +370,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
             let dirty = r.get_bool()?;
             let mut agg = self.template.clone();
             agg.restore(r.get_bytes()?)?;
-            self.groups.insert((key.clone(), win), WindowState { agg, dirty });
+            self.groups.insert((key.clone(), win), Pane { agg, dirty });
             armed.push((key, win));
         }
         let n_sessions = r.get_len(9)?;
@@ -374,165 +411,6 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
         Ok(())
     }
 
-    /// Commit pending state + dedup ids atomically, then GC tokens.
-    /// Returns whether the pending set is durable; a rejected write
-    /// keeps `pending` intact (checkpoint skipped, retried next
-    /// interval) so `replay_offset` never passes unpersisted state.
-    fn commit(&mut self) -> bool {
-        if self.pending.is_empty() {
-            return true;
-        }
-        let mut attempt: u32 = 0;
-        loop {
-            let value = crate::operator::encode_checkpoint(self.last_applied, &self.encode_state());
-            let Err(e) = self.store.commit_batch(&self.key, &self.pending, value) else { break };
-            let retry = self.cfg.checkpoint.commit_retry.as_ref();
-            if !e.is_transient() || attempt >= retry.map_or(0, |p| p.max_restarts) {
-                self.commit_failures += 1;
-                if let Some(c) = &self.commit_failures_ctr {
-                    c.add(1);
-                }
-                return false;
-            }
-            let backoff = retry.expect("budget > 0").backoff(attempt);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            attempt += 1;
-            self.commit_retries += 1;
-            if let Some(c) = &self.commit_retries_ctr {
-                c.add(1);
-            }
-        }
-        self.pending.clear();
-        self.pending_set.clear();
-        if let Some(horizon) = self.cfg.checkpoint.gc_horizon {
-            self.store.gc(&self.key, self.last_applied.saturating_sub(horizon));
-        }
-        true
-    }
-
-    /// Live `(key, window)` groups.
-    pub fn live_windows(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether construction restored a prior checkpoint.
-    pub fn recovered(&self) -> bool {
-        self.recovered
-    }
-
-    /// Replayed tuples dropped by deduplication.
-    pub fn duplicates_skipped(&self) -> u64 {
-        self.duplicates_skipped
-    }
-
-    /// Newest record id folded into any window.
-    pub fn last_applied(&self) -> u64 {
-        self.last_applied
-    }
-
-    /// Failed session-aggregate merges.
-    pub fn merge_errors(&self) -> u64 {
-        self.merge_errors
-    }
-
-    /// Checkpoint writes the store rejected (state retained each time).
-    pub fn commit_failures(&self) -> u64 {
-        self.commit_failures
-    }
-
-    /// Transient commit errors absorbed by in-place retry.
-    pub fn commit_retries(&self) -> u64 {
-        self.commit_retries
-    }
-}
-
-impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
-    for WindowBolt<S, F>
-{
-    fn execute(&mut self, input: &Tuple, out: &mut OutputCollector) {
-        // Exactly-once dedup first: a replayed tuple must not re-enter
-        // any window (lineage 0 = untracked test input, not deduped).
-        let id = input.lineage;
-        if id != 0 && self.pending_set.contains(&id) {
-            // Applied but not yet durable: hold this replay's ack along
-            // with the original attempt's (see `SynopsisBolt::execute`).
-            self.duplicates_skipped += 1;
-            out.hold_ack();
-            return;
-        }
-        if id != 0 && self.store.is_seen(&self.key, id) {
-            self.duplicates_skipped += 1;
-            return;
-        }
-        let applied = match input.event_time {
-            None => {
-                // Unstamped tuples cannot be windowed.
-                out.emit_late(input.clone());
-                false
-            }
-            Some(et) => {
-                let key = self.group_key(input);
-                match self.cfg.spec {
-                    WindowSpec::Tumbling { size } => {
-                        let w = tumbling(et, size);
-                        if self.expired(&w) {
-                            out.emit_late(input.clone());
-                            false
-                        } else {
-                            self.apply_to(&key, w, input, out);
-                            true
-                        }
-                    }
-                    WindowSpec::Sliding { size, slide } => {
-                        let live: Vec<Window> = sliding(et, size, slide)
-                            .into_iter()
-                            .filter(|w| !self.expired(w))
-                            .collect();
-                        if live.is_empty() {
-                            out.emit_late(input.clone());
-                            false
-                        } else {
-                            for w in live {
-                                self.apply_to(&key, w, input, out);
-                            }
-                            true
-                        }
-                    }
-                    WindowSpec::Session { gap } => {
-                        // The session this event would create ends at
-                        // et + gap; merging into an open session only
-                        // pushes the end later, so this bound decides.
-                        let probe = Window { start: et, end: et.saturating_add(gap) };
-                        if self.expired(&probe) {
-                            out.emit_late(input.clone());
-                            false
-                        } else {
-                            self.apply_session(&key, et, gap, input, out);
-                            true
-                        }
-                    }
-                }
-            }
-        };
-        // Record the id either way: a replay of a dropped-late tuple
-        // would be just as late, and replays of applied tuples must be
-        // absorbed. (`applied` only gates nothing today but keeps the
-        // decision explicit.)
-        let _ = applied;
-        if id != 0 {
-            self.pending.push(id);
-            self.pending_set.insert(id);
-            self.last_applied = self.last_applied.max(id);
-            if self.pending.len() as u64 >= self.cfg.checkpoint.checkpoint_every && self.commit() {
-                out.release_acks();
-            } else {
-                out.hold_ack();
-            }
-        }
-    }
-
     fn on_watermark(&mut self, wm: u64, out: &mut OutputCollector) {
         // The executor's merger is monotone; max() guards unit tests
         // driving this directly.
@@ -560,10 +438,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
         }
     }
 
-    fn flush(&mut self, out: &mut OutputCollector) {
-        if self.cfg.checkpoint.commit_on_flush && self.commit() {
-            out.release_acks();
-        }
+    fn drain(&mut self, _key: &Arc<str>, out: &mut OutputCollector) {
         // Emit windows that never fired (no watermark reached them —
         // e.g. watermarks disabled, or an unclean drain). Fired-and-
         // unchanged groups are clean and not repeated.
@@ -577,22 +452,12 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Bolt
             self.emit_window(&key, win, out);
         }
     }
-
-    fn on_idle(&mut self, out: &mut OutputCollector) {
-        if !self.pending.is_empty() && self.commit() {
-            out.release_acks();
-        }
-    }
-
-    fn register_metrics(&mut self, metrics: &Metrics, component: &str) {
-        self.commit_failures_ctr = Some(metrics.register(&format!("{component}.commit_failures")));
-        self.commit_retries_ctr = Some(metrics.register(&format!("{component}.commit_retries")));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Bolt;
     use crate::tuple::tuple_of;
     use sa_core::codec::{ByteReader, ByteWriter};
 
@@ -840,6 +705,40 @@ mod tests {
         sums.sort();
         assert_eq!(sums, vec![("a".into(), 120, 11), ("b".into(), 510, 3)]);
         assert_eq!(flushed, 2, "pre-crash flush emitted the dirty groups");
+    }
+
+    /// What an unsharded task stores is a compatibility surface — a
+    /// restart after an upgrade reads it: the operator envelope (`O`,
+    /// last applied id) around the window payload (`W`, the groups in
+    /// key order, the open sessions in key order).
+    #[test]
+    fn checkpoint_key_and_bytes_keep_the_documented_layout() {
+        let golden = |last_applied: u64, end: u64, agg: CountSum| {
+            let mut payload = ByteWriter::new();
+            payload.tag(b'W').put_u64(1);
+            payload
+                .put_str("a")
+                .put_u64(100)
+                .put_u64(end)
+                .put_bool(true)
+                .put_bytes(&agg.snapshot());
+            payload.put_u64(1).put_str("a").put_u64(1).put_u64(100).put_u64(end);
+            let mut w = ByteWriter::new();
+            w.tag(b'O').put_u64(last_applied).put_bytes(&payload.finish());
+            w.finish()
+        };
+        let store = CheckpointStore::new();
+        // One open session of key "a", [100, 115), two events folded.
+        store.put("w/0", golden(2, 115, CountSum { n: 2, sum: 3 }));
+        let mut b = bolt(&store, WindowSpec::Session { gap: 10 }, 0);
+        assert!(b.recovered());
+        assert_eq!((b.last_applied(), b.live_windows()), (2, 1));
+        // A third event extends the restored session to [100, 120).
+        let mut out = OutputCollector::new();
+        b.execute(&keyed("a", 8, 110, 4), &mut out);
+        b.on_idle(&mut out);
+        assert_eq!(store.get("w/0").unwrap().1, golden(4, 120, CountSum { n: 3, sum: 11 }));
+        assert_eq!(store.len(), 1, "nothing is written beside the caller's key");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! equal a clean replay of the immutable master dataset.
 
 use sa_core::rng::SplitMix64;
+use sa_core::Synopsis;
 use sa_platform::{
-    CheckpointStore, ExecutorConfig, FaultPlan, Layer, Log, LogSpout, Query, Record, RestartPolicy,
-    Semantics, Spout, Tuple,
+    tumbling, tuple_of, vec_spout, CheckpointStore, ExecutorConfig, FaultPlan, Layer, Log,
+    LogSpout, Parallelism, Query, Record, RestartPolicy, Semantics, Spout, Tuple,
 };
 use sa_sketches::heavy_hitters::SpaceSaving;
 use std::collections::HashMap;
@@ -35,6 +36,40 @@ fn replay_master_keys(log: &Log) -> HashMap<String, u64> {
         }
     }
     truth
+}
+
+/// Fixed and Auto plans run the same operator shell — one slot per task
+/// against one slot per owned key-group — so with no resize the same
+/// keyed stream must serve identical per-key results through both.
+#[test]
+fn fixed_and_auto_plans_serve_identical_per_key_results() {
+    let serve = |parallelism: Parallelism| {
+        let mut rng = SplitMix64::new(77);
+        let tuples: Vec<Tuple> = (0..1_500u64)
+            .map(|et| tuple_of([format!("w{:02}", rng.next_below(30))]).at(et))
+            .collect();
+        let compiled = Query::from("events")
+            .key_by(vec![0])
+            .window(tumbling(100))
+            .parallelism(parallelism)
+            .checkpoint_every(16)
+            .aggregate(SpaceSaving::<String>::new(8).unwrap(), |t: &Tuple, s| {
+                s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
+            })
+            .serve("wins")
+            .compile(vec![vec_spout(tuples)])
+            .unwrap();
+        let view = compiled.view();
+        assert!(compiled.run(ExecutorConfig::default()).unwrap().clean_shutdown);
+        let table = &view.snapshot().table;
+        let mut served: Vec<_> =
+            table.iter().map(|(key, e)| (key.clone(), e.window, e.agg.snapshot())).collect();
+        served.sort();
+        served
+    };
+    let fixed = serve(Parallelism::Fixed(2));
+    assert_eq!(fixed.len(), 30, "every key served");
+    assert_eq!(fixed, serve(Parallelism::Auto { min: 2, max: 2 }));
 }
 
 /// A compiled query under the chaos harness (1% task panics + 1% link

@@ -11,8 +11,8 @@ use sa_platform::checkpoint::{counter_add, counter_value, CheckpointStore};
 use sa_platform::topology::vec_spout;
 use sa_platform::tuple::tuple_of;
 use sa_platform::{
-    run_topology, Bolt, ExecutorConfig, OutputCollector, Scheduling, Semantics, TopologyBuilder,
-    Tuple, Value,
+    run_topology, Bolt, ExecutorConfig, FaultPlan, OutputCollector, Scheduling, Semantics,
+    TopologyBuilder, Tuple, Value,
 };
 use std::collections::HashMap;
 use std::time::Duration;
@@ -147,7 +147,7 @@ fn at_most_once_loses_data_under_link_failures() {
         tb,
         ExecutorConfig {
             semantics: Semantics::AtMostOnce,
-            link_drop_prob: 0.1,
+            faults: FaultPlan::default().drop_on("", 0.1),
             ..Default::default()
         },
     )
@@ -166,7 +166,7 @@ fn at_least_once_replays_and_never_undercounts() {
         tb,
         ExecutorConfig {
             semantics: Semantics::AtLeastOnce,
-            link_drop_prob: 0.05,
+            faults: FaultPlan::default().drop_on("", 0.05),
             ack_timeout: Duration::from_millis(300),
             shutdown_timeout: Duration::from_secs(20),
             ..Default::default()
@@ -200,7 +200,7 @@ fn exactly_once_is_exact_under_link_failures() {
         tb,
         ExecutorConfig {
             semantics: Semantics::AtLeastOnce,
-            link_drop_prob: 0.05,
+            faults: FaultPlan::default().drop_on("", 0.05),
             ack_timeout: Duration::from_millis(300),
             shutdown_timeout: Duration::from_secs(20),
             ..Default::default()

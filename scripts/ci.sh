@@ -65,6 +65,10 @@ grep -q '"columnar_wins": true' BENCH_dataplane.json
 grep -q '"allocs_ok": true' BENCH_dataplane.json
 
 echo "== rescale gate (key-group routing, live migration chaos, autoscaler) =="
+# Sharded tasks are the one operator shell (operator::Checkpointed) with
+# a slot per owned key-group: its unit tests pin the ack rule, per-group
+# commits and the restore of migrated groups; the suite drives it live.
+cargo test -q -p sa-platform --lib -- rescale::
 cargo test -q --test rescale
 # T2.J kick-tires: autoscaler vs a Zipf hot-key storm through a
 # Parallelism::Auto query; the hard bar is exactness through every

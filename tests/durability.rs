@@ -187,7 +187,7 @@ fn open_store(root: &Path) -> CheckpointStore {
     CheckpointStore::durable(storage, "ckpt", cfg).unwrap()
 }
 
-/// spout(log, frontier) → `KeyGroupBolt`-wrapped counters × `SLOTS`
+/// spout(log, frontier) → key-group-sharded counters × `SLOTS`
 /// governed by `ctl` — the rescale cell's topology.
 fn rescalable_topology(
     log: &Log,
@@ -208,29 +208,25 @@ fn rescalable_topology(
         let store = store.clone();
         let table = table.clone();
         builders.push(Box::new(move || {
-            let group_store = store.clone();
-            let make = move |key: &str| {
-                let update = move |t: &Tuple, s: &mut SpaceSaving<String>| {
-                    if let Some(d) = throttle {
-                        thread::sleep(d);
-                    }
-                    s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
-                };
-                // Fine cadence: per-*group* pendings fill slowly, and
-                // the settled frontier can only pass a record once its
-                // group committed it.
-                let cfg = OperatorConfig { checkpoint_every: 5, ..Default::default() };
-                let bolt = SynopsisBolt::with_config(
-                    key,
-                    &group_store,
-                    SpaceSaving::new(64).unwrap(),
-                    update,
-                    cfg,
-                )?;
-                Ok(Box::new(bolt) as Box<dyn Bolt>)
+            let update = move |t: &Tuple, s: &mut SpaceSaving<String>| {
+                if let Some(d) = throttle {
+                    thread::sleep(d);
+                }
+                s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
             };
-            Ok(Box::new(KeyGroupBolt::new("wc", vec![0], table.clone(), task, &store, make))
-                as Box<dyn Bolt>)
+            // Fine cadence: per-*group* pendings fill slowly, and
+            // the settled frontier can only pass a record once its
+            // group committed it.
+            let cfg = OperatorConfig { checkpoint_every: 5, ..Default::default() };
+            let bolt = SynopsisBolt::with_config(
+                "wc",
+                &store,
+                SpaceSaving::new(64).unwrap(),
+                update,
+                cfg,
+            )?
+            .sharded(table.shard(task, vec![0]))?;
+            Ok(Box::new(bolt) as Box<dyn Bolt>)
         }));
     }
     tb.set_bolt("wc", builders).fields("log", vec![0]);

@@ -54,7 +54,7 @@ fn chaos_config(faults: FaultPlan, scheduling: Scheduling) -> ExecutorConfig {
     }
 }
 
-/// spout(log) → fields-grouped `KeyGroupBolt`-wrapped word counters ×
+/// spout(log) → fields-grouped key-group-sharded word counters ×
 /// `SLOTS`, governed by `ctl`'s shard table for component `"wc"`.
 /// `throttle` slows each update so a driver polling at microsecond
 /// granularity can deterministically land a resize mid-stream.
@@ -77,26 +77,22 @@ fn rescalable_wordcount(
         let store = store.clone();
         let table = table.clone();
         builders.push(Box::new(move || {
-            let group_store = store.clone();
-            let make = move |key: &str| {
-                let update = move |t: &Tuple, s: &mut SpaceSaving<String>| {
-                    if let Some(d) = throttle {
-                        thread::sleep(d);
-                    }
-                    s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
-                };
-                let cfg = OperatorConfig { checkpoint_every: 25, ..Default::default() };
-                let bolt = SynopsisBolt::with_config(
-                    key,
-                    &group_store,
-                    SpaceSaving::new(64).unwrap(),
-                    update,
-                    cfg,
-                )?;
-                Ok(Box::new(bolt) as Box<dyn Bolt>)
+            let update = move |t: &Tuple, s: &mut SpaceSaving<String>| {
+                if let Some(d) = throttle {
+                    thread::sleep(d);
+                }
+                s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
             };
-            Ok(Box::new(KeyGroupBolt::new("wc", vec![0], table.clone(), task, &store, make))
-                as Box<dyn Bolt>)
+            let cfg = OperatorConfig { checkpoint_every: 25, ..Default::default() };
+            let bolt = SynopsisBolt::with_config(
+                "wc",
+                &store,
+                SpaceSaving::new(64).unwrap(),
+                update,
+                cfg,
+            )?
+            .sharded(table.shard(task, vec![0]))?;
+            Ok(Box::new(bolt) as Box<dyn Bolt>)
         }));
     }
     tb.set_bolt("wc", builders).fields("log", vec![0]);
