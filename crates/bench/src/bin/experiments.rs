@@ -154,9 +154,6 @@ fn main() {
     if want("t2.h") {
         t2h_scheduler(&mut r);
     }
-    if want("t2.i") {
-        t2i_dataplane(&mut r);
-    }
     if want("t2.j") {
         t2j_rescale(&mut r);
     }
@@ -1944,8 +1941,8 @@ fn t2g_query_serving(r: &mut Recorder) {
         bench_rows.push((readers, reads_s, p50_us, p99_us, ingest_s));
     }
 
-    // Persist the sweep for CI trend lines: p99 at 16 readers staying
-    // within 3x of the 1-reader p99 is the no-convoy acceptance bar.
+    // Persist the sweep for trend lines. The 16-reader/1-reader p99
+    // ratio is a reported number from one wall-clock run, not a gate.
     let ratio = bench_rows[2].3 / bench_rows[0].3.max(1e-9);
     let mut out = String::from("{\n  \"experiment\": \"t2.g\",\n  \"rows\": [\n");
     for (i, (readers, reads_s, p50, p99, ingest_s)) in bench_rows.iter().enumerate() {
@@ -1955,10 +1952,7 @@ fn t2g_query_serving(r: &mut Recorder) {
              \"p50_us\": {p50:.2}, \"p99_us\": {p99:.2}, \"ingest_per_s\": {ingest_s:.0}}}{sep}\n"
         ));
     }
-    out.push_str(&format!(
-        "  ],\n  \"p99_ratio_16_over_1\": {ratio:.2},\n  \"no_lock_convoy\": {}\n}}\n",
-        ratio <= 3.0
-    ));
+    out.push_str(&format!("  ],\n  \"p99_ratio_16_over_1\": {ratio:.2}\n}}\n"));
     std::fs::write("BENCH_query.json", out).ok();
     println!("  [p99 16-reader/1-reader ratio: {ratio:.2} -> BENCH_query.json]");
 }
@@ -1970,11 +1964,11 @@ fn t2g_query_serving(r: &mut Recorder) {
 ///   (20 µs simulated I/O per tuple, at-most-once). Thread-per-task
 ///   overlaps all 64 sleeps with 64 dedicated threads; the
 ///   work-stealing pool must recover that overlap with a handful of
-///   workers. The acceptance bar is ≥2× throughput from 1 → 4 workers.
+///   workers. The 1 → 4 worker throughput ratio is reported.
 /// * **chain3** — a CPU-light three-stage pipeline at parallelism 1,
 ///   where per-tuple cost is dominated by the channel hop. Chain fusion
-///   collapses it into one activation per input; fused must beat
-///   unfused on the same single worker.
+///   collapses it into one activation per input; the fused/unfused
+///   ratio on the same single worker is reported.
 fn t2h_scheduler(r: &mut Recorder) {
     use sa_platform::topology::{vec_spout, Bolt};
     use sa_platform::tuple::tuple_of;
@@ -2081,11 +2075,9 @@ fn t2h_scheduler(r: &mut Recorder) {
     }
     let fusion = fused / unfused.max(1e-9);
 
-    // Persist for CI trend lines. Acceptance bars: ≥2× wide64
-    // throughput from 1 → 4 workers (only assertable when the host
-    // has ≥4 cores — a single-core host time-slices the workers, so
-    // the gate passes vacuously there), WS-8 at least matching
-    // thread-per-task, and fused ≥ unfused on the chain.
+    // Persist for trend lines. The ratios come from one wall-clock run
+    // each and are reported, not gated; `cores` says how far the 1 → 4
+    // worker scaling can go on this host.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut out = String::from("{\n  \"experiment\": \"t2.h\",\n  \"wide64_ktuples_s\": [\n");
     out.push_str(&format!(
@@ -2104,276 +2096,12 @@ fn t2h_scheduler(r: &mut Recorder) {
         "  ],\n  \"chain3_ktuples_s\": {{\"ws1_fused\": {fused:.1}, \"ws1_unfused\": \
          {unfused:.1}, \"thread_per_task\": {chain_tpt:.1}}},\n  \
          \"ws_scaling_4_over_1\": {scaling:.2},\n  \"ws8_over_tpt\": {ws8_over_tpt:.2},\n  \
-         \"fused_over_unfused\": {fusion:.2},\n  \"cores\": {cores},\n  \
-         \"scaling_ok\": {},\n  \"ws8_ok\": {},\n  \"fusion_wins\": {}\n}}\n",
-        scaling >= 2.0 || cores < 4,
-        ws8_over_tpt >= 1.0,
-        fusion > 1.0
+         \"fused_over_unfused\": {fusion:.2},\n  \"cores\": {cores}\n}}\n"
     ));
     std::fs::write("BENCH_sched.json", out).ok();
     println!(
         "  [wide64 ws 1->4 scaling: {scaling:.2}x, ws8/tpt: {ws8_over_tpt:.2}x, \
          chain fused/unfused: {fusion:.2}x -> BENCH_sched.json]"
-    );
-}
-
-// ---------------------------------------------------------------- T2.I
-/// Data plane — columnar frames vs rows, and fan-out allocation cost.
-///
-/// Three measurements:
-/// 1. Broadcast analytics fan-out: one clickstream spout `All`-grouped
-///    to four sketch consumers (HLL audience, CountMin frequencies,
-///    Bloom membership, SpaceSaving heavy hitters). The row path pays
-///    per-tuple dispatch × fanout plus a hash per consumer; the
-///    columnar path pivots ONE `Frame` per batch, ships `Arc` clones,
-///    computes column hashes once for ALL consumers, and feeds the
-///    sketches' bulk APIs. Gate: columnar ≥ 1.5× row.
-/// 2. The same data through the exactly-once `SynopsisBolt` (per-row
-///    dedup survives in both paths, so the win is smaller — recorded,
-///    not gated).
-/// 3. `All`-grouped 8-way fan-out allocations per delivered tuple via
-///    the counting allocator — the fan-out deep-clone regression gate.
-fn t2i_dataplane(r: &mut Recorder) {
-    use sa_platform::operator::{OperatorConfig, SynopsisBolt};
-    use sa_platform::topology::{vec_spout, Bolt};
-    use sa_platform::tuple::tuple_of;
-    use sa_platform::*;
-    use sa_sketches::cardinality::HyperLogLog;
-    use sa_sketches::frequency::CountMinSketch;
-    use sa_sketches::heavy_hitters::SpaceSaving;
-    use sa_sketches::membership::BloomFilter;
-    use std::sync::Arc;
-    use std::time::Duration;
-    r.section("T2.I", "Data plane — columnar frames vs rows, fan-out alloc cost");
-
-    // -- 1. broadcast analytics fan-out ----------------------------
-    enum Sketch {
-        Audience(HyperLogLog),
-        Freq(CountMinSketch),
-        Member(BloomFilter),
-        Heavy(SpaceSaving<Arc<str>>),
-    }
-    struct AnalyticsBolt {
-        sketch: Sketch,
-        columnar: bool,
-    }
-    impl Bolt for AnalyticsBolt {
-        fn execute(&mut self, t: &Tuple, _out: &mut OutputCollector) {
-            let v = t.get(0).unwrap();
-            match &mut self.sketch {
-                Sketch::Audience(s) => s.insert_hash(v.hash64()),
-                Sketch::Freq(s) => s.add_hash(v.hash64(), 1),
-                Sketch::Member(s) => {
-                    s.insert_hash(v.hash64());
-                }
-                Sketch::Heavy(s) => {
-                    if let Value::Str(k) = v {
-                        s.insert(k.clone());
-                    }
-                }
-            }
-        }
-        fn wants_frames(&self) -> bool {
-            self.columnar
-        }
-        fn execute_frame(&mut self, frame: &Frame, _out: &mut OutputCollector) {
-            match &mut self.sketch {
-                Sketch::Audience(s) => s.insert_hashes(frame.column_hashes(0)),
-                Sketch::Freq(s) => s.add_hashes(frame.column_hashes(0), 1),
-                Sketch::Member(s) => s.insert_hashes(frame.column_hashes(0)),
-                Sketch::Heavy(s) => s.insert_batch(frame.column(0).as_strs().unwrap()),
-            }
-        }
-        fn flush(&mut self, out: &mut OutputCollector) {
-            // One check value per sketch so row/columnar runs can be
-            // asserted identical.
-            let check = match &self.sketch {
-                Sketch::Audience(s) => s.estimate() as i64,
-                Sketch::Freq(s) => s.estimate("user0"),
-                Sketch::Member(s) => s.items() as i64,
-                Sketch::Heavy(s) => s.heavy_hitters(0.001).len() as i64,
-            };
-            out.emit(tuple_of([check]));
-        }
-    }
-    let n = 300_000usize;
-    let fanout = 8usize;
-    // Sessionized clickstream: keys arrive in runs of 8 (SpaceSaving's
-    // bulk path collapses runs into weighted inserts).
-    let keys: Vec<String> = {
-        let mut g = ZipfStream::new(20_000, 1.05, 77);
-        (0..n / 8 + 1).map(|_| format!("user{}", g.next_id())).collect()
-    };
-    let run_analytics = |columnar: bool| -> (Vec<i64>, f64) {
-        let tuples: Vec<Tuple> = (0..n).map(|i| tuple_of([keys[i / 8].as_str()])).collect();
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("clicks", vec![vec_spout(tuples)]);
-        // Two parameterizations of each sketch family: a realistic
-        // dashboard runs several resolutions side by side, and the
-        // frame path's once-per-batch hashing is shared by all eight.
-        let sketches = [
-            Sketch::Audience(HyperLogLog::new(14).unwrap()),
-            Sketch::Audience(HyperLogLog::new(12).unwrap()),
-            Sketch::Freq(CountMinSketch::new(2048, 4).unwrap()),
-            Sketch::Freq(CountMinSketch::new(8192, 2).unwrap()),
-            Sketch::Member(BloomFilter::with_fpp(50_000, 0.01).unwrap()),
-            Sketch::Member(BloomFilter::with_fpp(50_000, 0.001).unwrap()),
-            Sketch::Heavy(SpaceSaving::new(1024).unwrap()),
-            Sketch::Heavy(SpaceSaving::new(256).unwrap()),
-        ];
-        let bolts: Vec<Box<dyn Bolt>> = sketches
-            .into_iter()
-            .map(|sketch| Box::new(AnalyticsBolt { sketch, columnar }) as Box<dyn Bolt>)
-            .collect();
-        tb.set_bolt("analytics", bolts).all("clicks");
-        let (res, secs) = timed(|| {
-            run_topology(
-                tb,
-                ExecutorConfig {
-                    semantics: Semantics::AtMostOnce,
-                    batch_size: 512,
-                    shutdown_timeout: Duration::from_secs(60),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        });
-        assert!(res.clean_shutdown);
-        let mut checks: Vec<i64> = res.outputs["analytics"]
-            .iter()
-            .map(|t| t.get(0).and_then(Value::as_int).unwrap())
-            .collect();
-        checks.sort();
-        (checks, n as f64 / secs / 1e3)
-    };
-    run_analytics(false); // warm-up (thread spawns, page faults)
-    let (row_checks, row) = run_analytics(false);
-    let (col_checks, col) = run_analytics(true);
-    assert_eq!(row_checks, col_checks, "columnar analytics diverged from row analytics");
-    let speedup = col / row.max(1e-9);
-    r.row(
-        "analytics fan-out (All x8), rows",
-        &[("Ktuples/s", f(row)), ("n", n.to_string()), ("delivered", (n * fanout).to_string())],
-    );
-    r.row(
-        "analytics fan-out (All x8), columnar",
-        &[("Ktuples/s", f(col)), ("speedup_vs_rows", f(speedup))],
-    );
-
-    // -- 2. exactly-once SynopsisBolt, row vs bulk closure ---------
-    let syn_n = 200_000usize;
-    let run_synopsis = |columnar: bool| -> f64 {
-        let store = CheckpointStore::new();
-        let tuples: Vec<Tuple> = (0..syn_n)
-            .map(|i| {
-                let mut t = tuple_of([format!("user{}", i % 20_000)]);
-                t.lineage = i as u64 + 1; // dedup token (VecSpout stamps roots only)
-                t
-            })
-            .collect();
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("views", vec![vec_spout(tuples)]);
-        let mut bolts: Vec<Box<dyn Bolt>> = Vec::new();
-        for task in 0..2 {
-            let bolt = SynopsisBolt::with_config(
-                &format!("hll/{task}"),
-                &store,
-                HyperLogLog::new(14).unwrap(),
-                |t: &Tuple, s: &mut HyperLogLog| s.insert_hash(t.get(0).unwrap().hash64()),
-                OperatorConfig { checkpoint_every: 5_000, ..Default::default() },
-            )
-            .unwrap();
-            if columnar {
-                bolts.push(Box::new(bolt.with_bulk(|frame: &Frame, fresh, s| {
-                    let hashes = frame.column_hashes(0);
-                    let picked: Vec<u64> = fresh.iter().map(|&i| hashes[i]).collect();
-                    s.insert_hashes(&picked);
-                })));
-            } else {
-                bolts.push(Box::new(bolt));
-            }
-        }
-        tb.set_bolt("hll", bolts).fields("views", vec![0]);
-        let (res, secs) = timed(|| {
-            run_topology(
-                tb,
-                ExecutorConfig {
-                    semantics: Semantics::AtLeastOnce,
-                    batch_size: 256,
-                    shutdown_timeout: Duration::from_secs(60),
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        });
-        assert!(res.clean_shutdown);
-        syn_n as f64 / secs / 1e3
-    };
-    let syn_row = run_synopsis(false);
-    let syn_col = run_synopsis(true);
-    r.row("synopsis exactly-once, rows", &[("Ktuples/s", f(syn_row))]);
-    r.row(
-        "synopsis exactly-once, columnar",
-        &[("Ktuples/s", f(syn_col)), ("speedup_vs_rows", f(syn_col / syn_row.max(1e-9)))],
-    );
-
-    // -- 3. All-grouped fan-out allocations per delivered tuple ----
-    struct CountBolt(u64);
-    impl Bolt for CountBolt {
-        fn execute(&mut self, _t: &Tuple, _out: &mut OutputCollector) {
-            self.0 += 1;
-        }
-        fn flush(&mut self, out: &mut OutputCollector) {
-            out.emit(tuple_of([self.0 as i64]));
-        }
-    }
-    let fanout = 8usize;
-    let fan_n = 50_000usize;
-    let payload = "x".repeat(512);
-    let run_fanout = |m: usize| -> f64 {
-        let tuples: Vec<Tuple> = (0..m)
-            .map(|i| tuple_of([Value::Str(payload.as_str().into()), Value::Int(i as i64)]))
-            .collect();
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("src", vec![vec_spout(tuples)]);
-        let bolts: Vec<Box<dyn Bolt>> =
-            (0..fanout).map(|_| Box::new(CountBolt(0)) as Box<dyn Bolt>).collect();
-        tb.set_bolt("fan", bolts).all("src");
-        let (a0, _) = sa_platform::alloc_stats::totals();
-        let res = run_topology(
-            tb,
-            ExecutorConfig { semantics: Semantics::AtMostOnce, ..Default::default() },
-        )
-        .unwrap();
-        let (a1, _) = sa_platform::alloc_stats::totals();
-        let delivered: i64 =
-            res.outputs["fan"].iter().map(|t| t.get(0).and_then(Value::as_int).unwrap()).sum();
-        assert_eq!(delivered as usize, m * fanout);
-        (a1 - a0) as f64 / (m * fanout) as f64
-    };
-    run_fanout(2_000); // warm-up (thread spawns, metric registration)
-    let allocs_per_tuple = run_fanout(fan_n);
-    r.row(
-        "all-grouped 8-way fan-out",
-        &[("allocs/delivered_tuple", f(allocs_per_tuple)), ("payload_bytes", "512".into())],
-    );
-
-    // Persist for CI trend lines. Acceptance bars: columnar ≥ 1.5×
-    // rows on the broadcast analytics fan-out, and O(1) allocations
-    // per delivered tuple on broadcast fan-out (deep-clone regression).
-    let out = format!(
-        "{{\n  \"experiment\": \"t2.i\",\n  \"analytics_fanout8_ktuples_s\": {{\"rows\": {row:.1}, \
-         \"columnar\": {col:.1}}},\n  \"columnar_speedup\": {speedup:.2},\n  \
-         \"columnar_wins\": {},\n  \"synopsis_ktuples_s\": {{\"rows\": {syn_row:.1}, \
-         \"columnar\": {syn_col:.1}}},\n  \"fanout8_allocs_per_tuple\": \
-         {allocs_per_tuple:.2},\n  \"allocs_ok\": {}\n}}\n",
-        speedup >= 1.5,
-        allocs_per_tuple < 8.0
-    );
-    std::fs::write("BENCH_dataplane.json", out).ok();
-    println!(
-        "  [columnar/rows: {speedup:.2}x, fan-out allocs/tuple: {allocs_per_tuple:.2} \
-         -> BENCH_dataplane.json]"
     );
 }
 

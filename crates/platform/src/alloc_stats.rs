@@ -1,10 +1,11 @@
 //! Process-wide allocation accounting: a counting shim around the
 //! system allocator, surfaced through [`crate::metrics::MetricsSnapshot`].
 //!
-//! The data plane's zero-copy claims (`Arc`-interned tuple payloads,
-//! columnar frames) are allocation claims, so the runtime measures them
-//! directly: every `alloc`/`realloc`/`alloc_zeroed` bumps two relaxed
-//! atomics, and benchmarks difference [`totals`] across a run to report
+//! The data plane's zero-copy claim (`Arc`-interned tuple payloads, so
+//! an `All`-grouped fan-out clone is a refcount bump) is an allocation
+//! claim, so the runtime measures it directly: every
+//! `alloc`/`realloc`/`alloc_zeroed` bumps two relaxed atomics, and
+//! tests and benchmarks difference [`totals`] across a run to report
 //! `allocs_per_tuple`. Frees are not tracked — the interesting number
 //! for a streaming hot loop is allocation *rate*, not live bytes.
 //!

@@ -8,7 +8,6 @@ use super::emit::EmitCtx;
 use super::fuse::FusedChain;
 use super::{sink_slot, Msg, Route, Semantics, Sink, SinkSlot};
 use crate::acker::Acker;
-use crate::frame::Frame;
 use crate::metrics::{CounterHandle, GaugeHandle, HistogramHandle, Metrics, Sampler};
 use crate::supervise::{panic_message, RestartDecision, RestartPolicy, RestartTracker};
 use crate::time::WatermarkMerger;
@@ -166,10 +165,7 @@ impl BoltCore {
                 ctx.batch_size,
                 ctx.batch_linger,
                 ctx.sample_every,
-            )
-            // Unanchored deliveries + no drop injection: safe to share
-            // one pivoted Frame across All-grouped fan-out targets.
-            .share_broadcast(ctx.semantics == Semantics::AtMostOnce && ctx.drop_prob == 0.0),
+            ),
             executed: (!is_chain).then(|| ctx.metrics.register(&format!("{}.executed", ctx.name))),
             exec_us: (ctx.sample_every > 0)
                 .then(|| ctx.metrics.register_histogram(&format!("{}.execute_us", ctx.name))),
@@ -288,19 +284,6 @@ impl BoltCore {
                     (ctx.on_ack)();
                 }
                 self.emit.flush_if_lingering();
-            }
-            Msg::Frame(frame) => {
-                // The bulk path needs a plain, opted-in bolt and
-                // per-row granularity nowhere else: chaos panic
-                // injection fires per tuple, so chaos runs take the
-                // row fallback (bit-identical semantics).
-                let bulk = ctx.panic_prob == 0.0
-                    && matches!(&self.bolt, TaskBolt::Plain(b) if b.wants_frames());
-                if !bulk {
-                    self.handle_msg(Msg::Data(frame.to_batch()), ctx);
-                    return;
-                }
-                self.handle_frame(frame, ctx);
             }
             Msg::Watermark { source, wm, idle } => {
                 let advanced = self.merger.as_mut().and_then(|m| m.update(source, wm, idle));
@@ -557,125 +540,6 @@ impl BoltCore {
             } else {
                 acks.push(AckOp::Ack(input.root, input.id ^ xor_new));
             }
-        }
-    }
-
-    /// The columnar fast path: one `execute_frame` call processes the
-    /// whole frame (per-column hashes amortised, bulk sketch updates).
-    /// On panic every row's root fails — at-least-once replay then
-    /// covers the frame, and the consumer's lineage dedup absorbs any
-    /// rows that were already applied.
-    fn handle_frame(&mut self, frame: Frame, ctx: &WorkerCtx) {
-        if let Some(executed) = &self.executed {
-            executed.add(frame.len() as u64);
-        }
-        self.idle_dirty = true;
-        if self.merger.is_some() {
-            for et in frame.event_times().iter().flatten() {
-                self.max_et = self.max_et.max(*et);
-            }
-        }
-        let t0 = self.sampler.hit().then(Instant::now);
-        let bolt = &mut self.bolt;
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut out = OutputCollector::new();
-            if let TaskBolt::Plain(b) = bolt {
-                b.execute_frame(&frame, &mut out);
-            }
-            out
-        }));
-        match run {
-            Ok(out) => {
-                if let (Some(t0), Some(exec_us)) = (t0, &self.exec_us) {
-                    exec_us.record(t0.elapsed().as_secs_f64() * 1e6);
-                }
-                self.handle_frame_emissions(&frame, out, ctx);
-            }
-            Err(payload) => {
-                if ctx.semantics == Semantics::AtLeastOnce {
-                    {
-                        let mut acker = ctx.acker.lock().unwrap();
-                        for &root in frame.roots() {
-                            if root != 0 {
-                                acker.fail(root);
-                            }
-                        }
-                    }
-                    (ctx.on_ack)();
-                }
-                self.supervise(ctx, &panic_message(&*payload));
-            }
-        }
-        self.emit.flush_if_lingering();
-    }
-
-    /// Apply one frame-wide collector: `release` drains the held acks,
-    /// `fail` fails every row's root, `hold` parks every row's ack.
-    /// Emissions anchor to the frame's last anchored row — the row
-    /// whose processing would have produced them on the row path.
-    fn handle_frame_emissions(&mut self, frame: &Frame, mut out: OutputCollector, ctx: &WorkerCtx) {
-        self.route_late(std::mem::take(&mut out.late), ctx);
-        let alo = ctx.semantics == Semantics::AtLeastOnce;
-        let mut acks: Vec<AckOp> = Vec::new();
-        if out.abandon {
-            for (root, _) in self.held.drain(..) {
-                acks.push(AckOp::Fail(root));
-            }
-        }
-        if out.release {
-            for (root, val) in self.held.drain(..) {
-                acks.push(AckOp::Ack(root, val));
-            }
-        }
-        if out.failed {
-            if alo {
-                for &root in frame.roots() {
-                    if root != 0 {
-                        acks.push(AckOp::Fail(root));
-                    }
-                }
-            }
-        } else {
-            let anchor =
-                if alo { (0..frame.len()).rev().find(|&i| frame.roots()[i] != 0) } else { None };
-            let mut xor_new = 0u64;
-            let inherit = anchor.unwrap_or(frame.len() - 1);
-            for mut e in out.emitted {
-                e.root = if anchor.is_some() { frame.roots()[inherit] } else { 0 };
-                e.lineage = frame.lineages()[inherit];
-                if e.event_time.is_none() {
-                    e.event_time = frame.event_times()[inherit];
-                }
-                xor_new ^= self.emit.push(&e, anchor.is_some());
-            }
-            if alo {
-                for i in 0..frame.len() {
-                    let root = frame.roots()[i];
-                    if root == 0 {
-                        continue;
-                    }
-                    let val = frame.ids()[i] ^ if Some(i) == anchor { xor_new } else { 0 };
-                    if out.hold && !out.release {
-                        self.held.push((root, val));
-                    } else {
-                        acks.push(AckOp::Ack(root, val));
-                    }
-                }
-            }
-        }
-        if !acks.is_empty() {
-            {
-                let mut acker = ctx.acker.lock().unwrap();
-                for op in acks {
-                    match op {
-                        AckOp::Ack(root, val) => {
-                            acker.ack(root, val);
-                        }
-                        AckOp::Fail(root) => acker.fail(root),
-                    }
-                }
-            }
-            (ctx.on_ack)();
         }
     }
 

@@ -1,8 +1,6 @@
 //! Per-task emission state: routing, batching, linger, terminal sink.
 
 use super::{fields_task, sink_slot, Msg, Route, Sink, SinkSlot};
-use crate::channel::Sender;
-use crate::frame::Frame;
 use crate::metrics::{CounterHandle, HistogramHandle, Metrics, Sampler};
 use crate::topology::Grouping;
 use crate::tuple::{Batch, Tuple};
@@ -45,13 +43,6 @@ pub(crate) struct EmitCtx {
     sink_slot: SinkSlot,
     /// Pending terminal-sink appends (terminal components only).
     sink_buf: Vec<Tuple>,
-    /// Broadcast sharing: on `All`-grouped frame links, buffer ONE copy
-    /// per tuple, pivot once, and ship `Frame` clones (an `Arc` bump
-    /// each) to every target — so fan-out consumers also share the
-    /// once-per-batch column-hash cache. Only sound when deliveries
-    /// are unanchored (edge ids unused) and drop injection is off, so
-    /// the executor enables it for `AtMostOnce` chaos-free runs only.
-    share_all: bool,
 }
 
 impl EmitCtx {
@@ -91,23 +82,7 @@ impl EmitCtx {
             metrics: metrics.clone(),
             sink_slot: sink_slot(&sink, &component),
             sink_buf: Vec::new(),
-            share_all: false,
         }
-    }
-
-    /// Enable broadcast sharing (see the `share_all` field). The caller
-    /// must guarantee every later `push` is unanchored (`track` false).
-    pub(crate) fn share_broadcast(mut self, on: bool) -> Self {
-        self.share_all = on;
-        self
-    }
-
-    /// Whether route `ri` takes the shared-broadcast path.
-    fn shares(&self, ri: usize) -> bool {
-        self.share_all
-            && self.routes[ri].frames
-            && matches!(self.routes[ri].grouping, Grouping::All)
-            && self.routes[ri].senders.len() > 1
     }
 
     /// Route one tuple into the per-target buffers, assigning fresh edge
@@ -130,32 +105,6 @@ impl EmitCtx {
         let mut pushed = 0u64;
         for ri in 0..self.routes.len() {
             let fanout = self.routes[ri].senders.len();
-            if self.shares(ri) {
-                debug_assert!(!track, "shared broadcast requires unanchored emissions");
-                let mut msg = tuple.clone();
-                msg.id = self.rng.next_u64() | 1;
-                pushed += fanout as u64;
-                let buf = &mut self.buffers[ri][0];
-                buf.push(msg);
-                self.buffered += 1;
-                if buf.len() >= self.batch_size {
-                    let batch = std::mem::take(buf);
-                    self.buffered -= batch.len();
-                    if self.fill_sampler.hit() {
-                        if let Some(fill) = &self.batch_fill {
-                            fill.record(batch.len() as f64);
-                        }
-                    }
-                    maybe_delay(&mut self.rng, self.delay);
-                    ship_shared(&self.routes[ri].senders, batch);
-                    if self.buffered == 0 {
-                        self.oldest = None;
-                    }
-                } else {
-                    self.oldest.get_or_insert_with(Instant::now);
-                }
-                continue;
-            }
             let (lo, hi) = match &self.routes[ri].grouping {
                 // Replay-stable: a message re-emitted after a restart
                 // carries the lineage of its first attempt, so it
@@ -214,7 +163,7 @@ impl EmitCtx {
                     }
                     maybe_delay(&mut self.rng, self.delay);
                     // Blocking send = backpressure in bounded mode.
-                    ship(&self.routes[ri].senders[t], self.routes[ri].frames, batch);
+                    let _ = self.routes[ri].senders[t].send(Msg::Data(batch));
                     if self.buffered == 0 {
                         self.oldest = None;
                     }
@@ -234,9 +183,7 @@ impl EmitCtx {
     /// before the task parks or exits).
     pub(crate) fn flush_all(&mut self) {
         for ri in 0..self.routes.len() {
-            let shared = self.shares(ri);
-            let targets = if shared { 1 } else { self.buffers[ri].len() };
-            for t in 0..targets {
+            for t in 0..self.buffers[ri].len() {
                 if self.buffers[ri][t].is_empty() {
                     continue;
                 }
@@ -247,11 +194,7 @@ impl EmitCtx {
                     }
                 }
                 maybe_delay(&mut self.rng, self.delay);
-                if shared {
-                    ship_shared(&self.routes[ri].senders, batch);
-                } else {
-                    ship(&self.routes[ri].senders[t], self.routes[ri].frames, batch);
-                }
+                let _ = self.routes[ri].senders[t].send(Msg::Data(batch));
             }
         }
         if !self.sink_buf.is_empty() {
@@ -299,43 +242,6 @@ impl EmitCtx {
         for route in &self.routes {
             for s in &route.senders {
                 let _ = s.send(Msg::Watermark { source, wm, idle });
-            }
-        }
-    }
-}
-
-/// Ship one full batch on a link: columnar when the consumer opted in
-/// and the batch pivots cleanly (uniform schema), rows otherwise.
-fn ship(sender: &Sender<Msg>, frames: bool, batch: Batch) {
-    if frames {
-        match Frame::from_batch(batch) {
-            Ok(f) => {
-                let _ = sender.send(Msg::Frame(f));
-            }
-            Err(rows) => {
-                let _ = sender.send(Msg::Data(rows));
-            }
-        }
-    } else {
-        let _ = sender.send(Msg::Data(batch));
-    }
-}
-
-/// Broadcast one full batch to every target of an `All`-grouped frame
-/// link: pivot ONCE, then ship `Frame` clones — each an `Arc` bump
-/// sharing columns, payloads, and the lazy column-hash cache across
-/// all consumers. Row fallback (non-uniform schema) clones the batch
-/// per target, which still only bumps payload refcounts.
-fn ship_shared(senders: &[Sender<Msg>], batch: Batch) {
-    match Frame::from_batch(batch) {
-        Ok(f) => {
-            for s in senders {
-                let _ = s.send(Msg::Frame(f.clone()));
-            }
-        }
-        Err(rows) => {
-            for s in senders {
-                let _ = s.send(Msg::Data(rows.clone()));
             }
         }
     }
@@ -409,8 +315,7 @@ mod tests {
     fn full_batch_send_resets_linger_clock() {
         let metrics = Metrics::new();
         let (tx, rx) = channel::<Msg>(None);
-        let route =
-            Route { grouping: Grouping::Shuffle, senders: vec![tx], frames: false, shard: None };
+        let route = Route { grouping: Grouping::Shuffle, senders: vec![tx], shard: None };
         let mut emit = EmitCtx::new(
             vec![route],
             "b".into(),

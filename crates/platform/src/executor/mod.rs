@@ -25,10 +25,12 @@
 //!
 //! # The fast path
 //!
-//! Links carry [`Batch`]es, not single tuples: emitters buffer per
-//! downstream task and ship a full `Vec<Tuple>` when
-//! [`ExecutorConfig::batch_size`] is reached, or when the linger/idle
-//! policy flushes a partial batch. Routing still happens per tuple
+//! Links carry [`Batch`]es of rows, not single tuples, and nothing
+//! else: emitters buffer per downstream task and ship a full
+//! `Vec<Tuple>` when [`ExecutorConfig::batch_size`] is reached, or when
+//! the linger/idle policy flushes a partial batch. Tuple payloads are
+//! `Arc`-interned, so an `All`-grouped fan-out clone is a refcount bump
+//! (DESIGN.md §10). Routing still happens per tuple
 //! (fields grouping hashes every tuple), but channel synchronisation,
 //! terminal-sink locking, and acker locking are paid **once per
 //! batch**. Metrics on this path are pre-registered
@@ -202,12 +204,8 @@ pub struct RunResult {
 }
 
 pub(crate) enum Msg {
-    /// A run of tuples for one task.
+    /// A run of tuples for one task: the only payload a link carries.
     Data(Batch),
-    /// A columnar batch for one task (links whose consumer opted in via
-    /// [`Bolt::wants_frames`]; consumers that cannot take the bulk path
-    /// fall back through [`crate::frame::Frame::to_batch`]).
-    Frame(crate::frame::Frame),
     /// In-band watermark marker: the task identified by `source`
     /// promises no tuple with `event_time < wm` will follow on this
     /// link. `idle` declares the source dormant (excluded from
@@ -233,9 +231,6 @@ pub(crate) enum Msg {
 pub(crate) struct Route {
     pub(crate) grouping: Grouping,
     pub(crate) senders: Vec<Sender<Msg>>,
-    /// Ship full batches on this link as columnar [`Msg::Frame`]s
-    /// (every downstream task opted in via [`Bolt::wants_frames`]).
-    pub(crate) frames: bool,
     /// Live group→task assignment for `Fields` routes into a rescalable
     /// component; `None` routes through the static ring→task map.
     pub(crate) shard: Option<crate::rescale::ShardTable>,
@@ -251,16 +246,6 @@ pub(crate) type Sink = Arc<Mutex<HashMap<String, SinkSlot>>>;
 /// Intern `key`'s slot in the run sink (build-time only).
 pub(crate) fn sink_slot(sink: &Sink, key: &str) -> SinkSlot {
     sink.lock().unwrap().entry(key.to_string()).or_default().clone()
-}
-
-/// True when every task of `downstream` opted into columnar input via
-/// [`Bolt::wants_frames`] — links into it then ship [`Msg::Frame`].
-/// Components absent from `built` (spouts, or bolts already fused into
-/// a chain and moved out) stay on the row path.
-pub(crate) fn link_frames(built: &HashMap<String, Vec<BoltTask>>, downstream: &str) -> bool {
-    built
-        .get(downstream)
-        .is_some_and(|tasks| !tasks.is_empty() && tasks.iter().all(|t| t.bolt.wants_frames()))
 }
 
 /// Combined hash of a tuple's grouped fields. Per-field hashes are

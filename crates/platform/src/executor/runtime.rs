@@ -419,7 +419,6 @@ impl Pool {
 fn msg_tuples(msg: &Msg) -> usize {
     match msg {
         Msg::Data(batch) => batch.len().max(1),
-        Msg::Frame(frame) => frame.len(),
         _ => 1,
     }
 }
@@ -661,22 +660,12 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     for c in &core.decls {
         routes.entry(c.name.clone()).or_default();
     }
-    // Columnar links require an unfused consumer: a bolt fused into a
-    // chain is driven row-by-row by inline `execute` calls, so frames
-    // would only be pivoted back. Singleton chain heads qualify.
-    let singleton: std::collections::HashSet<&str> = chains
-        .iter()
-        .filter(|chain| chain.len() == 1 && core.decls[chain[0]].is_bolt())
-        .map(|chain| core.decls[chain[0]].name.as_str())
-        .collect();
     for c in &core.decls {
         for (upstream, grouping) in &c.inputs {
             if let Some(tx) = senders.get(&c.name) {
                 routes.get_mut(upstream).unwrap().push(Route {
                     grouping: grouping.clone(),
                     senders: tx.clone(),
-                    frames: singleton.contains(c.name.as_str())
-                        && super::link_frames(&built, &c.name),
                     shard: core.config.rescale.as_ref().and_then(|ctl| ctl.table_of(&c.name)),
                 });
             }

@@ -244,11 +244,7 @@ impl SpoutCore {
             ctx.batch_size,
             ctx.batch_linger,
             ctx.sample_every,
-        )
-        // At-most-once deliveries are unanchored and chaos-free runs
-        // never drop per link, so broadcast fan-out can share one
-        // pivoted Frame across all targets.
-        .share_broadcast(ctx.semantics == Semantics::AtMostOnce && ctx.drop_prob == 0.0);
+        );
         let obs = (ctx.sample_every > 0).then(|| SpoutObs {
             next_us: ctx.metrics.register_histogram(&format!("{}.next_us", ctx.name)),
             ack_us: ctx.metrics.register_histogram(&format!("{}.ack_latency_us", ctx.name)),

@@ -1,49 +1,28 @@
-//! Columnar batches: the zero-copy data plane's struct-of-arrays
-//! carrier (DESIGN.md §10).
+//! A columnar pivot of a row [`Batch`]: one vector per field position
+//! (struct-of-arrays), with the per-tuple metadata (`id`, `root`,
+//! `lineage`, `event_time`) in parallel arrays.
 //!
-//! A [`Frame`] is a run of tuples pivoted into one vector per field
-//! position (struct-of-arrays), with the per-tuple routing metadata
-//! (`id`, `root`, `lineage`, `event_time`) kept in parallel arrays.
-//! The executor builds one at batch-ship time on links whose consumer
-//! opted in (`Bolt::wants_frames`), which buys the consumer:
-//!
-//! * **per-column hashing, once per batch** — [`Frame::column_hashes`]
-//!   computes the [`Value::hash64`]-identical hash of every row in a
-//!   column in one pass over a reusable hasher (no per-item buffer
-//!   allocation, unlike per-`Value` hashing) and caches the result, so
-//!   a sketch fed by `insert_hashes` never re-hashes;
-//! * **branch-light bulk updates** — sketches iterate a typed column
-//!   slice instead of matching a `Value` enum per row;
-//! * **no row materialisation** — the frame is consumed in place; rows
-//!   are only rebuilt ([`Frame::to_batch`]) when the consumer falls
-//!   back to the row path.
-//!
-//! Frames are internally reference-counted: cloning one shares the
-//! columns.
-//!
-//! # Uniformity
+//! Links carry rows only; DESIGN.md §10 records why the columnar data
+//! plane was removed. This pivot stays solely because the repo
+//! benchmark's `layers` binary prices it (`frame.pivot_ns_per_row`,
+//! `frame.unpivot_ns_per_row`) and `benchmark/` is read-only for
+//! ordinary PRs. The file goes with the `[benchmark]` issue that
+//! retires those rows.
 //!
 //! A frame requires a uniform schema: every tuple the same arity,
 //! every column a single [`Value`] discriminant, arity ≥ 1.
-//! [`Frame::from_batch`] rejects anything else and hands the batch
-//! back, so mixed-schema links silently stay on the row path —
-//! opting in is a pure optimisation, never a constraint.
+//! [`Frame::from_batch`] rejects anything else and hands the batch back.
 
 use crate::tuple::{Batch, Tuple, Value};
-use sa_core::hash::{mix64, XxHasher};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// One column of a [`Frame`]: all rows' values at one field position.
-#[derive(Clone, Debug)]
-pub enum ColumnData {
-    /// 64-bit signed integers.
+/// One column: all rows' values at one field position.
+#[derive(Debug)]
+enum ColumnData {
     Int(Vec<i64>),
-    /// 64-bit floats.
     Float(Vec<f64>),
     /// Interned strings (shared with the source tuples).
     Str(Vec<Arc<str>>),
-    /// Booleans.
     Bool(Vec<bool>),
     /// Interned byte payloads (shared with the source tuples).
     Bytes(Vec<Arc<[u8]>>),
@@ -72,8 +51,8 @@ impl ColumnData {
         }
     }
 
-    /// The value at `row`, as a [`Value`] (payload shared, not copied).
-    pub fn value(&self, row: usize) -> Value {
+    /// The value at `row` (payload shared, not copied).
+    fn value(&self, row: usize) -> Value {
         match self {
             ColumnData::Int(c) => Value::Int(c[row]),
             ColumnData::Float(c) => Value::Float(c[row]),
@@ -82,79 +61,16 @@ impl ColumnData {
             ColumnData::Bytes(c) => Value::Bytes(c[row].clone()),
         }
     }
-
-    /// [`Value::hash64`] of every row, computed with one reusable
-    /// hasher (no per-item allocation).
-    fn hashes(&self) -> Vec<u64> {
-        match self {
-            ColumnData::Int(c) => c.iter().map(|&x| mix64(x as u64 ^ 0x11)).collect(),
-            ColumnData::Float(c) => c.iter().map(|x| mix64(x.to_bits() ^ 0x22)).collect(),
-            ColumnData::Bool(c) => c.iter().map(|&b| mix64(u64::from(b) ^ 0x44)).collect(),
-            ColumnData::Str(c) => {
-                let mut h = XxHasher::with_seed(0x33);
-                c.iter()
-                    .map(|s| {
-                        h.reset(0x33);
-                        (**s).hash(&mut h);
-                        h.finish()
-                    })
-                    .collect()
-            }
-            ColumnData::Bytes(c) => {
-                let mut h = XxHasher::with_seed(0x55);
-                c.iter()
-                    .map(|b| {
-                        h.reset(0x55);
-                        (**b).hash(&mut h);
-                        h.finish()
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// Typed view of a string column (`None` for other types).
-    pub fn as_strs(&self) -> Option<&[Arc<str>]> {
-        match self {
-            ColumnData::Str(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Typed view of an integer column (`None` for other types).
-    pub fn as_ints(&self) -> Option<&[i64]> {
-        match self {
-            ColumnData::Int(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Typed view of a float column (`None` for other types).
-    pub fn as_floats(&self) -> Option<&[f64]> {
-        match self {
-            ColumnData::Float(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
+/// A columnar batch (see the module docs).
 #[derive(Debug)]
-struct FrameInner {
+pub struct Frame {
     columns: Vec<ColumnData>,
     event_times: Vec<Option<u64>>,
     ids: Vec<u64>,
     roots: Vec<u64>,
     lineages: Vec<u64>,
-    /// Lazily computed, cached per-column `Value::hash64` runs.
-    hashes: Vec<OnceLock<Vec<u64>>>,
-    len: usize,
-}
-
-/// A columnar batch (see the module docs). Clone-cheap: clones share
-/// the columns and metadata.
-#[derive(Clone, Debug)]
-pub struct Frame {
-    inner: Arc<FrameInner>,
 }
 
 impl Frame {
@@ -178,102 +94,53 @@ impl Frame {
             return Err(batch);
         }
         let n = batch.len();
-        let mut columns: Vec<ColumnData> =
-            first.values.iter().map(|v| ColumnData::with_capacity(v, n)).collect();
-        let mut event_times = Vec::with_capacity(n);
-        let mut ids = Vec::with_capacity(n);
-        let mut roots = Vec::with_capacity(n);
-        let mut lineages = Vec::with_capacity(n);
+        let mut frame = Frame {
+            columns: first.values.iter().map(|v| ColumnData::with_capacity(v, n)).collect(),
+            event_times: Vec::with_capacity(n),
+            ids: Vec::with_capacity(n),
+            roots: Vec::with_capacity(n),
+            lineages: Vec::with_capacity(n),
+        };
         for t in &batch {
-            for (c, v) in columns.iter_mut().zip(t.values.iter()) {
+            for (c, v) in frame.columns.iter_mut().zip(t.values.iter()) {
                 c.push(v);
             }
-            event_times.push(t.event_time);
-            ids.push(t.id);
-            roots.push(t.root);
-            lineages.push(t.lineage);
+            frame.event_times.push(t.event_time);
+            frame.ids.push(t.id);
+            frame.roots.push(t.root);
+            frame.lineages.push(t.lineage);
         }
-        let hashes = (0..arity).map(|_| OnceLock::new()).collect();
-        Ok(Frame {
-            inner: Arc::new(FrameInner {
-                columns,
-                event_times,
-                ids,
-                roots,
-                lineages,
-                hashes,
-                len: n,
-            }),
-        })
+        Ok(frame)
     }
 
     /// Rows in the frame.
     pub fn len(&self) -> usize {
-        self.inner.len
+        self.ids.len()
     }
 
     /// Whether the frame has no rows (never true for frames built by
     /// [`Frame::from_batch`]).
     pub fn is_empty(&self) -> bool {
-        self.inner.len == 0
+        self.ids.is_empty()
     }
 
     /// Fields per row.
     pub fn arity(&self) -> usize {
-        self.inner.columns.len()
+        self.columns.len()
     }
 
-    /// The column at field position `c`.
-    pub fn column(&self, c: usize) -> &ColumnData {
-        &self.inner.columns[c]
-    }
-
-    /// Per-row ack-tree edge ids (fresh per delivery).
-    pub fn ids(&self) -> &[u64] {
-        &self.inner.ids
-    }
-
-    /// Per-row ack-tree roots.
-    pub fn roots(&self) -> &[u64] {
-        &self.inner.roots
-    }
-
-    /// Per-row stable record ids (the exactly-once dedup tokens).
-    pub fn lineages(&self) -> &[u64] {
-        &self.inner.lineages
-    }
-
-    /// Per-row event times.
-    pub fn event_times(&self) -> &[Option<u64>] {
-        &self.inner.event_times
-    }
-
-    /// [`Value::hash64`] of every row in column `c`, computed once per
-    /// frame and cached. This is the batch-amortised form of the hash
-    /// the row path pays per value: feed it straight to the sketches'
-    /// `insert_hashes` / `add_hashes` bulk APIs.
-    pub fn column_hashes(&self, c: usize) -> &[u64] {
-        self.inner.hashes[c].get_or_init(|| self.inner.columns[c].hashes())
-    }
-
-    /// Materialise row `i` back into a [`Tuple`] (allocates the row's
-    /// field slice; payloads stay shared).
-    pub fn row(&self, i: usize) -> Tuple {
-        let values: Vec<Value> = self.inner.columns.iter().map(|c| c.value(i)).collect();
-        Tuple {
-            values: values.into(),
-            event_time: self.inner.event_times[i],
-            id: self.inner.ids[i],
-            root: self.inner.roots[i],
-            lineage: self.inner.lineages[i],
-        }
-    }
-
-    /// Materialise the whole frame back into a row batch — the
-    /// executor's fallback when a frame reaches a consumer that cannot
-    /// take the bulk path.
+    /// Materialise the frame back into a row batch (allocates each
+    /// row's field slice; payloads stay shared).
     pub fn to_batch(&self) -> Batch {
-        (0..self.inner.len).map(|i| self.row(i)).collect()
+        (0..self.len())
+            .map(|i| Tuple {
+                values: self.columns.iter().map(|c| c.value(i)).collect(),
+                event_time: self.event_times[i],
+                id: self.ids[i],
+                root: self.roots[i],
+                lineage: self.lineages[i],
+            })
+            .collect()
     }
 }
 
@@ -320,53 +187,18 @@ mod tests {
     }
 
     #[test]
-    fn column_hashes_match_value_hash64() {
-        let batch: Batch = vec![
-            tuple_of([Value::from("alpha"), Value::Int(1), Value::Float(0.5)]),
-            tuple_of([Value::from("beta"), Value::Int(2), Value::Float(1.5)]),
-            tuple_of([Value::from("gamma"), Value::Int(3), Value::Float(2.5)]),
-        ];
-        let frame = Frame::from_batch(batch.clone()).unwrap();
-        for c in 0..frame.arity() {
-            let hashes = frame.column_hashes(c);
-            for (i, t) in batch.iter().enumerate() {
-                assert_eq!(hashes[i], t.values[c].hash64(), "col {c} row {i}");
-            }
-        }
-        // Cached: the second call returns the same slice.
-        assert_eq!(frame.column_hashes(0).as_ptr(), frame.column_hashes(0).as_ptr());
-    }
-
-    #[test]
     fn bool_and_bytes_columns_hash_and_round_trip() {
         let batch: Batch = vec![
             tuple_of([Value::Bool(true), Value::from(vec![1u8, 2])]),
             tuple_of([Value::Bool(false), Value::from(vec![3u8])]),
         ];
-        let frame = Frame::from_batch(batch.clone()).unwrap();
-        assert_eq!(frame.to_batch(), batch);
-        for c in 0..2 {
-            for (i, t) in batch.iter().enumerate() {
-                assert_eq!(frame.column_hashes(c)[i], t.values[c].hash64());
+        let back = Frame::from_batch(batch.clone()).unwrap().to_batch();
+        assert_eq!(back, batch);
+        // Round-tripped values hash (and so route) as the originals do.
+        for (b, t) in back.iter().zip(&batch) {
+            for c in 0..2 {
+                assert_eq!(b.values[c].hash64(), t.values[c].hash64());
             }
         }
-    }
-
-    #[test]
-    fn clones_share_columns() {
-        let frame = Frame::from_batch(vec![tuple_of(["x"]), tuple_of(["y"])]).unwrap();
-        let c = frame.clone();
-        assert!(Arc::ptr_eq(&frame.inner, &c.inner));
-    }
-
-    #[test]
-    fn typed_column_views() {
-        let frame =
-            Frame::from_batch(vec![tuple_of([Value::from("k"), Value::Int(7), Value::Float(1.0)])])
-                .unwrap();
-        assert_eq!(&*frame.column(0).as_strs().unwrap()[0], "k");
-        assert_eq!(frame.column(1).as_ints().unwrap(), &[7]);
-        assert_eq!(frame.column(2).as_floats().unwrap(), &[1.0]);
-        assert!(frame.column(0).as_ints().is_none());
     }
 }

@@ -58,7 +58,7 @@ pub mod window;
 pub use channel::LinkStats;
 pub use checkpoint::{CheckpointStore, DurableConfig};
 pub use executor::{run_topology, run_topology_with, ExecutorConfig, RunResult, Semantics};
-pub use frame::{ColumnData, Frame};
+pub use frame::Frame;
 pub use log::{Consumer, Log, Record};
 pub use metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, HistogramSummary, LinkSnapshot, Metrics,

@@ -57,7 +57,6 @@
 //! dedup-token low watermark.
 
 use crate::checkpoint::CheckpointStore;
-use crate::frame::Frame;
 use crate::log::{Log, Record};
 use crate::metrics::{CounterHandle, Metrics};
 use crate::rescale::{group_key, key_group, Shard, KEY_GROUPS};
@@ -199,14 +198,6 @@ pub trait OperatorState: Send {
 
     /// Topology drain: emit the final results.
     fn drain(&mut self, key: &Arc<str>, out: &mut OutputCollector);
-
-    /// Whether [`OperatorState::apply_frame`] is implemented.
-    fn wants_frames(&self) -> bool {
-        false
-    }
-
-    /// Fold the rows `fresh` (indices, in arrival order) of `frame`.
-    fn apply_frame(&mut self, _frame: &Frame, _fresh: &[usize]) {}
 }
 
 /// One checkpoint key's worth of a task: the state plus its ledger of
@@ -222,17 +213,6 @@ struct Slot<St> {
     pending_set: HashSet<u64>,
     /// Newest id ever folded into the state (committed or pending).
     last_applied: u64,
-}
-
-impl<St> Slot<St> {
-    /// Enter a freshly applied id into the ledger (0 = untracked).
-    fn record(&mut self, id: u64) {
-        if id != 0 {
-            self.pending.push(id);
-            self.pending_set.insert(id);
-            self.last_applied = self.last_applied.max(id);
-        }
-    }
 }
 
 /// The sharded half of a task: its seat in the component's shard table
@@ -311,7 +291,6 @@ impl<St: OperatorState> Checkpointed<St> {
     /// the state it was built with. Owned groups that already have a
     /// checkpoint (migrated here, or this task's own before a restart)
     /// are restored now; the rest materialise on their first tuple.
-    /// Sharded tasks take rows, never frames.
     pub fn sharded(mut self, seat: Shard) -> Result<Self>
     where
         St: Clone,
@@ -501,19 +480,6 @@ impl<St: OperatorState> Checkpointed<St> {
         self.slots.iter().all(|s| s.pending.is_empty())
     }
 
-    /// After applying to slot `i`: commit it when its cadence is due
-    /// and release the task's acks if that left every slot durable;
-    /// otherwise hold this input's ack (when `hold`) so a restart
-    /// replays it.
-    fn checkpoint_if_due(&mut self, i: usize, hold: bool, out: &mut OutputCollector) {
-        let due = self.slots[i].pending.len() as u64 >= self.cfg.checkpoint_every;
-        if due && self.commit(i, Some(&mut *out)) && self.all_durable() {
-            out.release_acks();
-        } else if hold {
-            out.hold_ack();
-        }
-    }
-
     /// Newest record id folded into the state.
     pub fn last_applied(&self) -> u64 {
         self.slots.iter().map(|s| s.last_applied).max().unwrap_or(0)
@@ -575,38 +541,22 @@ impl<St: OperatorState> Bolt for Checkpointed<St> {
             return;
         }
         self.slots[i].state.apply(input, out);
-        if id != 0 {
-            self.slots[i].record(id);
-            self.checkpoint_if_due(i, true, out);
+        if id == 0 {
+            return;
         }
-    }
-
-    fn wants_frames(&self) -> bool {
-        self.sharding.is_none() && self.slots[0].state.wants_frames()
-    }
-
-    fn execute_frame(&mut self, frame: &Frame, out: &mut OutputCollector) {
-        // Dedup is protocol state and stays row-at-a-time; the fold —
-        // the hot part — goes through the state once.
-        let mut fresh: Vec<usize> = Vec::with_capacity(frame.len());
-        let mut nondurable_dup = false;
-        for (row, &id) in frame.lineages().iter().enumerate() {
-            match self.duplicate(0, id) {
-                // Also catches a duplicate earlier in this very frame.
-                Some(durable) => nondurable_dup |= !durable,
-                None => {
-                    fresh.push(row);
-                    self.slots[0].record(id);
-                }
-            }
+        let slot = &mut self.slots[i];
+        slot.pending.push(id);
+        slot.pending_set.insert(id);
+        slot.last_applied = slot.last_applied.max(id);
+        // Commit when the slot's cadence is due and release the task's
+        // acks if that left every slot durable; otherwise hold this
+        // input's ack so a restart replays it.
+        let due = slot.pending.len() as u64 >= self.cfg.checkpoint_every;
+        if due && self.commit(i, Some(&mut *out)) && self.all_durable() {
+            out.release_acks();
+        } else {
+            out.hold_ack();
         }
-        if !fresh.is_empty() {
-            self.slots[0].state.apply_frame(frame, &fresh);
-        }
-        // Some row applied-but-not-durable holds the whole frame's acks
-        // for the next commit to release. (Holding the durable-duplicate
-        // rows too is safe — their release rides the same commit.)
-        self.checkpoint_if_due(0, !fresh.is_empty() || nondurable_dup, out);
     }
 
     fn on_watermark(&mut self, wm: u64, out: &mut OutputCollector) {
@@ -660,26 +610,13 @@ impl<St: OperatorState> Bolt for Checkpointed<St> {
     }
 }
 
-/// Bulk update closure for [`SynopsisBolt`]: folds the fresh rows
-/// (second argument, indices into the frame) of a whole [`Frame`]
-/// into the synopsis in one call.
-pub type BulkUpdate<S> = Box<dyn FnMut(&Frame, &[usize], &mut S) + Send>;
-
 /// The whole-stream [`OperatorState`]: one [`Synopsis`] and the closure
-/// that folds a tuple into it.
+/// that folds a tuple into it. A copy seeds one key-group of a sharded
+/// task.
+#[derive(Clone)]
 pub struct SynopsisState<S, F> {
     summary: S,
     update: F,
-    /// Columnar fast path (see [`SynopsisBolt::with_bulk`]).
-    bulk: Option<BulkUpdate<S>>,
-}
-
-/// A copy seeds one key-group of a sharded task, which takes rows: the
-/// bulk closure is not carried over.
-impl<S: Clone, F: Clone> Clone for SynopsisState<S, F> {
-    fn clone(&self) -> Self {
-        Self { summary: self.summary.clone(), update: self.update.clone(), bulk: None }
-    }
 }
 
 impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> OperatorState for SynopsisState<S, F> {
@@ -705,14 +642,6 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> OperatorState for Syno
     fn drain(&mut self, key: &Arc<str>, out: &mut OutputCollector) {
         let snapshot = Value::Bytes(self.summary.snapshot().into());
         out.emit(Tuple::new(vec![Value::Str(key.clone()), snapshot]));
-    }
-
-    fn wants_frames(&self) -> bool {
-        self.bulk.is_some()
-    }
-
-    fn apply_frame(&mut self, frame: &Frame, fresh: &[usize]) {
-        (self.bulk.as_mut().expect("frames imply bulk"))(frame, fresh, &mut self.summary);
     }
 }
 
@@ -743,30 +672,7 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
         update: F,
         cfg: OperatorConfig,
     ) -> Result<Self> {
-        Self::open(key, store, SynopsisState { summary: initial, update, bulk: None }, cfg)
-    }
-
-    /// Opt into the columnar fast path. `bulk(frame, fresh, summary)`
-    /// must fold exactly the rows whose indices appear in `fresh` (the
-    /// deduplicated survivors, in arrival order) into the synopsis,
-    /// producing the same final state as `update` called once per fresh
-    /// row. With a bulk closure installed the bolt advertises
-    /// [`Bolt::wants_frames`], upstream links ship columnar
-    /// [`Frame`]s, and per-column hashes ([`Frame::column_hashes`]) are
-    /// computed once per batch instead of once per tuple per sketch.
-    ///
-    /// Checkpoint cadence is evaluated once per frame (not per row), so
-    /// commit *boundaries* may differ from the row-at-a-time path; the
-    /// synopsis contents, dedup guarantees, and post-flush checkpoint
-    /// are identical.
-    pub fn with_bulk(
-        mut self,
-        bulk: impl FnMut(&Frame, &[usize], &mut S) + Send + 'static,
-    ) -> Self {
-        if let Some(slot) = self.slots.first_mut() {
-            slot.state.bulk = Some(Box::new(bulk));
-        }
-        self
+        Self::open(key, store, SynopsisState { summary: initial, update }, cfg)
     }
 
     /// The live synopsis (a sharded task's lowest materialised

@@ -1,5 +1,6 @@
 //! Topology model: spouts, bolts, groupings — Storm's abstractions,
-//! which the rest of Table 2's systems refine.
+//! which the rest of Table 2's systems refine. Tuples flow between
+//! components as rows, one [`Bolt::execute`] call each.
 
 use crate::supervise::RestartPolicy;
 use crate::tuple::Tuple;
@@ -240,6 +241,8 @@ impl OutputCollector {
 }
 
 /// A processing node. `Send` — each task runs on a worker thread.
+/// Links deliver rows, so [`Bolt::execute`] is the only data entry
+/// point; the other hooks are control callbacks.
 pub trait Bolt: Send {
     /// Process one input tuple, emitting any number of outputs.
     fn execute(&mut self, input: &Tuple, out: &mut OutputCollector);
@@ -260,23 +263,6 @@ pub trait Bolt: Send {
     /// and release them, so upstream spouts can settle and shut down
     /// cleanly.
     fn on_idle(&mut self, _out: &mut OutputCollector) {}
-
-    /// Opt in to columnar delivery: when every task of a component
-    /// returns `true`, upstream emitters ship whole batches as
-    /// [`crate::frame::Frame`]s (struct-of-arrays, per-column hashes
-    /// computed once) and the runtime calls
-    /// [`Bolt::execute_frame`] instead of per-row [`Bolt::execute`].
-    /// The default row path is untouched for everyone else.
-    fn wants_frames(&self) -> bool {
-        false
-    }
-
-    /// Process one columnar frame (only called when
-    /// [`Bolt::wants_frames`] is `true`). The collector's flags apply
-    /// frame-wide: `hold_ack` parks every row's ack, `release_acks`
-    /// releases all held inputs, `fail` fails every row's root.
-    /// Emissions anchor to the frame's last anchored row.
-    fn execute_frame(&mut self, _frame: &crate::frame::Frame, _out: &mut OutputCollector) {}
 
     /// Hook for bolt-owned counters: called with the worker's metrics
     /// registry and the component name when the task is spawned, and
