@@ -1966,15 +1966,14 @@ fn t2g_query_serving(r: &mut Recorder) {
 ///   work-stealing pool must recover that overlap with a handful of
 ///   workers. The 1 → 4 worker throughput ratio is reported.
 /// * **chain3** — a CPU-light three-stage pipeline at parallelism 1,
-///   where per-tuple cost is dominated by the channel hop. Chain fusion
-///   collapses it into one activation per input; the fused/unfused
-///   ratio on the same single worker is reported.
+///   where per-tuple cost is dominated by the channel hop: a single
+///   pool worker against thread-per-task (four threads).
 fn t2h_scheduler(r: &mut Recorder) {
     use sa_platform::topology::{vec_spout, Bolt};
     use sa_platform::tuple::tuple_of;
     use sa_platform::*;
     use std::time::Duration;
-    r.section("T2.H", "Scheduler — work-stealing worker sweep & chain fusion");
+    r.section("T2.H", "Scheduler — work-stealing worker sweep & channel-bound chain");
 
     let wide_n = 4_000usize;
     let run_wide = |scheduling: Scheduling| -> f64 {
@@ -2031,7 +2030,7 @@ fn t2h_scheduler(r: &mut Recorder) {
     let scaling = by_workers[2].1 / by_workers[0].1.max(1e-9);
 
     let chain_n = 200_000usize;
-    let run_chain = |scheduling: Scheduling, fuse_chains: bool| -> f64 {
+    let run_chain = |scheduling: Scheduling| -> f64 {
         let tuples: Vec<Tuple> = (0..chain_n).map(|i| tuple_of([(i % 100) as i64])).collect();
         let mut tb = TopologyBuilder::new();
         tb.set_spout("src", vec![vec_spout(tuples)]);
@@ -2052,7 +2051,6 @@ fn t2h_scheduler(r: &mut Recorder) {
                 tb,
                 ExecutorConfig {
                     scheduling,
-                    fuse_chains,
                     semantics: Semantics::AtMostOnce,
                     shutdown_timeout: Duration::from_secs(60),
                     ..Default::default()
@@ -2063,17 +2061,11 @@ fn t2h_scheduler(r: &mut Recorder) {
         assert!(res.clean_shutdown);
         chain_n as f64 / secs / 1e3
     };
-    let fused = run_chain(Scheduling::WorkStealing { workers: 1 }, true);
-    let unfused = run_chain(Scheduling::WorkStealing { workers: 1 }, false);
-    let chain_tpt = run_chain(Scheduling::ThreadPerTask, false);
-    for (label, ktps) in [
-        ("chain3, ws-1 fused", fused),
-        ("chain3, ws-1 unfused", unfused),
-        ("chain3, thread-per-task", chain_tpt),
-    ] {
+    let chain_ws1 = run_chain(Scheduling::WorkStealing { workers: 1 });
+    let chain_tpt = run_chain(Scheduling::ThreadPerTask);
+    for (label, ktps) in [("chain3, ws-1", chain_ws1), ("chain3, thread-per-task", chain_tpt)] {
         r.row(label, &[("Ktuples/s", f(ktps)), ("n", chain_n.to_string())]);
     }
-    let fusion = fused / unfused.max(1e-9);
 
     // Persist for trend lines. The ratios come from one wall-clock run
     // each and are reported, not gated; `cores` says how far the 1 → 4
@@ -2093,15 +2085,15 @@ fn t2h_scheduler(r: &mut Recorder) {
     let ws8 = by_workers[3].1;
     let ws8_over_tpt = ws8 / tpt.max(1e-9);
     out.push_str(&format!(
-        "  ],\n  \"chain3_ktuples_s\": {{\"ws1_fused\": {fused:.1}, \"ws1_unfused\": \
-         {unfused:.1}, \"thread_per_task\": {chain_tpt:.1}}},\n  \
+        "  ],\n  \"chain3_ktuples_s\": {{\"ws1\": {chain_ws1:.1}, \
+         \"thread_per_task\": {chain_tpt:.1}}},\n  \
          \"ws_scaling_4_over_1\": {scaling:.2},\n  \"ws8_over_tpt\": {ws8_over_tpt:.2},\n  \
-         \"fused_over_unfused\": {fusion:.2},\n  \"cores\": {cores}\n}}\n"
+         \"cores\": {cores}\n}}\n"
     ));
     std::fs::write("BENCH_sched.json", out).ok();
     println!(
-        "  [wide64 ws 1->4 scaling: {scaling:.2}x, ws8/tpt: {ws8_over_tpt:.2}x, \
-         chain fused/unfused: {fusion:.2}x -> BENCH_sched.json]"
+        "  [wide64 ws 1->4 scaling: {scaling:.2}x, ws8/tpt: {ws8_over_tpt:.2}x \
+         -> BENCH_sched.json]"
     );
 }
 

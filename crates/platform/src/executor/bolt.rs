@@ -1,11 +1,10 @@
 //! Re-entrant bolt core: message-at-a-time processing state for one
-//! bolt task (or one fused bolt-headed chain). The runtime drives it
-//! from whichever thread runs the task's activation — the slot's own
-//! thread under the dedicated driver, the pool worker that claimed it
-//! under the pool.
+//! bolt task, with its supervision, held-ack ledger and watermark
+//! forwarding. The runtime drives it from whichever thread runs the
+//! task's activation — the slot's own thread under the dedicated
+//! driver, the pool worker that claimed it under the pool.
 
 use super::emit::EmitCtx;
-use super::fuse::FusedChain;
 use super::{sink_slot, Msg, Route, Semantics, Sink, SinkSlot};
 use crate::acker::Acker;
 use crate::metrics::{CounterHandle, GaugeHandle, HistogramHandle, Metrics, Sampler};
@@ -19,13 +18,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Everything a bolt task needs from the executor, one per schedulable
-/// unit; `name` is the supervision identity (the chain head for fused
-/// units) and `emit_name` the emission identity (the chain tail — they
-/// coincide for plain bolts).
+/// Everything a bolt task needs from the executor, one per slot;
+/// `name` is the component every counter, sink key and error message
+/// is attributed to.
 pub(crate) struct WorkerCtx {
     pub(crate) name: String,
-    pub(crate) emit_name: String,
     pub(crate) routes: Vec<Route>,
     pub(crate) acker: Arc<Mutex<Acker>>,
     pub(crate) semantics: Semantics,
@@ -34,8 +31,7 @@ pub(crate) struct WorkerCtx {
     pub(crate) drop_prob: f64,
     /// Chaos: link-delay injection for this component's sends.
     pub(crate) delay: Option<(f64, Duration)>,
-    /// Chaos: probability that one `execute` call panics (fused units:
-    /// max over the chain's stages).
+    /// Chaos: probability that one `execute` call panics.
     pub(crate) panic_prob: f64,
     /// Supervision policy for this component's tasks.
     pub(crate) restart: RestartPolicy,
@@ -66,22 +62,14 @@ enum AckOp {
     Fail(u64),
 }
 
-/// What one activation executes: a single bolt, or a fused chain run
-/// inline (intermediate hops by direct call, no channel).
-pub(crate) enum TaskBolt {
-    Plain(Box<dyn Bolt>),
-    Chain(FusedChain),
-}
-
 /// Per-task processing state + supervision, driven by `handle_msg` /
 /// `idle` from the task's activation.
 pub(crate) struct BoltCore {
     /// Task index within the component (error messages, labels).
     idx: usize,
-    bolt: TaskBolt,
-    /// Rebuilds a plain bolt on supervised restart (factory-declared
-    /// bolts recover from their checkpoint; `None` resumes in place).
-    /// Chains carry their own per-stage factories.
+    bolt: Box<dyn Bolt>,
+    /// Rebuilds the bolt on supervised restart (factory-declared bolts
+    /// recover from their checkpoint; `None` resumes in place).
     factory: Option<BoltBuilder>,
     /// Restart-budget accounting for this task.
     tracker: RestartTracker,
@@ -101,24 +89,20 @@ pub(crate) struct BoltCore {
     /// Whether data arrived since the last `on_idle` call.
     idle_dirty: bool,
     pub(crate) emit: EmitCtx,
-    /// `None` for chains: each fused stage counts its own executes.
-    executed: Option<CounterHandle>,
-    /// Sampled `execute` latency (whole-chain latency for fused units).
+    executed: CounterHandle,
+    /// Sampled `execute` latency.
     exec_us: Option<HistogramHandle>,
     sampler: Sampler,
     pub(crate) done: bool,
-    /// This task's watermark-source id (stamped on forwarded markers;
-    /// the LAST stage's id for fused units).
+    /// This task's watermark-source id (stamped on forwarded markers).
     my_id: u32,
     /// Min-across-inputs merge state (event-time runs only).
     merger: Option<WatermarkMerger>,
     /// Max event time seen in delivered data (watermark-lag gauge).
     max_et: u64,
-    /// Tuples emitted from `on_watermark`; `None` for chains (counted
-    /// per stage).
+    /// Tuples emitted from `on_watermark` (event-time runs only).
     fired: Option<CounterHandle>,
-    /// Tuples diverted to the late side output (plain path; chains
-    /// route late per stage).
+    /// Tuples diverted to the late side output.
     dropped_late: CounterHandle,
     /// Current merged watermark / its lag behind `max_et`.
     wm_gauge: Option<GaugeHandle>,
@@ -134,15 +118,11 @@ impl BoltCore {
     pub(crate) fn new(
         idx: usize,
         my_id: u32,
-        mut bolt: TaskBolt,
+        mut bolt: Box<dyn Bolt>,
         factory: Option<BoltBuilder>,
         ctx: &WorkerCtx,
     ) -> Self {
-        let is_chain = matches!(bolt, TaskBolt::Chain(_));
-        if let TaskBolt::Plain(b) = &mut bolt {
-            // Chain stages register in FusedChain::build, per stage.
-            b.register_metrics(&ctx.metrics, &ctx.name);
-        }
+        bolt.register_metrics(&ctx.metrics, &ctx.name);
         Self {
             idx,
             tracker: RestartTracker::new(ctx.restart.clone()),
@@ -156,7 +136,7 @@ impl BoltCore {
             idle_dirty: false,
             emit: EmitCtx::new(
                 ctx.routes.clone(),
-                ctx.emit_name.clone(),
+                ctx.name.clone(),
                 &ctx.metrics,
                 ctx.sink.clone(),
                 ctx.seed,
@@ -166,7 +146,7 @@ impl BoltCore {
                 ctx.batch_linger,
                 ctx.sample_every,
             ),
-            executed: (!is_chain).then(|| ctx.metrics.register(&format!("{}.executed", ctx.name))),
+            executed: ctx.metrics.register(&format!("{}.executed", ctx.name)),
             exec_us: (ctx.sample_every > 0)
                 .then(|| ctx.metrics.register_histogram(&format!("{}.execute_us", ctx.name))),
             // Phase-staggered per task (seeds differ): sibling tasks
@@ -177,16 +157,15 @@ impl BoltCore {
             my_id,
             merger: ctx.watermarks.then(|| WatermarkMerger::new(ctx.upstream_ids.iter().copied())),
             max_et: 0,
-            fired: (ctx.watermarks && !is_chain)
-                .then(|| ctx.metrics.register(&format!("{}.fired", ctx.name))),
-            dropped_late: ctx.metrics.register(&format!("{}.dropped_late", ctx.emit_name)),
+            fired: ctx.watermarks.then(|| ctx.metrics.register(&format!("{}.fired", ctx.name))),
+            dropped_late: ctx.metrics.register(&format!("{}.dropped_late", ctx.name)),
             wm_gauge: ctx
                 .watermarks
-                .then(|| ctx.metrics.register_gauge(&format!("{}.watermark", ctx.emit_name))),
+                .then(|| ctx.metrics.register_gauge(&format!("{}.watermark", ctx.name))),
             lag_gauge: ctx
                 .watermarks
-                .then(|| ctx.metrics.register_gauge(&format!("{}.watermark_lag", ctx.emit_name))),
-            late_slot: sink_slot(&ctx.sink, &format!("{}.late", ctx.emit_name)),
+                .then(|| ctx.metrics.register_gauge(&format!("{}.watermark_lag", ctx.name))),
+            late_slot: sink_slot(&ctx.sink, &format!("{}.late", ctx.name)),
             bolt,
             factory,
         }
@@ -209,9 +188,7 @@ impl BoltCore {
         }
         match msg {
             Msg::Data(batch) => {
-                if let Some(executed) = &self.executed {
-                    executed.add(batch.len() as u64);
-                }
+                self.executed.add(batch.len() as u64);
                 self.idle_dirty = true;
                 if self.merger.is_some() {
                     for t in &batch {
@@ -238,13 +215,10 @@ impl BoltCore {
                     } else {
                         let t0 = self.sampler.hit().then(Instant::now);
                         let bolt = &mut self.bolt;
-                        let run = catch_unwind(AssertUnwindSafe(|| match bolt {
-                            TaskBolt::Plain(b) => {
-                                let mut out = OutputCollector::new();
-                                b.execute(t, &mut out);
-                                out
-                            }
-                            TaskBolt::Chain(c) => c.execute(t).into_collector(),
+                        let run = catch_unwind(AssertUnwindSafe(|| {
+                            let mut out = OutputCollector::new();
+                            bolt.execute(t, &mut out);
+                            out
                         }));
                         match run {
                             Ok(out) => {
@@ -288,10 +262,7 @@ impl BoltCore {
             Msg::Watermark { source, wm, idle } => {
                 let advanced = self.merger.as_mut().and_then(|m| m.update(source, wm, idle));
                 if let Some(new_wm) = advanced {
-                    if let Some(out) = self.guarded(ctx, |b, o| match b {
-                        TaskBolt::Plain(bolt) => bolt.on_watermark(new_wm, o),
-                        TaskBolt::Chain(c) => *o = c.on_watermark(new_wm).into_collector(),
-                    }) {
+                    if let Some(out) = self.guarded(ctx, |b, o| b.on_watermark(new_wm, o)) {
                         if let Some(fired) = &self.fired {
                             fired.add(out.emitted.len() as u64);
                         }
@@ -318,19 +289,13 @@ impl BoltCore {
                 // sharded bolt observes the table — acknowledging a
                 // quiesce or adopting the installed assignment — even
                 // if it was parked with no pending input.
-                if let Some(out) = self.guarded(ctx, |b, o| match b {
-                    TaskBolt::Plain(bolt) => bolt.on_idle(o),
-                    TaskBolt::Chain(c) => *o = c.on_idle().into_collector(),
-                }) {
+                if let Some(out) = self.guarded(ctx, |b, o| b.on_idle(o)) {
                     self.handle_control_out(out, ctx);
                 }
                 self.emit.flush_all();
             }
             Msg::Flush => {
-                if let Some(out) = self.guarded(ctx, |b, o| match b {
-                    TaskBolt::Plain(bolt) => bolt.flush(o),
-                    TaskBolt::Chain(c) => *o = c.flush().into_collector(),
-                }) {
+                if let Some(out) = self.guarded(ctx, |b, o| b.flush(o)) {
                     self.handle_control_out(out, ctx);
                 }
                 self.emit.flush_all();
@@ -349,10 +314,7 @@ impl BoltCore {
     pub(crate) fn idle(&mut self, ctx: &WorkerCtx) {
         if !self.zombie && (self.idle_dirty || !self.held.is_empty()) {
             self.idle_dirty = false;
-            if let Some(out) = self.guarded(ctx, |b, o| match b {
-                TaskBolt::Plain(bolt) => bolt.on_idle(o),
-                TaskBolt::Chain(c) => *o = c.on_idle().into_collector(),
-            }) {
+            if let Some(out) = self.guarded(ctx, |b, o| b.on_idle(o)) {
                 self.handle_control_out(out, ctx);
             }
         }
@@ -363,10 +325,10 @@ impl BoltCore {
     /// (restart or escalate) and return `None`.
     fn guarded<F>(&mut self, ctx: &WorkerCtx, call: F) -> Option<OutputCollector>
     where
-        F: FnOnce(&mut TaskBolt, &mut OutputCollector),
+        F: FnOnce(&mut dyn Bolt, &mut OutputCollector),
     {
         let mut out = OutputCollector::new();
-        let bolt = &mut self.bolt;
+        let bolt = &mut *self.bolt;
         match catch_unwind(AssertUnwindSafe(|| call(bolt, &mut out))) {
             Ok(()) => Some(out),
             Err(payload) => {
@@ -390,35 +352,22 @@ impl BoltCore {
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
                 }
-                match &mut self.bolt {
-                    TaskBolt::Plain(slot) => {
-                        if let Some(build) = self.factory.as_mut() {
-                            match build() {
-                                Ok(mut fresh) => {
-                                    fresh.register_metrics(&ctx.metrics, &ctx.name);
-                                    *slot = fresh;
-                                    // Inputs the dead incarnation applied
-                                    // but never persisted: fail them so
-                                    // the spout replays (the recovered
-                                    // checkpoint dedups whatever *was*
-                                    // persisted).
-                                    self.fail_held(ctx);
-                                }
-                                Err(e) => {
-                                    self.escalate(ctx, &format!("restart rebuild failed: {e}"));
-                                    return;
-                                }
-                            }
+                if let Some(build) = self.factory.as_mut() {
+                    match build() {
+                        Ok(mut fresh) => {
+                            fresh.register_metrics(&ctx.metrics, &ctx.name);
+                            self.bolt = fresh;
+                            // Inputs the dead incarnation applied but
+                            // never persisted: fail them so the spout
+                            // replays (the recovered checkpoint dedups
+                            // whatever *was* persisted).
+                            self.fail_held(ctx);
                         }
-                    }
-                    TaskBolt::Chain(chain) => match chain.rebuild() {
-                        Ok(true) => self.fail_held(ctx),
-                        Ok(false) => {} // instance stages resume in place
                         Err(e) => {
                             self.escalate(ctx, &format!("restart rebuild failed: {e}"));
                             return;
                         }
-                    },
+                    }
                 }
                 self.restarts.add(1);
                 ctx.metrics.task_restart();

@@ -18,10 +18,12 @@
 //!   injector. Idle workers spin → steal → park on a condvar. Inboxes
 //!   are **unbounded**; with fewer workers than tasks this is Storm's
 //!   "tasks multiplexed over shared workers and a complex set of
-//!   queues" configuration that motivated Heron. Degree-1 co-located
-//!   chains additionally *fuse* into single activations
-//!   ([`ExecutorConfig::fuse_chains`]) that call `execute` inline with
-//!   no channel hop.
+//!   queues" configuration that motivated Heron.
+//!
+//! Either way a task is exactly one slot with one inbox, so every hop
+//! between two components is a channel hop and every task is
+//! supervised, acked and watermarked by the same code (`BoltCore` /
+//! `SpoutCore`).
 //!
 //! # The fast path
 //!
@@ -58,7 +60,6 @@
 
 mod bolt;
 mod emit;
-mod fuse;
 mod runtime;
 mod spout;
 
@@ -96,12 +97,6 @@ pub struct ExecutorConfig {
     /// inboxes (default), or a fixed work-stealing pool over unbounded
     /// ones.
     pub scheduling: Scheduling,
-    /// Under [`Scheduling::WorkStealing`], fuse degree-1 co-located
-    /// chains (see [`crate::topology`]'s chain planner) into single
-    /// activations that call `execute` inline — no channel hop, no
-    /// re-batching. Defaults to `true`; thread-per-task never fuses
-    /// (it is the unfused reference).
-    pub fuse_chains: bool,
     /// Delivery guarantee.
     pub semantics: Semantics,
     /// Inbox capacity (in batches) under [`Scheduling::ThreadPerTask`]:
@@ -172,7 +167,6 @@ impl Default for ExecutorConfig {
     fn default() -> Self {
         Self {
             scheduling: Scheduling::ThreadPerTask,
-            fuse_chains: true,
             semantics: Semantics::AtLeastOnce,
             channel_capacity: 1024,
             batch_size: 64,

@@ -12,18 +12,17 @@
 //! * **Dedicated** ([`crate::Scheduling::ThreadPerTask`]): every slot
 //!   owns an OS thread that loops `run_slot` and sleeps on the slot's
 //!   `WakeCell` in between. Inboxes are bounded, so a slow consumer
-//!   blocks its producers (Heron-style backpressure). No fusion: this
-//!   is the unfused reference the pool is compared against.
+//!   blocks its producers (Heron-style backpressure).
 //! * **Pool** ([`crate::Scheduling::WorkStealing`]): N workers, each
 //!   with a Chase–Lev [`WsDeque`] (owner LIFO / stealer FIFO); a global
 //!   [`Injector`] for out-of-pool submissions and deque overflow, on
 //!   whose condvar idle workers park after a spin → steal sweep; a
 //!   timer heap for the two delayed re-activations (a spout's
 //!   ack-settle sweep, a bolt's held-ack commit retry). Inboxes are
-//!   unbounded — a worker must never block in `send`. Degree-1
-//!   co-located chains (`crate::topology`'s planner) fuse into one
-//!   activation driving a [`FusedChain`]: no channel, no re-batching,
-//!   no extra schedule between the stages.
+//!   unbounded — a worker must never block in `send`.
+//!
+//! Under both, a slot is one spout task or one bolt task: every hop
+//! between two components is a channel hop.
 //!
 //! Supervision wraps activations, not threads: a panic backs off and
 //! rebuilds the task's state inside its slot, and the slot runs again.
@@ -44,14 +43,12 @@
 //! thread ever runs that slot, so the claim guards nothing there, and
 //! every path that leaves `scheduled` set also sets `pending`.)
 
-use super::bolt::{BoltCore, TaskBolt, WorkerCtx};
-use super::fuse::FusedChain;
-use super::spout::{SpoutChain, SpoutCore, SpoutCtx, SpoutStep};
-use super::{BoltTask, Msg, Route, RunCore, RunResult, Sender};
+use super::bolt::{BoltCore, WorkerCtx};
+use super::spout::{SpoutCore, SpoutCtx, SpoutStep};
+use super::{Msg, Route, RunCore, RunResult, Sender};
 use crate::channel::{link, Injector, Receiver, WsDeque};
 use crate::metrics::SchedCounters;
 use crate::supervise::panic_message;
-use crate::topology::plan_chains;
 use sa_core::{Result, SaError};
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -91,8 +88,8 @@ thread_local! {
     static WORKER: Cell<(u64, usize)> = const { Cell::new((0, usize::MAX)) };
 }
 
-/// One schedulable unit: a spout (optionally with a fused bolt tail)
-/// or a bolt task / fused bolt chain with its inbox. The activation
+/// One schedulable unit: a spout task, or a bolt task with its inbox.
+/// The activation
 /// that finishes a task takes its state out and drops it — on the
 /// thread that ran it, not on the coordinator at teardown.
 enum SlotKind {
@@ -522,16 +519,6 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
     }
 }
 
-/// What each slot will hold, resolved before any channel or core is
-/// built (wake hooks need final slot indices).
-enum UnitSpec {
-    /// `chain[0]` is the spout component; `chain[1..]` its fused tail.
-    Spout { chain: Vec<usize>, local_idx: usize },
-    /// `chain[0]` is the head bolt; singleton chains may have many
-    /// tasks (`task_idx`), fused chains are parallelism-1.
-    Bolt { chain: Vec<usize>, task_idx: usize },
-}
-
 pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     // Pool size; thread-per-task has none and gets the dedicated driver.
     let workers = core.config.scheduling.worker_count();
@@ -541,43 +528,20 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     let mut built = std::mem::take(&mut core.built);
     let mut spout_insts = std::mem::take(&mut core.spouts);
 
-    // --- Plan the schedulable units: fused chains (degree-1 co-located
-    //     pipelines collapse into one activation) or — with fusion off,
-    //     and always under the dedicated driver — one unit per task. ---
-    let chains: Vec<Vec<usize>> = if core.config.fuse_chains && !dedicated {
-        plan_chains(&core.decls)
-    } else {
-        (0..core.decls.len()).map(|i| vec![i]).collect()
-    };
-
-    // Spout task index (ack-root prefix) by declaration order, so root
-    // encodings do not depend on the chain plan.
-    let mut spout_task: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut next_spout_task = 0usize;
-    for (ci, c) in core.decls.iter().enumerate() {
-        if !c.is_bolt() {
-            for local in 0..c.parallelism {
-                spout_task.insert((ci, local), next_spout_task);
-                next_spout_task += 1;
-            }
-        }
-    }
-
-    let mut specs: Vec<UnitSpec> = Vec::new();
+    // --- One slot per task, `(component, task)` in declaration order
+    //     (resolved before any channel or core is built: wake hooks
+    //     need final slot indices). ---
+    let mut specs: Vec<(usize, usize)> = Vec::new();
     let mut spout_slots: Vec<usize> = Vec::new();
     let mut bolt_slots_of: HashMap<String, Vec<usize>> = HashMap::new();
-    for chain in &chains {
-        let head = &core.decls[chain[0]];
-        if head.is_bolt() {
-            for task_idx in 0..head.parallelism {
-                bolt_slots_of.entry(head.name.clone()).or_default().push(specs.len());
-                specs.push(UnitSpec::Bolt { chain: chain.clone(), task_idx });
-            }
-        } else {
-            for local_idx in 0..head.parallelism {
+    for (ci, c) in core.decls.iter().enumerate() {
+        for task in 0..c.parallelism {
+            if c.is_bolt() {
+                bolt_slots_of.entry(c.name.clone()).or_default().push(specs.len());
+            } else {
                 spout_slots.push(specs.len());
-                specs.push(UnitSpec::Spout { chain: chain.clone(), local_idx });
             }
+            specs.push((ci, task));
         }
     }
 
@@ -621,13 +585,16 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     let mut senders: HashMap<String, Vec<Sender<Msg>>> = HashMap::new();
     let mut inboxes: HashMap<usize, Receiver<Msg>> = HashMap::new();
     let mut link_stats: HashMap<String, crate::channel::LinkStats> = HashMap::new();
-    for (slot, spec) in specs.iter().enumerate() {
-        let UnitSpec::Bolt { chain, .. } = spec else { continue };
-        let head = &core.decls[chain[0]];
+    for (slot, &(ci, _)) in specs.iter().enumerate() {
+        let c = &core.decls[ci];
+        if !c.is_bolt() {
+            continue;
+        }
+        let name = &c.name;
         let stats = instrumented.then(|| {
             link_stats
-                .entry(head.name.clone())
-                .or_insert_with(|| core.metrics.register_link(&format!("{}.input", head.name)))
+                .entry(name.clone())
+                .or_insert_with(|| core.metrics.register_link(&format!("{name}.input")))
                 .clone()
         });
         let wake: Arc<dyn Fn() + Send + Sync> = {
@@ -639,7 +606,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
             })
         };
         let (tx, rx) = link(capacity, stats, Some(wake));
-        senders.entry(head.name.clone()).or_default().push(tx);
+        senders.entry(name.clone()).or_default().push(tx);
         inboxes.insert(slot, rx);
     }
 
@@ -653,9 +620,8 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
         }
     }
 
-    // --- Routing tables. A component fused into a chain has no inbox
-    //     (no `senders` entry): its single input edge is delivered
-    //     inline by the chain, so no route materializes for it. ---
+    // --- Routing tables: every input edge routes to the subscriber's
+    //     inboxes (a bolt declared with no tasks has none). ---
     let mut routes: HashMap<String, Vec<Route>> = HashMap::new();
     for c in &core.decls {
         routes.entry(c.name.clone()).or_default();
@@ -676,129 +642,75 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     //     one draw per unit. ---
     let mut task_seed = core.config.seed;
     let mut slots: Vec<Slot> = Vec::new();
-    for (slot_idx, spec) in specs.iter().enumerate() {
+    let mut spout_task = 0usize;
+    for (slot_idx, &(ci, task)) in specs.iter().enumerate() {
         task_seed = sa_core::hash::mix64(task_seed);
-        let kind = match spec {
-            UnitSpec::Bolt { chain, task_idx } => {
-                let head = &core.decls[chain[0]];
-                let tail = &core.decls[*chain.last().unwrap()];
-                let panic_prob = chain
-                    .iter()
-                    .map(|&i| core.config.faults.panic_prob_for(&core.decls[i].name))
-                    .fold(0.0, f64::max);
-                let ctx = WorkerCtx {
-                    name: head.name.clone(),
-                    emit_name: tail.name.clone(),
-                    routes: routes[&tail.name].clone(),
-                    acker: core.acker.clone(),
-                    semantics: core.config.semantics,
-                    metrics: core.metrics.clone(),
-                    sink: core.sink.clone(),
-                    drop_prob: core.config.faults.drop_for(&tail.name).unwrap_or(0.0),
-                    delay: core.config.faults.delay_for(&tail.name),
-                    panic_prob,
-                    restart: core.restart_for(head),
-                    abort: core.abort.clone(),
-                    failure: core.failure.clone(),
-                    run_start: core.run_start,
-                    seed: task_seed,
-                    batch_size: core.config.batch_size,
-                    batch_linger: core.config.batch_linger,
-                    sample_every: core.config.latency_sample_every,
-                    upstream_ids: core.upstream_ids[&head.name].clone(),
-                    watermarks,
-                    on_ack: on_ack.clone(),
-                };
-                let my_id = core.task_ids[&tail.name][if chain.len() == 1 { *task_idx } else { 0 }];
-                let (bolt, factory) = if chain.len() == 1 {
-                    let task = take_task(&mut built, &head.name);
-                    (TaskBolt::Plain(task.bolt), task.factory)
-                } else {
-                    let names: Vec<String> =
-                        chain.iter().map(|&i| core.decls[i].name.clone()).collect();
-                    let tasks: Vec<BoltTask> =
-                        names.iter().map(|n| take_task(&mut built, n)).collect();
-                    let fc = FusedChain::build(
-                        &names,
-                        tasks,
-                        &core.metrics,
-                        core.sink.clone(),
-                        watermarks,
-                    );
-                    (TaskBolt::Chain(fc), None)
-                };
-                let bc = BoltCore::new(*task_idx, my_id, bolt, factory, &ctx);
-                let rx = inboxes.remove(&slot_idx).expect("bolt inbox");
-                SlotKind::Bolt { unit: Mutex::new(Some(Box::new((bc, ctx)))), rx }
-            }
-            UnitSpec::Spout { chain, local_idx } => {
-                let head = &core.decls[chain[0]];
-                let tail = &core.decls[*chain.last().unwrap()];
-                let fused = chain.len() > 1;
-                // Emissions routed downstream are the tail's, so the
-                // link chaos knobs (drop/delay) key on the tail; the
-                // spout's own panic injection keys on the spout.
-                let ctx = SpoutCtx {
-                    task: spout_task[&(chain[0], *local_idx)],
-                    name: head.name.clone(),
-                    routes: routes[&tail.name].clone(),
-                    acker: core.acker.clone(),
-                    semantics: core.config.semantics,
-                    metrics: core.metrics.clone(),
-                    sink: core.sink.clone(),
-                    drop_prob: core.config.faults.drop_for(&tail.name).unwrap_or(0.0),
-                    delay: core.config.faults.delay_for(&tail.name),
-                    panic_prob: core.config.faults.panic_prob_for(&head.name),
-                    restart: core.restart_for(head),
-                    max_replays: core.config.max_replays,
-                    abort: core.abort.clone(),
-                    failure: core.failure.clone(),
-                    run_start: core.run_start,
-                    seed: task_seed,
-                    batch_size: core.config.batch_size,
-                    batch_linger: core.config.batch_linger,
-                    sample_every: core.config.latency_sample_every,
-                    ack_timeout: core.config.ack_timeout,
-                    shutdown_timeout: core.config.shutdown_timeout,
-                    unclean: core.unclean.clone(),
-                    kill: core.config.kill.clone(),
-                    wm_source: core.task_ids[&head.name][*local_idx],
-                    watermarks: core.config.watermarks.clone(),
-                    ack_seq: core.ack_seq.clone(),
-                    on_ack: on_ack.clone(),
-                };
-                let spout_chain = fused.then(|| {
-                    let names: Vec<String> =
-                        chain[1..].iter().map(|&i| core.decls[i].name.clone()).collect();
-                    let tasks: Vec<BoltTask> =
-                        names.iter().map(|n| take_task(&mut built, n)).collect();
-                    let fc = FusedChain::build(
-                        &names,
-                        tasks,
-                        &core.metrics,
-                        core.sink.clone(),
-                        watermarks,
-                    );
-                    let panic_prob = chain[1..]
-                        .iter()
-                        .map(|&i| core.config.faults.panic_prob_for(&core.decls[i].name))
-                        .fold(0.0, f64::max);
-                    SpoutChain::new(
-                        fc,
-                        core.task_ids[&tail.name][0],
-                        core.task_ids[&head.name][*local_idx],
-                        core.restart_for(&core.decls[chain[1]]),
-                        panic_prob,
-                        task_seed,
-                        &core.metrics,
-                        core.config.latency_sample_every,
-                    )
-                });
-                // Units are created in instance order, so the front of
-                // the remaining list is always this unit's instance.
-                let spout = spout_insts.get_mut(&head.name).expect("spout instances").remove(0);
-                SlotKind::Spout(Mutex::new(Some(Box::new(SpoutCore::new(spout, ctx, spout_chain)))))
-            }
+        let c = &core.decls[ci];
+        let kind = if c.is_bolt() {
+            let ctx = WorkerCtx {
+                name: c.name.clone(),
+                routes: routes[&c.name].clone(),
+                acker: core.acker.clone(),
+                semantics: core.config.semantics,
+                metrics: core.metrics.clone(),
+                sink: core.sink.clone(),
+                drop_prob: core.config.faults.drop_for(&c.name).unwrap_or(0.0),
+                delay: core.config.faults.delay_for(&c.name),
+                panic_prob: core.config.faults.panic_prob_for(&c.name),
+                restart: core.restart_for(c),
+                abort: core.abort.clone(),
+                failure: core.failure.clone(),
+                run_start: core.run_start,
+                seed: task_seed,
+                batch_size: core.config.batch_size,
+                batch_linger: core.config.batch_linger,
+                sample_every: core.config.latency_sample_every,
+                upstream_ids: core.upstream_ids[&c.name].clone(),
+                watermarks,
+                on_ack: on_ack.clone(),
+            };
+            // Slots are created in task order, so the front of the
+            // remaining list is always this slot's task.
+            let built = built.get_mut(&c.name).expect("built bolt tasks").remove(0);
+            let my_id = core.task_ids[&c.name][task];
+            let bc = BoltCore::new(task, my_id, built.bolt, built.factory, &ctx);
+            let rx = inboxes.remove(&slot_idx).expect("bolt inbox");
+            SlotKind::Bolt { unit: Mutex::new(Some(Box::new((bc, ctx)))), rx }
+        } else {
+            let ctx = SpoutCtx {
+                // Ack-root prefix: spout tasks count in declaration order.
+                task: spout_task,
+                name: c.name.clone(),
+                routes: routes[&c.name].clone(),
+                acker: core.acker.clone(),
+                semantics: core.config.semantics,
+                metrics: core.metrics.clone(),
+                sink: core.sink.clone(),
+                drop_prob: core.config.faults.drop_for(&c.name).unwrap_or(0.0),
+                delay: core.config.faults.delay_for(&c.name),
+                panic_prob: core.config.faults.panic_prob_for(&c.name),
+                restart: core.restart_for(c),
+                max_replays: core.config.max_replays,
+                abort: core.abort.clone(),
+                failure: core.failure.clone(),
+                run_start: core.run_start,
+                seed: task_seed,
+                batch_size: core.config.batch_size,
+                batch_linger: core.config.batch_linger,
+                sample_every: core.config.latency_sample_every,
+                ack_timeout: core.config.ack_timeout,
+                shutdown_timeout: core.config.shutdown_timeout,
+                unclean: core.unclean.clone(),
+                kill: core.config.kill.clone(),
+                wm_source: core.task_ids[&c.name][task],
+                watermarks: core.config.watermarks.clone(),
+                ack_seq: core.ack_seq.clone(),
+                on_ack: on_ack.clone(),
+            };
+            spout_task += 1;
+            // Same order argument as for bolt tasks above.
+            let spout = spout_insts.get_mut(&c.name).expect("spout instances").remove(0);
+            SlotKind::Spout(Mutex::new(Some(Box::new(SpoutCore::new(spout, ctx)))))
         };
         slots.push(Slot {
             kind,
@@ -839,7 +751,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     }
     for name in &core.order {
         let Some(tx_list) = senders.get(name) else {
-            continue; // a spout, or a bolt fused into a chain
+            continue; // a spout
         };
         for tx in tx_list {
             if !killed {
@@ -860,11 +772,4 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     }
 
     core.conclude()
-}
-
-/// Pull the next materialized task of `name` out of the build table.
-/// Units are created in task order, so the front of the remaining list
-/// is always the requesting unit's task.
-fn take_task(built: &mut HashMap<String, Vec<BoltTask>>, name: &str) -> BoltTask {
-    built.get_mut(name).expect("built bolt tasks").remove(0)
 }

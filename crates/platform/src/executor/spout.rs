@@ -1,23 +1,16 @@
 //! Re-entrant spout core: one `step()` = one iteration of the classic
 //! spout loop, so the same code drives a dedicated thread
 //! (`Scheduling::ThreadPerTask`) or a work-stealing activation that
-//! must yield between steps (`Scheduling::WorkStealing`).
-//!
-//! When the planner fused a `spout → bolt → …` chain, the core also
-//! owns the chain tail ([`SpoutChain`]): every produced tuple runs the
-//! fused bolts inline and only the *final* outputs are routed. Ack
-//! bookkeeping stays exactly-once: the chain's final edge ids XOR into
-//! the root's tree, and a holding stage contributes one synthetic
-//! "hold token" edge that is acked when the stage commits — the same
-//! shape the unfused runtime builds from real channel edges.
+//! must yield between steps (`Scheduling::WorkStealing`). Every
+//! produced tuple is routed straight to the downstream inboxes; the
+//! spout supervises only its own `next_tuple`.
 
 use super::emit::EmitCtx;
-use super::fuse::{ChainOut, FusedChain};
 use super::{decode_root, encode_root, Route, Semantics, Sink};
 use crate::acker::Acker;
 use crate::metrics::{CounterHandle, HistogramHandle, Metrics, Sampler};
 use crate::supervise::{panic_message, RestartDecision, RestartPolicy, RestartTracker};
-use crate::time::{WatermarkConfig, WatermarkGen, WatermarkMerger};
+use crate::time::{WatermarkConfig, WatermarkGen};
 use crate::topology::Spout;
 use crate::tuple::{tuple_of, Tuple};
 use sa_core::rng::SplitMix64;
@@ -103,67 +96,6 @@ struct SpoutObs {
     settle_us: HistogramHandle,
 }
 
-/// A fused `spout → bolt…` tail owned by the spout task, with its own
-/// chain-level supervision and held-ack ledger.
-pub(crate) struct SpoutChain {
-    pub(crate) chain: FusedChain,
-    /// Task id of the last stage — downstream watermark markers carry
-    /// this source so the fused run is indistinguishable from unfused.
-    pub(crate) last_id: u32,
-    /// Min-merges this spout's own markers (single input by the fusion
-    /// rule) so chain windows fire exactly when an unfused tail would.
-    pub(crate) merger: WatermarkMerger,
-    /// Chain-level restart accounting (the head bolt's policy).
-    pub(crate) tracker: RestartTracker,
-    /// Held roots: `(root, hold-token edge)` per input whose chain
-    /// effects are not yet durable.
-    pub(crate) ledger: Vec<(u64, u64)>,
-    pub(crate) token_rng: SplitMix64,
-    /// Chaos: max panic probability over the fused stages.
-    pub(crate) panic_prob: f64,
-    pub(crate) panic_rng: SplitMix64,
-    pub(crate) panics: CounterHandle,
-    pub(crate) restarts: CounterHandle,
-    pub(crate) restart_us: Option<HistogramHandle>,
-    /// Set after any successful execute; gates the idle hook.
-    pub(crate) idle_dirty: bool,
-    /// Escalated: the chain drops inputs (fails them for the record)
-    /// while the topology aborts.
-    pub(crate) zombie: bool,
-}
-
-impl SpoutChain {
-    #[allow(clippy::too_many_arguments)] // built once per fused spout, at spawn
-    pub(crate) fn new(
-        chain: FusedChain,
-        last_id: u32,
-        wm_source: u32,
-        restart: RestartPolicy,
-        panic_prob: f64,
-        seed: u64,
-        metrics: &Metrics,
-        sample_every: u32,
-    ) -> Self {
-        let head = chain.head_name().to_string();
-        Self {
-            merger: WatermarkMerger::new([wm_source]),
-            tracker: RestartTracker::new(restart),
-            ledger: Vec::new(),
-            token_rng: SplitMix64::new(seed ^ 0x70C3),
-            panic_prob,
-            panic_rng: SplitMix64::new(seed ^ 0xC4A1),
-            panics: metrics.register(&format!("{head}.panics")),
-            restarts: metrics.register(&format!("{head}.restarts")),
-            restart_us: (sample_every > 0)
-                .then(|| metrics.register_histogram(&format!("{head}.restart_us"))),
-            idle_dirty: false,
-            zombie: false,
-            chain,
-            last_id,
-        }
-    }
-}
-
 /// What one `step()` did — the scheduler decides what happens next.
 pub(crate) enum SpoutStep {
     /// Produced a tuple (or recovered from a panic): call again soon.
@@ -175,14 +107,6 @@ pub(crate) enum SpoutStep {
     Idle { seen: u64 },
     /// Terminal: clean finish, shutdown timeout, kill, or escalation.
     Done,
-}
-
-/// One call into the fused tail (chaos + panic supervision applied).
-enum ChainCall<'a> {
-    Execute(&'a Tuple),
-    Watermark(u64),
-    Flush,
-    Idle,
 }
 
 /// The spout state machine. `step()` is one iteration of the classic
@@ -208,11 +132,10 @@ pub(crate) struct SpoutCore {
     // emission timestamp for sampled roots (ack-latency tracking).
     root_counter: u64,
     in_flight: HashMap<u64, (u64, Option<Instant>)>,
-    // Root registrations (and chain hold-token acks) accumulated since
-    // the last acker visit; applied in one lock acquisition per batch
-    // rather than one per tuple.
+    // Root registrations accumulated since the last acker visit;
+    // applied in one lock acquisition per batch rather than one per
+    // tuple.
     pending_inits: Vec<(u64, u64)>,
-    pending_acks: Vec<(u64, u64)>,
     since_settle: usize,
     // Stall clock: time since the spout last made progress (an
     // emission, or a root settling). Only a full `shutdown_timeout` of
@@ -222,20 +145,14 @@ pub(crate) struct SpoutCore {
     exhausted_at: Option<Instant>,
     wm: Option<SpoutWm>,
     finished_clean: bool,
-    chain: Option<SpoutChain>,
     done: bool,
 }
 
 impl SpoutCore {
-    pub(crate) fn new(spout: Box<dyn Spout>, mut ctx: SpoutCtx, chain: Option<SpoutChain>) -> Self {
+    pub(crate) fn new(spout: Box<dyn Spout>, mut ctx: SpoutCtx) -> Self {
         let emit = EmitCtx::new(
             std::mem::take(&mut ctx.routes),
-            match &chain {
-                // Fused: the routed outputs are the LAST stage's, so the
-                // emit-side counters keep that stage's public name.
-                Some(sc) => sc.chain.tail_name().to_string(),
-                None => ctx.name.clone(),
-            },
+            ctx.name.clone(),
             &ctx.metrics,
             ctx.sink.clone(),
             ctx.seed,
@@ -288,12 +205,10 @@ impl SpoutCore {
             root_counter: 0,
             in_flight: HashMap::new(),
             pending_inits: Vec::new(),
-            pending_acks: Vec::new(),
             since_settle: 0,
             exhausted_at: None,
             wm,
             finished_clean: false,
-            chain,
             done: false,
         }
     }
@@ -408,7 +323,7 @@ impl SpoutCore {
         }
     }
 
-    /// Route one produced tuple (directly, or through the fused tail).
+    /// Route one produced tuple downstream.
     fn process(&mut self, mut t: Tuple) {
         self.exhausted_at = None;
         self.since_settle += 1;
@@ -424,25 +339,7 @@ impl SpoutCore {
         match self.ctx.semantics {
             Semantics::AtMostOnce => {
                 t.root = 0;
-                match self.chain.take() {
-                    None => {
-                        self.emit.push(&t, false);
-                    }
-                    Some(mut sc) => {
-                        if !sc.zombie {
-                            sc.idle_dirty = true;
-                            if let Some(out) = self.chain_guarded(&mut sc, ChainCall::Execute(&t)) {
-                                if !out.failed {
-                                    for mut e in out.emitted {
-                                        e.root = 0;
-                                        self.emit.push(&e, false);
-                                    }
-                                }
-                            }
-                        }
-                        self.chain = Some(sc);
-                    }
-                }
+                self.emit.push(&t, false);
             }
             Semantics::AtLeastOnce => {
                 self.root_counter += 1;
@@ -450,16 +347,8 @@ impl SpoutCore {
                 t.root = root;
                 let born = self.ack_sampler.hit().then(Instant::now);
                 self.in_flight.insert(root, (local, born));
-                match self.chain.take() {
-                    None => {
-                        let xor = self.emit.push(&t, true);
-                        self.pending_inits.push((root, xor));
-                    }
-                    Some(mut sc) => {
-                        self.chain_execute_alo(&mut sc, &t, root, local);
-                        self.chain = Some(sc);
-                    }
-                }
+                let xor = self.emit.push(&t, true);
+                self.pending_inits.push((root, xor));
             }
         }
         let mut adv = None;
@@ -476,52 +365,8 @@ impl SpoutCore {
             }
         }
         if let Some(new_wm) = adv {
-            self.broadcast_wm(new_wm, false);
+            self.emit.broadcast_watermark(self.ctx.wm_source, new_wm, false);
         }
-    }
-
-    /// Exactly-once path through the fused tail: final edge ids (plus a
-    /// hold token per holding input) form the root's ack tree. A chain
-    /// panic or explicit `fail()` fails the root *then* registers an
-    /// empty tree — the fail-before-init tombstone routes it straight
-    /// to the replay path, never to a spurious success.
-    fn chain_execute_alo(&mut self, sc: &mut SpoutChain, t: &Tuple, root: u64, local: u64) {
-        if sc.zombie {
-            self.fail_root_now(root);
-            return;
-        }
-        sc.idle_dirty = true;
-        match self.chain_guarded(sc, ChainCall::Execute(t)) {
-            None => self.fail_root_now(root),
-            Some(out) if out.failed => self.fail_root_now(root),
-            Some(out) => {
-                let mut xor = 0u64;
-                for mut e in out.emitted {
-                    e.root = root;
-                    e.lineage = local;
-                    xor ^= self.emit.push(&e, true);
-                }
-                if out.hold {
-                    let token = sc.token_rng.next_u64() | 1;
-                    xor ^= token;
-                    sc.ledger.push((root, token));
-                }
-                if out.release {
-                    self.pending_acks.append(&mut sc.ledger);
-                }
-                self.pending_inits.push((root, xor));
-            }
-        }
-    }
-
-    /// Fail + register a root in ONE acker visit: the fail lands first
-    /// (orphan tombstone), so the zero-XOR init settles as FAILED and
-    /// the message replays. `init(root, 0)` alone would read as a
-    /// completed tree and spuriously ack the message.
-    fn fail_root_now(&mut self, root: u64) {
-        let mut acker = self.ctx.acker.lock().unwrap();
-        acker.fail(root);
-        acker.init(root, 0);
     }
 
     /// The exhausted branch: flush, settle, and decide between clean
@@ -532,9 +377,7 @@ impl SpoutCore {
         // `seen` re-activates the slot instead of sleeping on missed
         // progress.
         let seen = self.ctx.ack_seq.load(Ordering::Acquire);
-        // Idle: commit the fused tail (may release held acks), then
-        // ship partial batches and settle before deciding.
-        self.chain_idle();
+        // Idle: ship partial batches and settle before deciding.
         self.emit.flush_all();
         let mut progressed = 0;
         if self.ctx.semantics == Semantics::AtLeastOnce {
@@ -566,9 +409,9 @@ impl SpoutCore {
         }
         if let Some((adv, max_ts)) = idle_mark {
             if let Some(new_wm) = adv {
-                self.broadcast_wm(new_wm, false);
+                self.emit.broadcast_watermark(self.ctx.wm_source, new_wm, false);
             }
-            self.broadcast_idle(max_ts);
+            self.emit.broadcast_watermark(self.ctx.wm_source, max_ts, true);
         }
         if progressed > 0 {
             // Roots settled: the run is draining, not stuck.
@@ -584,9 +427,8 @@ impl SpoutCore {
         SpoutStep::Idle { seen }
     }
 
-    /// Terminal flush: final partial batches, end-of-stream watermark,
-    /// and the fused tail's `flush` (its stages never see the
-    /// coordinator's `Flush` message — the chain has no inbox).
+    /// Terminal flush: final partial batches and the end-of-stream
+    /// watermark.
     fn finish(&mut self) {
         self.emit.flush_all();
         if self.finished_clean && self.wm.is_some() {
@@ -594,199 +436,14 @@ impl SpoutCore {
             // pending window downstream fires before the flush phase.
             // (FIFO order puts this marker ahead of the coordinator's
             // `Flush`, which is only sent after spouts are joined.)
-            self.broadcast_wm(u64::MAX, false);
-        }
-        if let Some(mut sc) = self.chain.take() {
-            if !sc.zombie {
-                if let Some(out) = self.chain_guarded(&mut sc, ChainCall::Flush) {
-                    for mut e in out.emitted {
-                        e.root = 0;
-                        self.emit.push(&e, false);
-                    }
-                    if out.release {
-                        self.pending_acks.append(&mut sc.ledger);
-                    }
-                }
-                self.emit.flush_all();
-            }
-            self.chain = Some(sc);
-        }
-        // Leftover bookkeeping (e.g. from the flush release) still has
-        // to reach the acker so trees settle for a later settle() by a
-        // sibling — or just leave a consistent acker behind.
-        if !self.pending_inits.is_empty() || !self.pending_acks.is_empty() {
-            let mut acker = self.ctx.acker.lock().unwrap();
-            for (root, xor) in self.pending_inits.drain(..) {
-                acker.init(root, xor);
-            }
-            for (root, val) in self.pending_acks.drain(..) {
-                acker.ack(root, val);
-            }
+            self.emit.broadcast_watermark(self.ctx.wm_source, u64::MAX, false);
         }
     }
 
-    /// Run the fused tail's idle hook (commit windows / release held
-    /// acks) when there is anything to commit.
-    fn chain_idle(&mut self) {
-        let Some(mut sc) = self.chain.take() else { return };
-        if !sc.zombie && (sc.idle_dirty || !sc.ledger.is_empty() || sc.chain.holding()) {
-            sc.idle_dirty = false;
-            if let Some(out) = self.chain_guarded(&mut sc, ChainCall::Idle) {
-                for mut e in out.emitted {
-                    e.root = 0;
-                    self.emit.push(&e, false);
-                }
-                if out.release {
-                    self.pending_acks.append(&mut sc.ledger);
-                }
-            }
-        }
-        self.chain = Some(sc);
-    }
-
-    /// Broadcast a watermark downstream — directly, or through the
-    /// fused tail's merger + `on_watermark` cascade so fused windows
-    /// fire at exactly the advance an unfused tail would see.
-    fn broadcast_wm(&mut self, wm: u64, idle: bool) {
-        let Some(mut sc) = self.chain.take() else {
-            self.emit.broadcast_watermark(self.ctx.wm_source, wm, idle);
-            return;
-        };
-        if sc.zombie {
-            // An escalated unfused bolt drains and discards markers;
-            // match it (the topology is aborting anyway).
-            self.chain = Some(sc);
-            return;
-        }
-        if let Some(adv) = sc.merger.update(self.ctx.wm_source, wm, idle) {
-            if let Some(out) = self.chain_guarded(&mut sc, ChainCall::Watermark(adv)) {
-                for mut e in out.emitted {
-                    e.root = 0;
-                    self.emit.push(&e, false);
-                }
-                if out.release {
-                    self.pending_acks.append(&mut sc.ledger);
-                }
-            }
-            // Forward even when the callback panicked — the marker is
-            // control-plane, exactly as the unfused runtime forwards it.
-            self.emit.broadcast_watermark(sc.last_id, adv, false);
-        }
-        self.chain = Some(sc);
-    }
-
-    /// Forward this source's idle marker. A fused tail swallows it:
-    /// unfused bolts only ever forward strict advances (idle=false), so
-    /// the chain records the idle source in its merger and broadcasts
-    /// nothing — downstream sees exactly what the unfused last stage
-    /// would have sent.
-    fn broadcast_idle(&mut self, max_ts: u64) {
-        let Some(mut sc) = self.chain.take() else {
-            self.emit.broadcast_watermark(self.ctx.wm_source, max_ts, true);
-            return;
-        };
-        if !sc.zombie {
-            sc.merger.update(self.ctx.wm_source, max_ts, true);
-        }
-        self.chain = Some(sc);
-    }
-
-    /// One guarded call into the fused tail: chaos injection (execute
-    /// only, matching the unfused data path), panic capture, and
-    /// chain-level supervision. `None` = the call panicked (and was
-    /// supervised); the input must be failed for replay.
-    fn chain_guarded(&mut self, sc: &mut SpoutChain, call: ChainCall) -> Option<ChainOut> {
-        let inject = matches!(call, ChainCall::Execute(_))
-            && sc.panic_prob > 0.0
-            && sc.panic_rng.bernoulli(sc.panic_prob);
-        let outcome = if inject {
-            Err("injected chaos panic (FaultPlan)".to_string())
-        } else {
-            let chain = &mut sc.chain;
-            catch_unwind(AssertUnwindSafe(|| match call {
-                ChainCall::Execute(t) => chain.execute(t),
-                ChainCall::Watermark(wm) => chain.on_watermark(wm),
-                ChainCall::Flush => chain.flush(),
-                ChainCall::Idle => chain.on_idle(),
-            }))
-            .map_err(|payload| panic_message(&*payload))
-        };
-        match outcome {
-            Ok(out) => Some(out),
-            Err(why) => {
-                self.supervise_chain(sc, &why);
-                None
-            }
-        }
-    }
-
-    /// Chain-level supervision: backoff + rebuild factory stages (and
-    /// fail held roots for replay), or escalate the whole run.
-    fn supervise_chain(&mut self, sc: &mut SpoutChain, why: &str) {
-        sc.panics.add(1);
-        self.ctx.metrics.task_panic();
-        match sc.tracker.on_panic(self.ctx.run_start.elapsed()) {
-            RestartDecision::Restart(backoff) => {
-                let t0 = Instant::now();
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                match sc.chain.rebuild() {
-                    Ok(true) => self.fail_ledger(sc),
-                    Ok(false) => {} // instance stages resume in place
-                    Err(e) => {
-                        self.escalate_chain(sc, &format!("restart rebuild failed: {e}"));
-                        return;
-                    }
-                }
-                sc.restarts.add(1);
-                self.ctx.metrics.task_restart();
-                if let Some(h) = &sc.restart_us {
-                    h.record(t0.elapsed().as_secs_f64() * 1e6);
-                }
-            }
-            RestartDecision::Escalate => self.escalate_chain(sc, why),
-        }
-    }
-
-    fn escalate_chain(&mut self, sc: &mut SpoutChain, why: &str) {
-        {
-            let mut slot = self.ctx.failure.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(format!(
-                    "bolt '{}' task 0 escalated (fused into spout '{}'): restart budget \
-                     exhausted ({} restarts in the last {:?}): {why}",
-                    sc.chain.head_name(),
-                    self.ctx.name,
-                    sc.tracker.restarts_in_window(self.ctx.run_start.elapsed()),
-                    sc.tracker.policy().window,
-                ));
-            }
-        }
-        self.ctx.metrics.escalated();
-        self.ctx.abort.store(true, Ordering::Relaxed);
-        self.ctx.unclean.store(true, Ordering::Relaxed);
-        sc.zombie = true;
-        self.fail_ledger(sc);
-    }
-
-    /// Fail every held root (their chain effects were rolled back by the
-    /// rebuild); the ack timeout is not needed — replay is immediate.
-    fn fail_ledger(&mut self, sc: &mut SpoutChain) {
-        if sc.ledger.is_empty() {
-            return;
-        }
-        let mut acker = self.ctx.acker.lock().unwrap();
-        for (root, _) in sc.ledger.drain(..) {
-            acker.fail(root);
-        }
-    }
-
-    /// One acker visit: register accumulated roots, apply deferred
-    /// hold-token acks, expire stale trees, and route
-    /// completions/failures back into the spout. Returns the number of
-    /// this spout's roots that settled (acked, failed, or quarantined)
-    /// — the shutdown loop's progress signal.
+    /// One acker visit: register accumulated roots, expire stale trees,
+    /// and route completions/failures back into the spout. Returns the
+    /// number of this spout's roots that settled (acked, failed, or
+    /// quarantined) — the shutdown loop's progress signal.
     fn settle(&mut self) -> u64 {
         let obs = self.obs.as_ref();
         let visit_start = obs.map(|_| Instant::now());
@@ -794,9 +451,6 @@ impl SpoutCore {
             let mut acker = self.ctx.acker.lock().unwrap();
             for (root, xor) in self.pending_inits.drain(..) {
                 acker.init(root, xor);
-            }
-            for (root, val) in self.pending_acks.drain(..) {
-                acker.ack(root, val);
             }
             acker.expire(self.ctx.ack_timeout);
             (acker.take_completed(), acker.take_failed())

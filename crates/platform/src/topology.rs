@@ -33,8 +33,8 @@ pub enum Scheduling {
     /// `ExecutorConfig::channel_capacity` batches, so a slow task
     /// blocks its producers (backpressure). Topology width dictates
     /// thread count, and a `parallelism(N)` hint multiplies threads.
-    /// Chains are never fused. The default: it has the lowest
-    /// end-to-end latency tail (DESIGN.md §9 records the numbers).
+    /// The default: it has the lowest end-to-end latency tail
+    /// (DESIGN.md §9 records the numbers).
     #[default]
     ThreadPerTask,
     /// A fixed pool of workers with per-worker Chase–Lev deques and a
@@ -43,10 +43,7 @@ pub enum Scheduling {
     /// a condvar. Inboxes are unbounded (a pool worker must never
     /// block in `send`), so with fewer workers than tasks this is also
     /// the Storm-style "tasks multiplexed over shared workers and
-    /// unbounded queues" arm of the paper's Table 2. Co-located
-    /// degree-1 chains additionally fuse into single activations when
-    /// `ExecutorConfig::fuse_chains` is set (see DESIGN.md §9 for the
-    /// fusion rules).
+    /// unbounded queues" arm of the paper's Table 2.
     WorkStealing {
         /// Worker threads in the pool. `0` = `available_parallelism`.
         workers: usize,
@@ -66,61 +63,6 @@ impl Scheduling {
             Scheduling::WorkStealing { workers } => *workers,
         }
     }
-}
-
-/// Chain-fusion plan: partition the components into maximal fusable
-/// chains (each a list of component indices, head first; unfused
-/// components form singleton chains). The edge `a → b` fuses when the
-/// hop is a degree-1 co-location — delivering `a`'s output to `b` by
-/// an inline `execute` call is then indistinguishable from a channel
-/// hop:
-///
-/// * both endpoints have parallelism 1 (no fan-out to route),
-/// * `b` is a bolt whose *only* input is a single subscription to `a`
-///   (nothing else to merge or order against), and
-/// * `b` is `a`'s *only* subscriber (no second consumer needs the
-///   batch on a channel).
-///
-/// Any grouping qualifies: with one downstream task, shuffle, fields,
-/// global, and all-grouping all degenerate to "deliver to task 0".
-pub(crate) fn plan_chains(components: &[ComponentDecl]) -> Vec<Vec<usize>> {
-    let idx_of: std::collections::HashMap<&str, usize> =
-        components.iter().enumerate().map(|(i, c)| (c.name.as_str(), i)).collect();
-    // Subscription count per upstream (a double subscription counts
-    // twice — replaying one stream down two groupings must not fuse).
-    let mut subs = vec![0usize; components.len()];
-    for c in components {
-        for (up, _) in &c.inputs {
-            subs[idx_of[up.as_str()]] += 1;
-        }
-    }
-    let mut next = vec![None; components.len()];
-    let mut fused_into = vec![false; components.len()];
-    for (bi, b) in components.iter().enumerate() {
-        if !matches!(b.kind, ComponentKind::Bolt(_)) || b.parallelism != 1 || b.inputs.len() != 1 {
-            continue;
-        }
-        let ai = idx_of[b.inputs[0].0.as_str()];
-        if components[ai].parallelism != 1 || subs[ai] != 1 {
-            continue;
-        }
-        next[ai] = Some(bi);
-        fused_into[bi] = true;
-    }
-    let mut chains = Vec::new();
-    for (head, fused) in fused_into.iter().enumerate() {
-        if *fused {
-            continue;
-        }
-        let mut chain = vec![head];
-        let mut cur = head;
-        while let Some(n) = next[cur] {
-            chain.push(n);
-            cur = n;
-        }
-        chains.push(chain);
-    }
-    chains
 }
 
 /// A data source. Implementations must be `Send` — each spout task runs
@@ -767,58 +709,6 @@ mod tests {
 
     fn noop_bolt() -> Box<dyn Bolt> {
         Box::new(|_: &Tuple, _: &mut OutputCollector| {})
-    }
-
-    fn chain_names(tb: &TopologyBuilder) -> Vec<Vec<&str>> {
-        plan_chains(&tb.components)
-            .into_iter()
-            .map(|c| c.into_iter().map(|i| tb.components[i].name.as_str()).collect())
-            .collect()
-    }
-
-    #[test]
-    fn plan_fuses_degree_one_pipelines_end_to_end() {
-        // spout → a → b is one co-located pipeline; both hops qualify.
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("s", vec![vec_spout(vec![])]);
-        tb.set_bolt("a", vec![noop_bolt()]).shuffle("s");
-        tb.set_bolt("b", vec![noop_bolt()]).fields("a", vec![0]);
-        assert_eq!(chain_names(&tb), vec![vec!["s", "a", "b"]]);
-    }
-
-    #[test]
-    fn plan_breaks_chains_on_parallelism_fanout_and_fan_in() {
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("s", vec![vec_spout(vec![])]);
-        // parallelism 2: a real shuffle — no fusion on either side.
-        tb.set_bolt("wide", vec![noop_bolt(), noop_bolt()]).shuffle("s");
-        tb.set_bolt("after", vec![noop_bolt()]).shuffle("wide");
-        // two subscribers of one upstream: neither may fuse into it.
-        tb.set_spout("s2", vec![vec_spout(vec![])]);
-        tb.set_bolt("l", vec![noop_bolt()]).shuffle("s2");
-        tb.set_bolt("r", vec![noop_bolt()]).shuffle("s2");
-        // fan-in: a bolt with two inputs never fuses upward.
-        tb.set_bolt("join", vec![noop_bolt()]).shuffle("l").shuffle("r");
-        let chains = chain_names(&tb);
-        assert!(chains.contains(&vec!["s"]));
-        assert!(chains.contains(&vec!["wide"]));
-        assert!(chains.contains(&vec!["after"]));
-        assert!(chains.contains(&vec!["s2"]));
-        assert!(chains.contains(&vec!["l"]));
-        assert!(chains.contains(&vec!["r"]));
-        assert!(chains.contains(&vec!["join"]));
-        assert_eq!(chains.len(), 7, "nothing fusable here: {chains:?}");
-    }
-
-    #[test]
-    fn plan_double_subscription_blocks_fusion() {
-        // The same upstream consumed twice by one bolt: both batches
-        // must be routed (two edges), so the hop cannot be inlined.
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("s", vec![vec_spout(vec![])]);
-        tb.set_bolt("twice", vec![noop_bolt()]).shuffle("s").all("s");
-        let chains = chain_names(&tb);
-        assert_eq!(chains.len(), 2, "double subscription must not fuse: {chains:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Scheduler equivalence: the work-stealing runtime (fused and
-//! unfused) must be observationally identical to thread-per-task —
+//! Scheduler equivalence: the work-stealing runtime (one worker or
+//! several) must be observationally identical to thread-per-task —
 //! same delivered tuples, same checkpoint contents, same event-time
 //! window results — and must keep the chaos guarantees (supervised
 //! panic recovery, link-drop replay) when activations, not threads,
@@ -23,12 +23,11 @@ use std::time::Duration;
 // --- Shared fixtures -------------------------------------------------
 
 /// The scheduler variants under comparison.
-fn variants() -> Vec<(&'static str, Scheduling, bool)> {
+fn variants() -> Vec<(&'static str, Scheduling)> {
     vec![
-        ("thread-per-task", Scheduling::ThreadPerTask, true),
-        ("ws-fused", Scheduling::WorkStealing { workers: 1 }, true),
-        ("ws-unfused", Scheduling::WorkStealing { workers: 1 }, false),
-        ("ws-fused-2w", Scheduling::WorkStealing { workers: 2 }, true),
+        ("thread-per-task", Scheduling::ThreadPerTask),
+        ("ws-1w", Scheduling::WorkStealing { workers: 1 }),
+        ("ws-2w", Scheduling::WorkStealing { workers: 2 }),
     ]
 }
 
@@ -76,8 +75,8 @@ fn tally_bolt(store: &CheckpointStore) -> Box<dyn Bolt> {
     })
 }
 
-/// `nums → scale → tally`: a parallelism-1 pipeline the planner fuses
-/// end to end (spout-headed chain) when fusion is on.
+/// `nums → scale → tally`: a parallelism-1 pipeline, one slot per
+/// stage.
 fn pipeline(tuples: Vec<Tuple>, store: &CheckpointStore) -> TopologyBuilder {
     let mut tb = TopologyBuilder::new();
     tb.set_spout("nums", vec![vec_spout(tuples)]);
@@ -91,19 +90,13 @@ fn pipeline(tuples: Vec<Tuple>, store: &CheckpointStore) -> TopologyBuilder {
     tb
 }
 
-fn config(scheduling: Scheduling, fuse: bool, seed: u64) -> ExecutorConfig {
-    ExecutorConfig {
-        scheduling,
-        fuse_chains: fuse,
-        semantics: Semantics::AtLeastOnce,
-        seed,
-        ..Default::default()
-    }
+fn config(scheduling: Scheduling, seed: u64) -> ExecutorConfig {
+    ExecutorConfig { scheduling, semantics: Semantics::AtLeastOnce, seed, ..Default::default() }
 }
 
 // --- Equivalence -----------------------------------------------------
 
-/// Fused ≡ unfused ≡ thread-per-task across 64 seeds: identical
+/// Pool (1 and 2 workers) ≡ thread-per-task across 64 seeds: identical
 /// delivered tuples (values, stamps, roots, lineage, order) and
 /// identical checkpoint contents.
 #[test]
@@ -111,11 +104,10 @@ fn schedulers_agree_across_64_seeds() {
     for seed in 0..64u64 {
         let (tuples, truth) = keyed_stream(40, 0x5EED ^ (seed * 0x9E37_79B9));
         let mut reference: Option<(String, Canon)> = None;
-        for (label, scheduling, fuse) in variants() {
+        for (label, scheduling) in variants() {
             let store = CheckpointStore::new();
             let result =
-                run_topology(pipeline(tuples.clone(), &store), config(scheduling, fuse, seed))
-                    .unwrap();
+                run_topology(pipeline(tuples.clone(), &store), config(scheduling, seed)).unwrap();
             assert!(result.clean_shutdown, "[{label} seed {seed}] unclean");
             assert_eq!(
                 result.metrics.snapshot().acked_roots,
@@ -134,33 +126,6 @@ fn schedulers_agree_across_64_seeds() {
                 }
             }
         }
-    }
-}
-
-/// Fusion is observable only through scheduling internals: a fused run
-/// has no inter-stage inbox (no `scale.input` link gauge), an unfused
-/// run has one — while both deliver identical results (asserted above).
-#[test]
-fn fusion_removes_the_channel_hop() {
-    let (tuples, _) = keyed_stream(50, 7);
-    let run = |fuse: bool| {
-        let store = CheckpointStore::new();
-        run_topology(
-            pipeline(tuples.clone(), &store),
-            config(Scheduling::WorkStealing { workers: 1 }, fuse, 7),
-        )
-        .unwrap()
-    };
-    let fused = run(true).metrics.snapshot();
-    let unfused = run(false).metrics.snapshot();
-    assert!(fused.link("scale.input").is_none(), "fused chain still built an inbox");
-    assert!(fused.link("tally.input").is_none());
-    assert!(unfused.link("scale.input").is_some(), "unfused run lost its inbox gauge");
-    // Per-stage public metrics keep their identity either way.
-    for snap in [&fused, &unfused] {
-        assert!(snap.counter("scale.executed") > 0);
-        assert!(snap.counter("tally.executed") > 0);
-        assert!(snap.counter("tally.emitted") > 0);
     }
 }
 
@@ -196,8 +161,7 @@ fn multiworker_fanout_is_exact() {
         })
         .collect();
     tb.set_bolt("count", counters).fields("relay", vec![0]);
-    let result =
-        run_topology(tb, config(Scheduling::WorkStealing { workers: 4 }, true, 3)).unwrap();
+    let result = run_topology(tb, config(Scheduling::WorkStealing { workers: 4 }, 3)).unwrap();
     assert!(result.clean_shutdown);
     assert_eq!(result.metrics.snapshot().acked_roots, 300);
     for (key, &want) in &truth {
@@ -257,10 +221,9 @@ fn window_results(result: &RunResult) -> WindowTable {
     m
 }
 
-/// Event-time windows fire identically under every scheduler: the
-/// fused chain cascades watermark advances stage by stage behind the
-/// data they cover, so window contents cannot differ from the in-band
-/// marker runtime.
+/// Event-time windows fire identically under every scheduler: markers
+/// ride the same FIFO inboxes as the data they cover, so window
+/// contents cannot depend on which thread ran an activation.
 #[test]
 fn event_time_windows_agree_across_schedulers() {
     let mut rng = SplitMix64::new(0xE7);
@@ -271,7 +234,7 @@ fn event_time_windows_agree_across_schedulers() {
         })
         .collect();
     let mut reference: Option<WindowTable> = None;
-    for (label, scheduling, fuse) in variants() {
+    for (label, scheduling) in variants() {
         let store = CheckpointStore::new();
         let mut tb = TopologyBuilder::new();
         tb.set_spout("src", vec![vec_spout(tuples.clone())]);
@@ -293,7 +256,6 @@ fn event_time_windows_agree_across_schedulers() {
             tb,
             ExecutorConfig {
                 scheduling,
-                fuse_chains: fuse,
                 semantics: Semantics::AtMostOnce,
                 watermarks: Some(WatermarkConfig::bounded(0).emit_every(1)),
                 seed: 11,
@@ -325,11 +287,12 @@ fn lenient() -> RestartPolicy {
         .budget(10_000, Duration::from_secs(60))
 }
 
-/// Panic chaos inside a fully fused chain: supervision wraps the
-/// activation, rebuilds the factory stages, and fails held roots for
-/// replay — exactly-once counts survive bit-exact.
+/// Panic chaos on the last stage of a parallelism-1 pipeline under a
+/// 2-worker pool: the panics are counted and supervised as `tally`'s
+/// (not an upstream stage's), the factory bolt is rebuilt, and
+/// exactly-once counts survive bit-exact.
 #[test]
-fn fused_chain_survives_panic_chaos_exactly_once() {
+fn pipeline_survives_panic_chaos_exactly_once() {
     let (tuples, truth) = keyed_stream(400, 0xC4A05);
     let n = tuples.len() as u64;
     let store = CheckpointStore::new();
@@ -361,12 +324,11 @@ fn fused_chain_survives_panic_chaos_exactly_once() {
         tb,
         ExecutorConfig {
             scheduling: Scheduling::WorkStealing { workers: 2 },
-            fuse_chains: true,
             semantics: Semantics::AtLeastOnce,
             ack_timeout: Duration::from_millis(200),
             shutdown_timeout: Duration::from_secs(30),
             restart: lenient(),
-            faults: FaultPlan::new(77).panic_on("scale", 0.01),
+            faults: FaultPlan::new(77).panic_on("tally", 0.01),
             seed: 11,
             ..Default::default()
         },
@@ -376,6 +338,9 @@ fn fused_chain_survives_panic_chaos_exactly_once() {
     let snap = result.metrics.snapshot();
     assert!(snap.task_panics > 0, "chaos plan never fired");
     assert_eq!(snap.task_panics, snap.task_restarts, "every panic must be forgiven");
+    assert!(snap.counter("tally.panics") > 0, "panics not attributed to tally");
+    assert_eq!(snap.counter("scale.panics"), 0, "tally's panics blamed on scale");
+    assert_eq!(snap.counter("tally.panics"), snap.counter("tally.restarts"));
     assert_eq!(snap.escalations, 0);
     assert_eq!(snap.acked_roots, n, "every root must eventually ack");
     for (key, &want) in &truth {
@@ -384,8 +349,8 @@ fn fused_chain_survives_panic_chaos_exactly_once() {
     }
 }
 
-/// Panics + link drops on an unfusable (parallelism-2) topology under
-/// a multi-worker pool: at-least-once replay + checkpoint dedup stay
+/// Panics + link drops on a parallelism-2 topology under a
+/// multi-worker pool: at-least-once replay + checkpoint dedup stay
 /// exact when activations interleave on stolen workers.
 #[test]
 fn work_stealing_survives_panics_and_drops() {
@@ -444,16 +409,21 @@ fn work_stealing_survives_panics_and_drops() {
 
 /// The pool exports per-worker `runs`/`steals`/`parks` counters, and
 /// they survive into the JSON snapshot (satellite of the CI gate).
+/// Every bolt is its own slot there too: each registers its
+/// `{comp}.input` link gauge and its own `executed` / `emitted`.
 #[test]
 fn per_worker_counters_reach_the_snapshot() {
     let (tuples, _) = keyed_stream(80, 21);
     let store = CheckpointStore::new();
-    let result = run_topology(
-        pipeline(tuples, &store),
-        config(Scheduling::WorkStealing { workers: 2 }, false, 21),
-    )
-    .unwrap();
+    let result =
+        run_topology(pipeline(tuples, &store), config(Scheduling::WorkStealing { workers: 2 }, 21))
+            .unwrap();
     let snap = result.metrics.snapshot();
+    for bolt in ["scale", "tally"] {
+        assert!(snap.link(&format!("{bolt}.input")).is_some(), "{bolt} has no inbox gauge");
+        assert!(snap.counter(&format!("{bolt}.executed")) > 0, "{bolt}.executed");
+        assert!(snap.counter(&format!("{bolt}.emitted")) > 0, "{bolt}.emitted");
+    }
     let runs: u64 = (0..2).map(|w| snap.counter(&format!("sched.worker{w}.runs"))).sum();
     assert!(runs > 0, "no activations recorded: {:?}", snap.counters);
     for w in 0..2 {

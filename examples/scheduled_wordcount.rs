@@ -1,6 +1,6 @@
-//! The same word-count topology under both runtimes: the classic
-//! thread-per-task executor and the work-stealing pool with fused
-//! operator chains — identical answers, very different thread bills.
+//! The same word-count topology under both drivers: the classic
+//! thread-per-task executor and the work-stealing pool — identical
+//! answers, very different thread bills.
 //!
 //! ```sh
 //! cargo run --release --example scheduled_wordcount

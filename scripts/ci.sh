@@ -39,7 +39,7 @@ cargo run --release -q --example trending_hashtags > /dev/null
 cargo run --release -q --example lambda_wordcount > /dev/null
 cargo run --release -q -p sa-bench --bin experiments t2.g
 
-echo "== scheduler gate (driver equivalence, chaos, idle CPU, fusion) =="
+echo "== scheduler gate (driver equivalence, chaos, idle CPU) =="
 # One runtime, two drivers: the dedicated driver (ThreadPerTask, a
 # thread per slot over bounded inboxes) and the pool driver
 # (WorkStealing) must agree tuple for tuple and both idle at ~0 CPU.
@@ -47,9 +47,10 @@ cargo test -q -p sa-platform --test scheduler --test idle_cpu
 # One example under both drivers (the example asserts identical counts
 # and that the pool's per-worker steal/run/park counters are live).
 cargo run --release -q --example scheduled_wordcount | grep -q "identical counts"
-# T2.H kick-tires: dedicated driver vs pool worker sweep + fusion
-# ablation; the bench asserts clean runs and full delivery, and records
-# the scaling ratios as numbers (one wall-clock run each, not gated).
+# T2.H kick-tires: dedicated driver vs pool worker sweep, and the
+# channel-bound chain3 under both; the bench asserts clean runs and full
+# delivery, and records the scaling ratios as numbers (one wall-clock
+# run each, not gated).
 cargo run --release -q -p sa-bench --bin experiments t2.h
 
 echo "== data plane gate (fan-out allocs and per-target delivery, frame pivot round-trip) =="

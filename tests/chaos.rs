@@ -276,23 +276,28 @@ fn restart_policy_none_escalates_the_first_panic() {
 }
 
 /// A per-component `.restart()` override beats the config default: the
-/// config grants a lenient budget, but the bolt opted out.
+/// config grants a lenient budget, but the bolt opted out. `boom` sits
+/// behind a pass-through `relay`, so its panics must be supervised and
+/// counted as its own under either driver, never as its upstream's.
 #[test]
 fn per_component_restart_override_wins() {
     for scheduling in schedulings() {
+        let relay = |t: &Tuple, out: &mut OutputCollector| out.emit(t.clone());
         let mut tb = TopologyBuilder::new();
         tb.set_spout("nums", vec![vec_spout((0..50).map(|i| tuple_of([i])).collect())]);
-        tb.set_bolt(
-            "boom",
-            vec![Box::new(|t: &Tuple, out: &mut OutputCollector| out.emit(t.clone()))
-                as Box<dyn Bolt>],
-        )
-        .shuffle("nums")
-        .restart(RestartPolicy::none());
+        tb.set_bolt("relay", vec![Box::new(relay) as Box<dyn Bolt>]).shuffle("nums");
+        tb.set_bolt("boom", vec![Box::new(relay) as Box<dyn Bolt>])
+            .shuffle("relay")
+            .restart(RestartPolicy::none());
 
         let config = chaos_config(FaultPlan::new(5).panic_on("boom", 1.0), None, scheduling);
         assert_eq!(config.restart.max_restarts, 10_000, "default stays lenient");
-        let err = run_topology(tb, config).expect_err("override must escalate the first panic");
-        assert!(err.to_string().contains("bolt 'boom'"), "wrong component: {err}");
+        let metrics = Metrics::new();
+        let err = run_topology_with(tb, config, metrics.clone())
+            .expect_err("override must escalate the first panic");
+        assert!(err.to_string().contains("bolt 'boom'"), "{scheduling:?}: wrong component: {err}");
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("relay.panics"), 0, "{scheduling:?}: boom's panic blamed on relay");
+        assert!(snap.counter("boom.panics") > 0, "{scheduling:?}: boom's panic not counted");
     }
 }
