@@ -1,58 +1,20 @@
 //! Re-entrant bolt core: message-at-a-time processing state for one
-//! bolt task, with its supervision, held-ack ledger and watermark
-//! forwarding. The runtime drives it from whichever thread runs the
-//! task's activation — the slot's own thread under the dedicated
-//! driver, the pool worker that claimed it under the pool.
+//! bolt task, with its held-ack ledger and watermark forwarding. The
+//! runtime drives it from whichever thread runs the task's activation —
+//! the slot's own thread under the dedicated driver, the pool worker
+//! that claimed it under the pool. Supervision is the shared
+//! [`Supervisor`]; what is bolt-specific is that a restart rebuilds a
+//! factory-declared bolt from its checkpoint (failing its held acks),
+//! and that an escalated task turns into a draining zombie.
 
 use super::emit::EmitCtx;
-use super::{sink_slot, Msg, Route, Semantics, Sink, SinkSlot};
-use crate::acker::Acker;
-use crate::metrics::{CounterHandle, GaugeHandle, HistogramHandle, Metrics, Sampler};
-use crate::supervise::{panic_message, RestartDecision, RestartPolicy, RestartTracker};
+use super::task::{isolate, Supervisor, TaskCtx};
+use super::{sink_slot, BoltTask, Msg, Route, Semantics, SinkSlot};
+use crate::metrics::{CounterHandle, GaugeHandle, HistogramHandle, Sampler};
 use crate::time::WatermarkMerger;
 use crate::topology::{Bolt, BoltBuilder, OutputCollector};
 use crate::tuple::Tuple;
-use sa_core::rng::SplitMix64;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Everything a bolt task needs from the executor, one per slot;
-/// `name` is the component every counter, sink key and error message
-/// is attributed to.
-pub(crate) struct WorkerCtx {
-    pub(crate) name: String,
-    pub(crate) routes: Vec<Route>,
-    pub(crate) acker: Arc<Mutex<Acker>>,
-    pub(crate) semantics: Semantics,
-    pub(crate) metrics: Metrics,
-    pub(crate) sink: Sink,
-    pub(crate) drop_prob: f64,
-    /// Chaos: link-delay injection for this component's sends.
-    pub(crate) delay: Option<(f64, Duration)>,
-    /// Chaos: probability that one `execute` call panics.
-    pub(crate) panic_prob: f64,
-    /// Supervision policy for this component's tasks.
-    pub(crate) restart: RestartPolicy,
-    /// Escalation: topology-wide abort flag + first-failure slot.
-    pub(crate) abort: Arc<AtomicBool>,
-    pub(crate) failure: Arc<Mutex<Option<String>>>,
-    /// Run epoch: the injectable clock for restart-window accounting.
-    pub(crate) run_start: Instant,
-    pub(crate) seed: u64,
-    pub(crate) batch_size: usize,
-    pub(crate) batch_linger: Duration,
-    pub(crate) sample_every: u32,
-    /// Every upstream task id (pre-seeds the watermark merger: an
-    /// input never heard from blocks the merge).
-    pub(crate) upstream_ids: Vec<u32>,
-    /// Whether the event-time layer is on for this run.
-    pub(crate) watermarks: bool,
-    /// Bumped after this task applies acks/fails/releases, so idle
-    /// spouts blocked on ack progress wake immediately.
-    pub(crate) on_ack: Arc<dyn Fn() + Send + Sync>,
-}
+use std::time::Instant;
 
 /// A batch's ack traffic, applied under one acker lock.
 enum AckOp {
@@ -65,14 +27,12 @@ enum AckOp {
 /// Per-task processing state + supervision, driven by `handle_msg` /
 /// `idle` from the task's activation.
 pub(crate) struct BoltCore {
-    /// Task index within the component (error messages, labels).
-    idx: usize,
+    ctx: TaskCtx,
+    sup: Supervisor,
     bolt: Box<dyn Bolt>,
     /// Rebuilds the bolt on supervised restart (factory-declared bolts
     /// recover from their checkpoint; `None` resumes in place).
     factory: Option<BoltBuilder>,
-    /// Restart-budget accounting for this task.
-    tracker: RestartTracker,
     /// Held acks: `(root, ack value)` per input whose effect is not
     /// yet durable (`OutputCollector::hold_ack`). Drained as acks on
     /// release, as fails on restart-from-checkpoint or escalation.
@@ -80,12 +40,6 @@ pub(crate) struct BoltCore {
     /// Escalated: drop everything until `Terminate` (the task must
     /// keep draining or bounded upstreams would deadlock).
     zombie: bool,
-    /// Chaos RNG for injected panics.
-    panic_rng: SplitMix64,
-    panics: CounterHandle,
-    restarts: CounterHandle,
-    /// Restart duration (backoff sleep + rebuild), sampled runs only.
-    restart_us: Option<HistogramHandle>,
     /// Whether data arrived since the last `on_idle` call.
     idle_dirty: bool,
     pub(crate) emit: EmitCtx,
@@ -94,8 +48,6 @@ pub(crate) struct BoltCore {
     exec_us: Option<HistogramHandle>,
     sampler: Sampler,
     pub(crate) done: bool,
-    /// This task's watermark-source id (stamped on forwarded markers).
-    my_id: u32,
     /// Min-across-inputs merge state (event-time runs only).
     merger: Option<WatermarkMerger>,
     /// Max event time seen in delivered data (watermark-lag gauge).
@@ -113,61 +65,43 @@ pub(crate) struct BoltCore {
 }
 
 impl BoltCore {
-    /// `idx` is the task's index within the component, `my_id` its
-    /// global watermark-source id.
+    /// `upstream_ids` are every upstream task's global id: they pre-seed
+    /// the watermark merger (an input never heard from blocks the merge).
     pub(crate) fn new(
-        idx: usize,
-        my_id: u32,
-        mut bolt: Box<dyn Bolt>,
-        factory: Option<BoltBuilder>,
-        ctx: &WorkerCtx,
+        task: BoltTask,
+        routes: Vec<Route>,
+        upstream_ids: &[u32],
+        ctx: TaskCtx,
     ) -> Self {
-        bolt.register_metrics(&ctx.metrics, &ctx.name);
+        let BoltTask { mut bolt, factory } = task;
+        let (metrics, name) = (&ctx.run.metrics, &ctx.name);
+        let watermarks = ctx.run.config.watermarks.is_some();
+        let sample_every = ctx.run.config.latency_sample_every;
+        bolt.register_metrics(metrics, name);
         Self {
-            idx,
-            tracker: RestartTracker::new(ctx.restart.clone()),
+            sup: Supervisor::new(&ctx, ctx.seed ^ 0xB017 ^ (ctx.task as u64) << 32),
             held: Vec::new(),
             zombie: false,
-            panic_rng: SplitMix64::new(ctx.seed ^ 0xB017 ^ (idx as u64) << 32),
-            panics: ctx.metrics.register(&format!("{}.panics", ctx.name)),
-            restarts: ctx.metrics.register(&format!("{}.restarts", ctx.name)),
-            restart_us: (ctx.sample_every > 0)
-                .then(|| ctx.metrics.register_histogram(&format!("{}.restart_us", ctx.name))),
             idle_dirty: false,
-            emit: EmitCtx::new(
-                ctx.routes.clone(),
-                ctx.name.clone(),
-                &ctx.metrics,
-                ctx.sink.clone(),
-                ctx.seed,
-                ctx.drop_prob,
-                ctx.delay,
-                ctx.batch_size,
-                ctx.batch_linger,
-                ctx.sample_every,
-            ),
-            executed: ctx.metrics.register(&format!("{}.executed", ctx.name)),
-            exec_us: (ctx.sample_every > 0)
-                .then(|| ctx.metrics.register_histogram(&format!("{}.execute_us", ctx.name))),
+            emit: EmitCtx::new(routes, &ctx),
+            executed: metrics.register(&format!("{name}.executed")),
+            exec_us: (sample_every > 0)
+                .then(|| metrics.register_histogram(&format!("{name}.execute_us"))),
             // Phase-staggered per task (seeds differ): sibling tasks
             // sample different events, so hits on the shared sketch
             // don't collide.
-            sampler: Sampler::with_phase(ctx.sample_every, ctx.seed as u32),
+            sampler: Sampler::with_phase(sample_every, ctx.seed as u32),
             done: false,
-            my_id,
-            merger: ctx.watermarks.then(|| WatermarkMerger::new(ctx.upstream_ids.iter().copied())),
+            merger: watermarks.then(|| WatermarkMerger::new(upstream_ids.iter().copied())),
             max_et: 0,
-            fired: ctx.watermarks.then(|| ctx.metrics.register(&format!("{}.fired", ctx.name))),
-            dropped_late: ctx.metrics.register(&format!("{}.dropped_late", ctx.name)),
-            wm_gauge: ctx
-                .watermarks
-                .then(|| ctx.metrics.register_gauge(&format!("{}.watermark", ctx.name))),
-            lag_gauge: ctx
-                .watermarks
-                .then(|| ctx.metrics.register_gauge(&format!("{}.watermark_lag", ctx.name))),
-            late_slot: sink_slot(&ctx.sink, &format!("{}.late", ctx.name)),
+            fired: watermarks.then(|| metrics.register(&format!("{name}.fired"))),
+            dropped_late: metrics.register(&format!("{name}.dropped_late")),
+            wm_gauge: watermarks.then(|| metrics.register_gauge(&format!("{name}.watermark"))),
+            lag_gauge: watermarks.then(|| metrics.register_gauge(&format!("{name}.watermark_lag"))),
+            late_slot: sink_slot(&ctx.run.sink, &format!("{name}.late")),
             bolt,
             factory,
+            ctx,
         }
     }
 
@@ -177,7 +111,7 @@ impl BoltCore {
     }
 
     /// Process one delivered message. Sets `self.done` on `Terminate`.
-    pub(crate) fn handle_msg(&mut self, msg: Msg, ctx: &WorkerCtx) {
+    pub(crate) fn handle_msg(&mut self, msg: Msg) {
         if self.zombie {
             // Escalated: drain and discard (upstreams may be blocked
             // on our bounded queue), only honouring Terminate.
@@ -204,48 +138,36 @@ impl BoltCore {
                         // is dropped (trees fail via the timeout).
                         break;
                     }
-                    // Chaos panics fire BEFORE `execute`, so the input
-                    // was not applied and its replay is not a
-                    // duplicate. A genuine mid-`execute` panic may
-                    // leave an instance bolt half-updated — factory
-                    // bolts discard that state on rebuild.
-                    let injected = ctx.panic_prob > 0.0 && self.panic_rng.bernoulli(ctx.panic_prob);
-                    let outcome = if injected {
-                        Err("injected chaos panic (FaultPlan)".to_string())
-                    } else {
-                        let t0 = self.sampler.hit().then(Instant::now);
-                        let bolt = &mut self.bolt;
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            let mut out = OutputCollector::new();
-                            bolt.execute(t, &mut out);
-                            out
-                        }));
-                        match run {
-                            Ok(out) => {
-                                if let (Some(t0), Some(exec_us)) = (t0, &self.exec_us) {
-                                    exec_us.record(t0.elapsed().as_secs_f64() * 1e6);
-                                }
-                                Ok(out)
-                            }
-                            Err(payload) => Err(panic_message(&*payload)),
-                        }
-                    };
+                    // A genuine mid-`execute` panic may leave an
+                    // instance bolt half-updated — factory bolts
+                    // discard that state on rebuild.
+                    let t0 = self.sampler.hit().then(Instant::now);
+                    let outcome = self.sup.work(|| {
+                        let mut out = OutputCollector::new();
+                        self.bolt.execute(t, &mut out);
+                        out
+                    });
                     match outcome {
-                        Ok(out) => self.handle_emissions(t, out, ctx, &mut acks),
+                        Ok(out) => {
+                            if let (Some(t0), Some(exec_us)) = (t0, &self.exec_us) {
+                                exec_us.record(t0.elapsed().as_secs_f64() * 1e6);
+                            }
+                            self.handle_emissions(t, out, &mut acks);
+                        }
                         Err(why) => {
                             // Fail the input's tree (replayed by the
                             // spout), then supervise the task.
-                            if ctx.semantics == Semantics::AtLeastOnce && t.root != 0 {
+                            if self.anchored(t) {
                                 acks.push(AckOp::Fail(t.root));
                             }
-                            self.supervise(ctx, &why);
+                            self.supervise(&why);
                         }
                     }
                 }
                 if !acks.is_empty() {
                     // One lock acquisition settles the whole batch.
                     {
-                        let mut acker = ctx.acker.lock().unwrap();
+                        let mut acker = self.ctx.run.acker.lock().expect("acker lock poisoned");
                         for op in acks {
                             match op {
                                 AckOp::Ack(root, val) => {
@@ -255,20 +177,20 @@ impl BoltCore {
                             }
                         }
                     }
-                    (ctx.on_ack)();
+                    (self.ctx.on_ack)();
                 }
                 self.emit.flush_if_lingering();
             }
             Msg::Watermark { source, wm, idle } => {
                 let advanced = self.merger.as_mut().and_then(|m| m.update(source, wm, idle));
                 if let Some(new_wm) = advanced {
-                    if let Some(out) = self.guarded(ctx, |b, o| b.on_watermark(new_wm, o)) {
+                    if let Some(out) = self.guarded(|b, o| b.on_watermark(new_wm, o)) {
                         if let Some(fired) = &self.fired {
                             fired.add(out.emitted.len() as u64);
                         }
                         // Watermark firings have no input to anchor
                         // to; they ride unanchored, like flush output.
-                        self.handle_control_out(out, ctx);
+                        self.handle_control_out(out);
                         if let Some(g) = &self.wm_gauge {
                             g.set(new_wm);
                         }
@@ -280,7 +202,7 @@ impl BoltCore {
                     // callback panicked — watermarks are control
                     // flow) — flushing first so it stays behind
                     // everything we just emitted.
-                    self.emit.broadcast_watermark(self.my_id, new_wm, false);
+                    self.emit.broadcast_watermark(self.ctx.id, new_wm, false);
                 }
             }
             Msg::Rescale => {
@@ -289,14 +211,14 @@ impl BoltCore {
                 // sharded bolt observes the table — acknowledging a
                 // quiesce or adopting the installed assignment — even
                 // if it was parked with no pending input.
-                if let Some(out) = self.guarded(ctx, |b, o| b.on_idle(o)) {
-                    self.handle_control_out(out, ctx);
+                if let Some(out) = self.guarded(|b, o| b.on_idle(o)) {
+                    self.handle_control_out(out);
                 }
                 self.emit.flush_all();
             }
             Msg::Flush => {
-                if let Some(out) = self.guarded(ctx, |b, o| b.flush(o)) {
-                    self.handle_control_out(out, ctx);
+                if let Some(out) = self.guarded(|b, o| b.flush(o)) {
+                    self.handle_control_out(out);
                 }
                 self.emit.flush_all();
             }
@@ -311,115 +233,68 @@ impl BoltCore {
     /// still holds acks from a failed commit), let the bolt commit and
     /// release, then ship partial batches. Supervised like every other
     /// callback.
-    pub(crate) fn idle(&mut self, ctx: &WorkerCtx) {
+    pub(crate) fn idle(&mut self) {
         if !self.zombie && (self.idle_dirty || !self.held.is_empty()) {
             self.idle_dirty = false;
-            if let Some(out) = self.guarded(ctx, |b, o| b.on_idle(o)) {
-                self.handle_control_out(out, ctx);
+            if let Some(out) = self.guarded(|b, o| b.on_idle(o)) {
+                self.handle_control_out(out);
             }
         }
         self.emit.flush_all();
     }
 
-    /// Run one bolt callback under `catch_unwind`; on panic, supervise
-    /// (restart or escalate) and return `None`.
-    fn guarded<F>(&mut self, ctx: &WorkerCtx, call: F) -> Option<OutputCollector>
+    /// Whether `input` belongs to a tracked ack tree.
+    fn anchored(&self, input: &Tuple) -> bool {
+        self.ctx.run.config.semantics == Semantics::AtLeastOnce && input.root != 0
+    }
+
+    /// Run one control callback (`flush` / `on_watermark` / `on_idle`)
+    /// isolated; on panic, supervise (restart or escalate) and return
+    /// `None`.
+    fn guarded<F>(&mut self, call: F) -> Option<OutputCollector>
     where
         F: FnOnce(&mut dyn Bolt, &mut OutputCollector),
     {
-        let mut out = OutputCollector::new();
-        let bolt = &mut *self.bolt;
-        match catch_unwind(AssertUnwindSafe(|| call(bolt, &mut out))) {
-            Ok(()) => Some(out),
-            Err(payload) => {
-                self.supervise(ctx, &panic_message(&*payload));
+        let outcome = isolate(|| {
+            let mut out = OutputCollector::new();
+            call(&mut *self.bolt, &mut out);
+            out
+        });
+        match outcome {
+            Ok(out) => Some(out),
+            Err(why) => {
+                self.supervise(&why);
                 None
             }
         }
     }
 
-    /// Account one panic against the task's restart budget: back off and
-    /// restart (rebuilding factory bolts from their checkpoint), or
-    /// escalate to topology failure.
-    fn supervise(&mut self, ctx: &WorkerCtx, why: &str) {
-        self.panics.add(1);
-        ctx.metrics.task_panic();
-        match self.tracker.on_panic(ctx.run_start.elapsed()) {
-            RestartDecision::Restart(backoff) => {
-                // The restart clock includes the backoff sleep — it is
-                // the user-visible recovery latency.
-                let t0 = Instant::now();
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                if let Some(build) = self.factory.as_mut() {
-                    match build() {
-                        Ok(mut fresh) => {
-                            fresh.register_metrics(&ctx.metrics, &ctx.name);
-                            self.bolt = fresh;
-                            // Inputs the dead incarnation applied but
-                            // never persisted: fail them so the spout
-                            // replays (the recovered checkpoint dedups
-                            // whatever *was* persisted).
-                            self.fail_held(ctx);
-                        }
-                        Err(e) => {
-                            self.escalate(ctx, &format!("restart rebuild failed: {e}"));
-                            return;
-                        }
-                    }
-                }
-                self.restarts.add(1);
-                ctx.metrics.task_restart();
-                if let Some(h) = &self.restart_us {
-                    h.record(t0.elapsed().as_secs_f64() * 1e6);
-                }
+    /// Hand one panic to the supervisor. A restart rebuilds a factory
+    /// bolt from its checkpoint; escalation turns this task into a
+    /// draining zombie. Either way, inputs the dead incarnation applied
+    /// but never persisted are failed so the spout replays them (the
+    /// recovered checkpoint dedups whatever *was* persisted).
+    fn supervise(&mut self, why: &str) {
+        let restarted = self.sup.on_panic(&self.ctx, "bolt", why, || {
+            if let Some(build) = self.factory.as_mut() {
+                let mut fresh = build().map_err(|e| e.to_string())?;
+                fresh.register_metrics(&self.ctx.run.metrics, &self.ctx.name);
+                self.bolt = fresh;
+                settle_held(&mut self.held, &self.ctx, false);
             }
-            RestartDecision::Escalate => self.escalate(ctx, why),
+            Ok(())
+        });
+        if !restarted {
+            self.zombie = true;
+            settle_held(&mut self.held, &self.ctx, false);
         }
-    }
-
-    /// Budget exhausted: record the first failure, flip the abort flag,
-    /// and turn this task into a draining zombie.
-    fn escalate(&mut self, ctx: &WorkerCtx, why: &str) {
-        ctx.metrics.escalated();
-        {
-            let mut slot = ctx.failure.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(format!(
-                    "bolt '{}' task {} escalated: restart budget exhausted \
-                     ({} restarts in the last {:?}): {why}",
-                    ctx.name,
-                    self.idx,
-                    self.tracker.restarts_in_window(ctx.run_start.elapsed()),
-                    self.tracker.policy().window,
-                ));
-            }
-        }
-        ctx.abort.store(true, Ordering::Relaxed);
-        self.zombie = true;
-        self.fail_held(ctx);
-    }
-
-    /// Fail every held ack (the inputs will be replayed).
-    fn fail_held(&mut self, ctx: &WorkerCtx) {
-        if self.held.is_empty() {
-            return;
-        }
-        {
-            let mut acker = ctx.acker.lock().unwrap();
-            for (root, _) in self.held.drain(..) {
-                acker.fail(root);
-            }
-        }
-        (ctx.on_ack)();
     }
 
     /// Apply a control-path collector (`flush` / `on_watermark` /
     /// `on_idle`): emissions ride unanchored, late tuples divert to the
     /// side output, and a release drains the held acks.
-    fn handle_control_out(&mut self, mut out: OutputCollector, ctx: &WorkerCtx) {
-        self.route_late(std::mem::take(&mut out.late), ctx);
+    fn handle_control_out(&mut self, mut out: OutputCollector) {
+        self.route_late(std::mem::take(&mut out.late));
         for mut e in out.emitted {
             e.root = 0;
             self.emit.push(&e, false);
@@ -427,28 +302,16 @@ impl BoltCore {
         if out.abandon {
             // The bolt discarded uncommitted state (rescale quiesce):
             // replay the held inputs, exactly like a restart.
-            self.fail_held(ctx);
+            settle_held(&mut self.held, &self.ctx, false);
         }
-        if out.release && !self.held.is_empty() {
-            {
-                let mut acker = ctx.acker.lock().unwrap();
-                for (root, val) in self.held.drain(..) {
-                    acker.ack(root, val);
-                }
-            }
-            (ctx.on_ack)();
+        if out.release {
+            settle_held(&mut self.held, &self.ctx, true);
         }
     }
 
-    fn handle_emissions(
-        &mut self,
-        input: &Tuple,
-        mut out: OutputCollector,
-        ctx: &WorkerCtx,
-        acks: &mut Vec<AckOp>,
-    ) {
-        self.route_late(std::mem::take(&mut out.late), ctx);
-        let anchored = ctx.semantics == Semantics::AtLeastOnce && input.root != 0;
+    fn handle_emissions(&mut self, input: &Tuple, mut out: OutputCollector, acks: &mut Vec<AckOp>) {
+        self.route_late(std::mem::take(&mut out.late));
+        let anchored = self.anchored(input);
         if out.abandon {
             // Uncommitted state was discarded mid-stream (rescale
             // quiesce observed on the execute path): replay the held
@@ -495,11 +358,30 @@ impl BoltCore {
     /// Deliver late-side-output tuples to the run's `"{component}.late"`
     /// sink and count them. Late tuples are rare by construction, so
     /// this path takes the sink lock directly rather than batching.
-    fn route_late(&self, late: Vec<Tuple>, _ctx: &WorkerCtx) {
+    fn route_late(&self, late: Vec<Tuple>) {
         if late.is_empty() {
             return;
         }
         self.dropped_late.add(late.len() as u64);
         self.late_slot.lock().unwrap().extend(late);
     }
+}
+
+/// Settle every held ack under one acker lock: ack them (a durable
+/// commit covered them) or fail them (the inputs will be replayed).
+fn settle_held(held: &mut Vec<(u64, u64)>, ctx: &TaskCtx, ack: bool) {
+    if held.is_empty() {
+        return;
+    }
+    {
+        let mut acker = ctx.run.acker.lock().expect("acker lock poisoned");
+        for (root, val) in held.drain(..) {
+            if ack {
+                acker.ack(root, val);
+            } else {
+                acker.fail(root);
+            }
+        }
+    }
+    (ctx.on_ack)();
 }

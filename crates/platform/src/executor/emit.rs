@@ -1,6 +1,7 @@
 //! Per-task emission state: routing, batching, linger, terminal sink.
 
-use super::{fields_task, sink_slot, Msg, Route, Sink, SinkSlot};
+use super::task::TaskCtx;
+use super::{fields_task, sink_slot, Msg, Route, SinkSlot};
 use crate::metrics::{CounterHandle, HistogramHandle, Metrics, Sampler};
 use crate::topology::Grouping;
 use crate::tuple::{Batch, Tuple};
@@ -46,41 +47,31 @@ pub(crate) struct EmitCtx {
 }
 
 impl EmitCtx {
-    #[allow(clippy::too_many_arguments)] // built once per executor, at spawn
-    pub(crate) fn new(
-        routes: Vec<Route>,
-        component: String,
-        metrics: &Metrics,
-        sink: Sink,
-        seed: u64,
-        drop_prob: f64,
-        delay: Option<(f64, Duration)>,
-        batch_size: usize,
-        batch_linger: Duration,
-        sample_every: u32,
-    ) -> Self {
+    pub(crate) fn new(routes: Vec<Route>, ctx: &TaskCtx) -> Self {
+        let (run, component) = (&*ctx.run, &ctx.name);
+        let sample_every = run.config.latency_sample_every;
         // Registration interns the name once; `format!` never runs on
         // the emit path again.
-        let emitted = metrics.register(&format!("{component}.emitted"));
+        let emitted = run.metrics.register(&format!("{component}.emitted"));
         let batch_fill = (sample_every > 0)
-            .then(|| metrics.register_histogram(&format!("{component}.batch_fill")));
+            .then(|| run.metrics.register_histogram(&format!("{component}.batch_fill")));
         let buffers = routes.iter().map(|r| vec![Vec::new(); r.senders.len()]).collect();
         Self {
             shuffle_counters: vec![0; routes.len()],
             buffers,
             routes,
-            rng: SplitMix64::new(seed),
-            drop_prob,
-            delay,
-            batch_size: batch_size.max(1),
-            batch_linger,
+            rng: SplitMix64::new(ctx.seed),
+            drop_prob: run.config.faults.drop_for(component).unwrap_or(0.0),
+            delay: run.config.faults.delay_for(component),
+            batch_size: run.config.batch_size.max(1),
+            batch_linger: run.config.batch_linger,
             oldest: None,
             buffered: 0,
             emitted,
             batch_fill,
-            fill_sampler: Sampler::with_phase(sample_every, seed as u32),
-            metrics: metrics.clone(),
-            sink_slot: sink_slot(&sink, &component),
+            fill_sampler: Sampler::with_phase(sample_every, ctx.seed as u32),
+            metrics: run.metrics.clone(),
+            sink_slot: sink_slot(&run.sink, component),
             sink_buf: Vec::new(),
         }
     }
@@ -261,13 +252,30 @@ pub(crate) fn maybe_delay(rng: &mut SplitMix64, delay: Option<(f64, Duration)>) 
 mod tests {
     use super::*;
     use crate::channel::channel;
-    use crate::metrics::Metrics;
+    use crate::executor::{ExecutorConfig, Run};
+    use crate::supervise::RestartPolicy;
     use crate::tuple::tuple_of;
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
-    fn empty_sink() -> Sink {
-        Arc::new(Mutex::new(HashMap::new()))
+    const LINGER: Duration = Duration::from_millis(40);
+
+    /// Task 0 of `name` over a fresh run: batches of 4, a 40 ms linger.
+    fn task_ctx(name: &str, sample_every: u32) -> TaskCtx {
+        let config = ExecutorConfig {
+            batch_size: 4,
+            batch_linger: LINGER,
+            latency_sample_every: sample_every,
+            ..Default::default()
+        };
+        TaskCtx {
+            run: Arc::new(Run::new(config, Metrics::new())),
+            name: name.into(),
+            task: 0,
+            id: 0,
+            seed: 1,
+            restart: RestartPolicy::default(),
+            on_ack: Arc::new(|| {}),
+        }
     }
 
     /// Regression (PR 3): a full terminal-sink batch must reset the
@@ -277,21 +285,9 @@ mod tests {
     /// silently defeating batching.
     #[test]
     fn sink_batch_flush_resets_linger_clock() {
-        let metrics = Metrics::new();
-        let sink = empty_sink();
-        let linger = Duration::from_millis(40);
-        let mut emit = EmitCtx::new(
-            vec![],
-            "sink".into(),
-            &metrics,
-            sink.clone(),
-            1,
-            0.0,
-            None,
-            4,
-            linger,
-            32,
-        );
+        let ctx = task_ctx("sink", 32);
+        let sink = &ctx.run.sink;
+        let mut emit = EmitCtx::new(vec![], &ctx);
         for i in 0..4i64 {
             emit.push(&tuple_of([i]), false);
         }
@@ -299,7 +295,7 @@ mod tests {
         assert!(emit.oldest.is_none(), "stale linger timestamp survived a full sink flush");
         // Wait out the *old* batch's linger budget, then buffer one
         // fresh tuple: it must NOT be force-flushed off the stale clock.
-        std::thread::sleep(linger + Duration::from_millis(20));
+        std::thread::sleep(LINGER + Duration::from_millis(20));
         emit.push(&tuple_of([99i64]), false);
         emit.flush_if_lingering();
         assert_eq!(
@@ -313,21 +309,9 @@ mod tests {
     /// must clear the clock once nothing remains buffered.
     #[test]
     fn full_batch_send_resets_linger_clock() {
-        let metrics = Metrics::new();
         let (tx, rx) = channel::<Msg>(None);
         let route = Route { grouping: Grouping::Shuffle, senders: vec![tx], shard: None };
-        let mut emit = EmitCtx::new(
-            vec![route],
-            "b".into(),
-            &metrics,
-            empty_sink(),
-            1,
-            0.0,
-            None,
-            4,
-            Duration::from_millis(40),
-            0,
-        );
+        let mut emit = EmitCtx::new(vec![route], &task_ctx("b", 0));
         for i in 0..4i64 {
             emit.push(&tuple_of([i]), false);
         }

@@ -21,9 +21,12 @@
 //!   queues" configuration that motivated Heron.
 //!
 //! Either way a task is exactly one slot with one inbox, so every hop
-//! between two components is a channel hop and every task is
-//! supervised, acked and watermarked by the same code (`BoltCore` /
-//! `SpoutCore`).
+//! between two components is a channel hop and every task is acked and
+//! watermarked by the same code (`BoltCore` / `SpoutCore`). Both kinds
+//! see the run through one `TaskCtx` (a per-task view of the shared
+//! `Run`: config, metrics, sink, acker, stop flags) and run their user
+//! code under one `Supervisor` (chaos injection, panic isolation,
+//! restart budget, escalation; `task.rs`).
 //!
 //! # The fast path
 //!
@@ -62,6 +65,7 @@ mod bolt;
 mod emit;
 mod runtime;
 mod spout;
+mod task;
 
 use crate::acker::Acker;
 use crate::channel::Sender;
@@ -150,8 +154,8 @@ pub struct ExecutorConfig {
     /// again. `None` (default) replays forever.
     pub max_replays: Option<u32>,
     /// Chaos plan: injected panics, per-component link drops/delays.
-    /// (Checkpoint-write faults arm separately via
-    /// [`FaultPlan::arm_store`].) Empty by default.
+    /// (Storage faults apply separately, through
+    /// [`FaultPlan::wrap_storage`].) Empty by default.
     pub faults: FaultPlan,
     /// Live-rescaling controller. When set, `Fields` routes into
     /// components with a registered [`crate::rescale::ShardTable`]
@@ -235,7 +239,7 @@ pub(crate) struct Route {
 /// contention between components that share the run-wide sink.
 pub(crate) type SinkSlot = Arc<Mutex<Vec<Tuple>>>;
 
-pub(crate) type Sink = Arc<Mutex<HashMap<String, SinkSlot>>>;
+pub(crate) type Sink = Mutex<HashMap<String, SinkSlot>>;
 
 /// Intern `key`'s slot in the run sink (build-time only).
 pub(crate) fn sink_slot(sink: &Sink, key: &str) -> SinkSlot {
@@ -270,12 +274,14 @@ pub(crate) fn fields_task(tuple: &Tuple, fields: &[usize], fanout: usize) -> usi
 
 const ROOT_SHIFT: u32 = 48;
 
-pub(crate) fn encode_root(spout_task: usize, local: u64) -> u64 {
-    ((spout_task as u64 + 1) << ROOT_SHIFT) | (local & ((1 << ROOT_SHIFT) - 1))
+/// Ack-tree root: the emitting spout task's global id above
+/// `ROOT_SHIFT`, its local counter below.
+pub(crate) fn encode_root(spout_id: u32, local: u64) -> u64 {
+    ((spout_id as u64 + 1) << ROOT_SHIFT) | (local & ((1 << ROOT_SHIFT) - 1))
 }
 
-pub(crate) fn decode_root(root: u64) -> (usize, u64) {
-    (((root >> ROOT_SHIFT) - 1) as usize, root & ((1 << ROOT_SHIFT) - 1))
+pub(crate) fn decode_root(root: u64) -> (u32, u64) {
+    (((root >> ROOT_SHIFT) - 1) as u32, root & ((1 << ROOT_SHIFT) - 1))
 }
 
 /// One bolt task as materialized before spawn: the live instance plus
@@ -286,25 +292,53 @@ pub(crate) struct BoltTask {
     pub(crate) factory: Option<BoltBuilder>,
 }
 
-/// Everything the runtime needs, prepared once: validated component
-/// declarations (instances extracted), shared run state, task ids, and
-/// the topological order the shutdown protocol walks.
-pub(crate) struct RunCore {
+/// What the whole run owns, shared by every task through its
+/// [`task::TaskCtx`]. Built once.
+pub(crate) struct Run {
     pub(crate) config: ExecutorConfig,
     pub(crate) metrics: Metrics,
     pub(crate) sink: Sink,
-    pub(crate) acker: Arc<Mutex<Acker>>,
-    pub(crate) unclean: Arc<AtomicBool>,
+    pub(crate) acker: Mutex<Acker>,
+    pub(crate) unclean: AtomicBool,
     /// Escalation: the first task to exhaust its restart budget records
     /// why in `failure` and flips `abort`; spouts then stop (like
     /// `kill`) and the run drains before the error surfaces.
-    pub(crate) abort: Arc<AtomicBool>,
-    pub(crate) failure: Arc<Mutex<Option<String>>>,
-    pub(crate) run_start: Instant,
+    pub(crate) abort: AtomicBool,
+    pub(crate) failure: Mutex<Option<String>>,
+    /// Run epoch: the clock restart windows are counted on.
+    pub(crate) start: Instant,
     /// Ack progress sequence: bumped after acks/fails are applied
     /// anywhere, so a spout about to go dormant can tell that progress
     /// landed since it last settled.
-    pub(crate) ack_seq: Arc<AtomicU64>,
+    pub(crate) ack_seq: AtomicU64,
+}
+
+impl Run {
+    pub(crate) fn new(config: ExecutorConfig, metrics: Metrics) -> Self {
+        Self {
+            config,
+            metrics,
+            sink: Mutex::new(HashMap::new()),
+            acker: Mutex::new(Acker::new()),
+            unclean: AtomicBool::new(false),
+            abort: AtomicBool::new(false),
+            failure: Mutex::new(None),
+            start: Instant::now(),
+            ack_seq: AtomicU64::new(0),
+        }
+    }
+
+    /// Whether the crash-injection flag ([`ExecutorConfig::kill`]) fired.
+    pub(crate) fn killed(&self) -> bool {
+        self.config.kill.as_ref().is_some_and(|k| k.load(Ordering::Relaxed))
+    }
+}
+
+/// Everything the runtime needs, prepared once: validated component
+/// declarations (instances extracted), task ids, the topological order
+/// the shutdown protocol walks, and the shared run state.
+pub(crate) struct RunCore {
+    pub(crate) run: Arc<Run>,
     /// Component declarations with their instances moved out into
     /// `built` / `spouts` (metadata — name, parallelism, inputs,
     /// restart, kind discriminant — remains).
@@ -320,25 +354,26 @@ impl RunCore {
     /// The restart policy governing `decl` (component override or the
     /// run default).
     pub(crate) fn restart_for(&self, decl: &ComponentDecl) -> RestartPolicy {
-        decl.restart.clone().unwrap_or_else(|| self.config.restart.clone())
+        decl.restart.clone().unwrap_or_else(|| self.run.config.restart.clone())
     }
 
     /// Surface an escalated failure, or hand back the terminal sink.
     pub(crate) fn conclude(self) -> Result<RunResult> {
-        if let Some(why) = self.failure.lock().unwrap().take() {
+        let run = &self.run;
+        if let Some(why) = run.failure.lock().expect("failure slot lock poisoned").take() {
             return Err(SaError::Platform(why));
         }
         // Pre-resolved slots exist for every terminal/late/dlq key the
         // run *could* have used; only keys that saw tuples surface.
-        let outputs = std::mem::take(&mut *self.sink.lock().unwrap())
+        let outputs = std::mem::take(&mut *run.sink.lock().expect("sink lock poisoned"))
             .into_iter()
             .map(|(k, slot)| (k, std::mem::take(&mut *slot.lock().unwrap())))
             .filter(|(_, v)| !v.is_empty())
             .collect();
         Ok(RunResult {
             outputs,
-            metrics: self.metrics,
-            clean_shutdown: !self.unclean.load(Ordering::Relaxed),
+            metrics: run.metrics.clone(),
+            clean_shutdown: !run.unclean.load(Ordering::Relaxed),
         })
     }
 }
@@ -425,21 +460,13 @@ pub fn run_topology_with(
     }
 
     let core = RunCore {
-        metrics,
-        sink: Arc::new(Mutex::new(HashMap::new())),
-        acker: Arc::new(Mutex::new(Acker::new())),
-        unclean: Arc::new(AtomicBool::new(false)),
-        abort: Arc::new(AtomicBool::new(false)),
-        failure: Arc::new(Mutex::new(None)),
-        run_start: Instant::now(),
-        ack_seq: Arc::new(AtomicU64::new(0)),
+        run: Arc::new(Run::new(config, metrics)),
         decls,
         built,
         spouts,
         task_ids,
         upstream_ids,
         order,
-        config,
     };
     runtime::run(core)
 }

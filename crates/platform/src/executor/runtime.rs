@@ -1,6 +1,6 @@
 //! The runtime: operator tasks live in *slots*, and a **driver** maps
 //! slots onto OS threads. Wiring, routing tables, inboxes, rescale
-//! registration, supervision context, seeds, the activation
+//! registration, task contexts, seeds, the activation
 //! (`run_slot`) and the flush/terminate protocol exist once, for both
 //! drivers.
 //!
@@ -43,8 +43,9 @@
 //! thread ever runs that slot, so the claim guards nothing there, and
 //! every path that leaves `scheduled` set also sets `pending`.)
 
-use super::bolt::{BoltCore, WorkerCtx};
-use super::spout::{SpoutCore, SpoutCtx, SpoutStep};
+use super::bolt::BoltCore;
+use super::spout::{SpoutCore, SpoutStep};
+use super::task::TaskCtx;
 use super::{Msg, Route, RunCore, RunResult, Sender};
 use crate::channel::{link, Injector, Receiver, WsDeque};
 use crate::metrics::SchedCounters;
@@ -94,7 +95,7 @@ thread_local! {
 /// thread that ran it, not on the coordinator at teardown.
 enum SlotKind {
     Spout(Mutex<Option<Box<SpoutCore>>>),
-    Bolt { unit: Mutex<Option<Box<(BoltCore, WorkerCtx)>>>, rx: Receiver<Msg> },
+    Bolt { unit: Mutex<Option<Box<BoltCore>>>, rx: Receiver<Msg> },
 }
 
 struct Slot {
@@ -428,7 +429,7 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
     match &slot.kind {
         SlotKind::Bolt { unit, rx } => {
             let mut guard = unit.lock().expect("bolt slot lock poisoned");
-            let Some((core, ctx)) = guard.as_deref_mut() else {
+            let Some(core) = guard.as_deref_mut() else {
                 return; // finished; a stale enqueue raced the retire
             };
             // Chunked drain: one inbox lock per DRAIN_MSGS messages,
@@ -446,7 +447,7 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
                 // can never be stranded in the local buffer.
                 for msg in chunk.drain(..) {
                     budget -= msg_tuples(&msg) as i64;
-                    core.handle_msg(msg, ctx);
+                    core.handle_msg(msg);
                     if core.done {
                         // Retire: hang up the inbox (late senders get
                         // `Disconnected` instead of filling a queue no
@@ -464,7 +465,7 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
             if rx.is_empty() {
                 // Fully drained: idle hook (commit + release held acks,
                 // flush partial batches) before the slot goes dormant.
-                core.idle(ctx);
+                core.idle();
             }
             let held = !core.held_empty();
             drop(guard);
@@ -493,10 +494,10 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
                     sched.enqueue_global(s);
                 }
                 SpoutStep::Idle { seen } => {
-                    let acks = core.ctx.ack_seq.clone();
+                    let run = core.ctx.run.clone();
                     drop(guard);
                     slot.scheduled.store(false, Ordering::Release);
-                    if acks.load(Ordering::Acquire) != seen {
+                    if run.ack_seq.load(Ordering::Acquire) != seen {
                         // An ack landed between the settle and here:
                         // re-claim rather than sleep on a stale snapshot.
                         if !slot.scheduled.swap(true, Ordering::AcqRel) {
@@ -521,10 +522,10 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
 
 pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     // Pool size; thread-per-task has none and gets the dedicated driver.
-    let workers = core.config.scheduling.worker_count();
+    let run = core.run.clone();
+    let workers = run.config.scheduling.worker_count();
     let dedicated = workers == 0;
-    let instrumented = core.config.latency_sample_every > 0;
-    let watermarks = core.config.watermarks.is_some();
+    let instrumented = run.config.latency_sample_every > 0;
     let mut built = std::mem::take(&mut core.built);
     let mut spout_insts = std::mem::take(&mut core.spouts);
 
@@ -563,11 +564,11 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     // Ack progress re-activates dormant spouts immediately (and bumps
     // the run-wide sequence for the `Idle { seen }` re-check).
     let on_ack: Arc<dyn Fn() + Send + Sync> = {
-        let acks = core.ack_seq.clone();
+        let run = run.clone();
         let sched = weak.clone();
         let spout_slots = spout_slots.clone();
         Arc::new(move || {
-            acks.fetch_add(1, Ordering::Release);
+            run.ack_seq.fetch_add(1, Ordering::Release);
             if let Some(sched) = sched.upgrade() {
                 for &s in &spout_slots {
                     sched.schedule(s);
@@ -581,7 +582,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     //     inbox blocks its producer's thread, which is the backpressure
     //     — and unbounded under the pool, whose workers must never
     //     block in `send`. One shared LinkStats gauge per component. ---
-    let capacity = dedicated.then_some(core.config.channel_capacity);
+    let capacity = dedicated.then_some(run.config.channel_capacity);
     let mut senders: HashMap<String, Vec<Sender<Msg>>> = HashMap::new();
     let mut inboxes: HashMap<usize, Receiver<Msg>> = HashMap::new();
     let mut link_stats: HashMap<String, crate::channel::LinkStats> = HashMap::new();
@@ -594,7 +595,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
         let stats = instrumented.then(|| {
             link_stats
                 .entry(name.clone())
-                .or_insert_with(|| core.metrics.register_link(&format!("{name}.input")))
+                .or_insert_with(|| run.metrics.register_link(&format!("{name}.input")))
                 .clone()
         });
         let wake: Arc<dyn Fn() + Send + Sync> = {
@@ -613,8 +614,8 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     // Live rescaling: register every component's inbox with the
     // controller (a `Msg::Rescale` send schedules the parked slot via
     // the wake hook above) and publish the per-table `active` gauges.
-    if let Some(ctl) = &core.config.rescale {
-        ctl.bind(&core.metrics);
+    if let Some(ctl) = &run.config.rescale {
+        ctl.bind(&run.metrics);
         for (name, txs) in &senders {
             ctl.register_senders(name, txs.clone());
         }
@@ -632,7 +633,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
                 routes.get_mut(upstream).unwrap().push(Route {
                     grouping: grouping.clone(),
                     senders: tx.clone(),
-                    shard: core.config.rescale.as_ref().and_then(|ctl| ctl.table_of(&c.name)),
+                    shard: run.config.rescale.as_ref().and_then(|ctl| ctl.table_of(&c.name)),
                 });
             }
         }
@@ -640,77 +641,31 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
 
     // --- Build the slots. Seeds follow a mix64 chain in unit order,
     //     one draw per unit. ---
-    let mut task_seed = core.config.seed;
+    let mut task_seed = run.config.seed;
     let mut slots: Vec<Slot> = Vec::new();
-    let mut spout_task = 0usize;
     for (slot_idx, &(ci, task)) in specs.iter().enumerate() {
         task_seed = sa_core::hash::mix64(task_seed);
         let c = &core.decls[ci];
+        let ctx = TaskCtx {
+            run: run.clone(),
+            name: c.name.clone(),
+            task,
+            id: core.task_ids[&c.name][task],
+            seed: task_seed,
+            restart: core.restart_for(c),
+            on_ack: on_ack.clone(),
+        };
+        let routes = routes[&c.name].clone();
+        // Slots are created in task order, so the front of the
+        // remaining list is always this slot's task.
         let kind = if c.is_bolt() {
-            let ctx = WorkerCtx {
-                name: c.name.clone(),
-                routes: routes[&c.name].clone(),
-                acker: core.acker.clone(),
-                semantics: core.config.semantics,
-                metrics: core.metrics.clone(),
-                sink: core.sink.clone(),
-                drop_prob: core.config.faults.drop_for(&c.name).unwrap_or(0.0),
-                delay: core.config.faults.delay_for(&c.name),
-                panic_prob: core.config.faults.panic_prob_for(&c.name),
-                restart: core.restart_for(c),
-                abort: core.abort.clone(),
-                failure: core.failure.clone(),
-                run_start: core.run_start,
-                seed: task_seed,
-                batch_size: core.config.batch_size,
-                batch_linger: core.config.batch_linger,
-                sample_every: core.config.latency_sample_every,
-                upstream_ids: core.upstream_ids[&c.name].clone(),
-                watermarks,
-                on_ack: on_ack.clone(),
-            };
-            // Slots are created in task order, so the front of the
-            // remaining list is always this slot's task.
             let built = built.get_mut(&c.name).expect("built bolt tasks").remove(0);
-            let my_id = core.task_ids[&c.name][task];
-            let bc = BoltCore::new(task, my_id, built.bolt, built.factory, &ctx);
+            let bc = BoltCore::new(built, routes, &core.upstream_ids[&c.name], ctx);
             let rx = inboxes.remove(&slot_idx).expect("bolt inbox");
-            SlotKind::Bolt { unit: Mutex::new(Some(Box::new((bc, ctx)))), rx }
+            SlotKind::Bolt { unit: Mutex::new(Some(Box::new(bc))), rx }
         } else {
-            let ctx = SpoutCtx {
-                // Ack-root prefix: spout tasks count in declaration order.
-                task: spout_task,
-                name: c.name.clone(),
-                routes: routes[&c.name].clone(),
-                acker: core.acker.clone(),
-                semantics: core.config.semantics,
-                metrics: core.metrics.clone(),
-                sink: core.sink.clone(),
-                drop_prob: core.config.faults.drop_for(&c.name).unwrap_or(0.0),
-                delay: core.config.faults.delay_for(&c.name),
-                panic_prob: core.config.faults.panic_prob_for(&c.name),
-                restart: core.restart_for(c),
-                max_replays: core.config.max_replays,
-                abort: core.abort.clone(),
-                failure: core.failure.clone(),
-                run_start: core.run_start,
-                seed: task_seed,
-                batch_size: core.config.batch_size,
-                batch_linger: core.config.batch_linger,
-                sample_every: core.config.latency_sample_every,
-                ack_timeout: core.config.ack_timeout,
-                shutdown_timeout: core.config.shutdown_timeout,
-                unclean: core.unclean.clone(),
-                kill: core.config.kill.clone(),
-                wm_source: core.task_ids[&c.name][task],
-                watermarks: core.config.watermarks.clone(),
-                ack_seq: core.ack_seq.clone(),
-                on_ack: on_ack.clone(),
-            };
-            spout_task += 1;
-            // Same order argument as for bolt tasks above.
             let spout = spout_insts.get_mut(&c.name).expect("spout instances").remove(0);
-            SlotKind::Spout(Mutex::new(Some(Box::new(SpoutCore::new(spout, ctx)))))
+            SlotKind::Spout(Mutex::new(Some(Box::new(SpoutCore::new(spout, routes, ctx)))))
         };
         slots.push(Slot {
             kind,
@@ -730,7 +685,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
         }
     } else {
         for wi in 0..workers {
-            let counters = core.metrics.register_sched_worker(wi);
+            let counters = run.metrics.register_sched_worker(wi);
             joins.push(spawn(&sched, move |sched| worker(sched, wi, counters)));
         }
     }
@@ -745,9 +700,9 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     // A killed run tears down without flushing: bolts never get their
     // final `flush()` call, as in a real crash — and is never clean,
     // even if the kill landed after the spouts drained.
-    let killed = core.config.kill.as_ref().is_some_and(|k| k.load(Ordering::Relaxed));
+    let killed = run.killed();
     if killed {
-        core.unclean.store(true, Ordering::Relaxed);
+        run.unclean.store(true, Ordering::Relaxed);
     }
     for name in &core.order {
         let Some(tx_list) = senders.get(name) else {

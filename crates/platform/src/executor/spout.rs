@@ -3,65 +3,20 @@
 //! (`Scheduling::ThreadPerTask`) or a work-stealing activation that
 //! must yield between steps (`Scheduling::WorkStealing`). Every
 //! produced tuple is routed straight to the downstream inboxes; the
-//! spout supervises only its own `next_tuple`.
+//! spout supervises only its own `next_tuple`, through the shared
+//! [`Supervisor`]: a restart resumes the same instance in place, and an
+//! escalated spout stops.
 
 use super::emit::EmitCtx;
-use super::{decode_root, encode_root, Route, Semantics, Sink};
-use crate::acker::Acker;
-use crate::metrics::{CounterHandle, HistogramHandle, Metrics, Sampler};
-use crate::supervise::{panic_message, RestartDecision, RestartPolicy, RestartTracker};
+use super::task::{Supervisor, TaskCtx};
+use super::{decode_root, encode_root, Route, Semantics};
+use crate::metrics::{CounterHandle, HistogramHandle, Sampler};
 use crate::time::{WatermarkConfig, WatermarkGen};
 use crate::topology::Spout;
 use crate::tuple::{tuple_of, Tuple};
-use sa_core::rng::SplitMix64;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Everything a spout task needs from the executor, scheduler-agnostic.
-pub(crate) struct SpoutCtx {
-    pub(crate) task: usize,
-    pub(crate) name: String,
-    pub(crate) routes: Vec<Route>,
-    pub(crate) acker: Arc<Mutex<Acker>>,
-    pub(crate) semantics: Semantics,
-    pub(crate) metrics: Metrics,
-    pub(crate) sink: Sink,
-    pub(crate) drop_prob: f64,
-    /// Chaos: link-delay injection for this component's sends.
-    pub(crate) delay: Option<(f64, Duration)>,
-    /// Chaos: probability that one `next_tuple` call panics.
-    pub(crate) panic_prob: f64,
-    /// Supervision policy for this component.
-    pub(crate) restart: RestartPolicy,
-    /// Replay budget before quarantine (`None` = replay forever).
-    pub(crate) max_replays: Option<u32>,
-    /// Escalation: topology-wide abort flag + first-failure slot.
-    pub(crate) abort: Arc<AtomicBool>,
-    pub(crate) failure: Arc<Mutex<Option<String>>>,
-    /// Run epoch: the injectable clock for restart-window accounting.
-    pub(crate) run_start: Instant,
-    pub(crate) seed: u64,
-    pub(crate) batch_size: usize,
-    pub(crate) batch_linger: Duration,
-    pub(crate) sample_every: u32,
-    pub(crate) ack_timeout: Duration,
-    pub(crate) shutdown_timeout: Duration,
-    pub(crate) unclean: Arc<AtomicBool>,
-    pub(crate) kill: Option<Arc<AtomicBool>>,
-    /// This task's global watermark-source id.
-    pub(crate) wm_source: u32,
-    /// Watermark policy (`None` = event-time layer off).
-    pub(crate) watermarks: Option<WatermarkConfig>,
-    /// Bumped whenever ack progress lands anywhere in the topology
-    /// (see [`SpoutStep::Idle`]).
-    pub(crate) ack_seq: Arc<AtomicU64>,
-    /// Hook run after this spout settles roots belonging to *other*
-    /// spouts (wakes them so the requeued roots are picked up).
-    pub(crate) on_ack: Arc<dyn Fn() + Send + Sync>,
-}
+use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 /// Spout-side poison-tuple bookkeeping: replay counts per message and
 /// the dead-letter output they overflow into.
@@ -113,14 +68,10 @@ pub(crate) enum SpoutStep {
 /// spout loop; an activation runs a slice of them.
 pub(crate) struct SpoutCore {
     spout: Box<dyn Spout>,
-    pub(crate) ctx: SpoutCtx,
+    pub(crate) ctx: TaskCtx,
+    sup: Supervisor,
     emit: EmitCtx,
     obs: Option<SpoutObs>,
-    tracker: RestartTracker,
-    panic_rng: SplitMix64,
-    panics: CounterHandle,
-    restarts: CounterHandle,
-    restart_us: Option<HistogramHandle>,
     quarantine: Quarantine,
     next_sampler: Sampler,
     ack_sampler: Sampler,
@@ -149,39 +100,21 @@ pub(crate) struct SpoutCore {
 }
 
 impl SpoutCore {
-    pub(crate) fn new(spout: Box<dyn Spout>, mut ctx: SpoutCtx) -> Self {
-        let emit = EmitCtx::new(
-            std::mem::take(&mut ctx.routes),
-            ctx.name.clone(),
-            &ctx.metrics,
-            ctx.sink.clone(),
-            ctx.seed,
-            ctx.drop_prob,
-            ctx.delay,
-            ctx.batch_size,
-            ctx.batch_linger,
-            ctx.sample_every,
-        );
-        let obs = (ctx.sample_every > 0).then(|| SpoutObs {
-            next_us: ctx.metrics.register_histogram(&format!("{}.next_us", ctx.name)),
-            ack_us: ctx.metrics.register_histogram(&format!("{}.ack_latency_us", ctx.name)),
-            settle_us: ctx.metrics.register_histogram(&format!("{}.settle_us", ctx.name)),
+    pub(crate) fn new(spout: Box<dyn Spout>, routes: Vec<Route>, ctx: TaskCtx) -> Self {
+        let (config, metrics, name) = (&ctx.run.config, &ctx.run.metrics, &ctx.name);
+        let sample_every = config.latency_sample_every;
+        let obs = (sample_every > 0).then(|| SpoutObs {
+            next_us: metrics.register_histogram(&format!("{name}.next_us")),
+            ack_us: metrics.register_histogram(&format!("{name}.ack_latency_us")),
+            settle_us: metrics.register_histogram(&format!("{name}.settle_us")),
         });
-        let tracker = RestartTracker::new(ctx.restart.clone());
-        let panic_rng = SplitMix64::new(ctx.seed ^ 0xFA17);
-        let panics = ctx.metrics.register(&format!("{}.panics", ctx.name));
-        let restarts = ctx.metrics.register(&format!("{}.restarts", ctx.name));
-        let restart_us = (ctx.sample_every > 0)
-            .then(|| ctx.metrics.register_histogram(&format!("{}.restart_us", ctx.name)));
         let quarantine = Quarantine {
-            max_replays: ctx.max_replays,
+            max_replays: config.max_replays,
             counts: HashMap::new(),
-            key: format!("{}.dlq", ctx.name),
-            dlq: ctx.metrics.register(&format!("{}.dlq", ctx.name)),
+            key: format!("{name}.dlq"),
+            dlq: metrics.register(&format!("{name}.dlq")),
         };
-        let next_sampler = Sampler::new(ctx.sample_every);
-        let ack_sampler = Sampler::new(ctx.sample_every);
-        let wm = ctx.watermarks.take().map(|cfg| SpoutWm {
+        let wm = config.watermarks.clone().map(|cfg| SpoutWm {
             gen: WatermarkGen::new(cfg.bound),
             cfg,
             since_emit: 0,
@@ -190,17 +123,12 @@ impl SpoutCore {
         });
         Self {
             spout,
-            ctx,
-            emit,
+            sup: Supervisor::new(&ctx, ctx.seed ^ 0xFA17),
+            emit: EmitCtx::new(routes, &ctx),
             obs,
-            tracker,
-            panic_rng,
-            panics,
-            restarts,
-            restart_us,
             quarantine,
-            next_sampler,
-            ack_sampler,
+            next_sampler: Sampler::new(sample_every),
+            ack_sampler: Sampler::new(sample_every),
             local_auto: 0,
             root_counter: 0,
             in_flight: HashMap::new(),
@@ -210,6 +138,7 @@ impl SpoutCore {
             wm,
             finished_clean: false,
             done: false,
+            ctx,
         }
     }
 
@@ -231,96 +160,50 @@ impl SpoutCore {
         if self.done {
             return SpoutStep::Done;
         }
-        if self.ctx.kill.as_ref().is_some_and(|k| k.load(Ordering::Relaxed)) {
-            // Crash: stop dead. Buffered partial batches are lost in
-            // flight; in-flight trees never settle.
-            self.ctx.unclean.store(true, Ordering::Relaxed);
-            self.done = true;
-            return SpoutStep::Done;
-        }
-        if self.ctx.abort.load(Ordering::Relaxed) {
-            // Another task escalated: stop feeding the topology so the
-            // coordinator can drain it and report the failure.
-            self.ctx.unclean.store(true, Ordering::Relaxed);
+        let run = &self.ctx.run;
+        if run.killed() || run.abort.load(Ordering::Relaxed) {
+            // Crash (stop dead: buffered partial batches are lost in
+            // flight, in-flight trees never settle), or another task
+            // escalated (stop feeding the topology so the coordinator
+            // can drain it and report the failure).
+            run.unclean.store(true, Ordering::Relaxed);
             self.done = true;
             return SpoutStep::Done;
         }
         // Settle acks/fails destined for this spout — once per batch (or
         // on idle), not once per tuple.
-        if self.ctx.semantics == Semantics::AtLeastOnce && self.since_settle >= self.emit.batch_size
-        {
+        if self.semantics() == Semantics::AtLeastOnce && self.since_settle >= self.emit.batch_size {
             self.since_settle = 0;
             self.settle();
         }
         self.emit.flush_if_lingering();
-        // Panic isolation: `next_tuple` runs under `catch_unwind` (plus
-        // chaos injection), so a crashing spout is supervised — backoff
-        // and retry with the same instance — not a dead topology.
-        let attempt = if self.ctx.panic_prob > 0.0 && self.panic_rng.bernoulli(self.ctx.panic_prob)
-        {
-            Err("injected chaos panic (FaultPlan)".to_string())
-        } else {
-            let t0 = self.next_sampler.hit().then(Instant::now);
-            match catch_unwind(AssertUnwindSafe(|| self.spout.next_tuple())) {
-                Ok(produced) => {
-                    if produced.is_some() {
-                        if let (Some(t0), Some(obs)) = (t0, &self.obs) {
-                            obs.next_us.record(t0.elapsed().as_secs_f64() * 1e6);
-                        }
-                    }
-                    Ok(produced)
-                }
-                Err(payload) => Err(panic_message(&*payload)),
-            }
-        };
-        let produced = match attempt {
+        // A crashing `next_tuple` is supervised — backoff and retry with
+        // the same instance — not a dead topology.
+        let t0 = self.next_sampler.hit().then(Instant::now);
+        let produced = match self.sup.work(|| self.spout.next_tuple()) {
             Ok(produced) => produced,
             Err(why) => {
-                self.panics.add(1);
-                self.ctx.metrics.task_panic();
-                match self.tracker.on_panic(self.ctx.run_start.elapsed()) {
-                    RestartDecision::Restart(backoff) => {
-                        let t0 = Instant::now();
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                        self.restarts.add(1);
-                        self.ctx.metrics.task_restart();
-                        if let Some(h) = &self.restart_us {
-                            h.record(t0.elapsed().as_secs_f64() * 1e6);
-                        }
-                        return SpoutStep::Progress;
-                    }
-                    RestartDecision::Escalate => {
-                        {
-                            let mut slot = self.ctx.failure.lock().unwrap();
-                            if slot.is_none() {
-                                *slot = Some(format!(
-                                    "spout '{}' task {} escalated: restart budget exhausted \
-                                     ({} restarts in the last {:?}): {why}",
-                                    self.ctx.name,
-                                    self.ctx.task,
-                                    self.tracker.restarts_in_window(self.ctx.run_start.elapsed()),
-                                    self.tracker.policy().window,
-                                ));
-                            }
-                        }
-                        self.ctx.metrics.escalated();
-                        self.ctx.abort.store(true, Ordering::Relaxed);
-                        self.ctx.unclean.store(true, Ordering::Relaxed);
-                        self.done = true;
-                        return SpoutStep::Done;
-                    }
+                if self.sup.on_panic(&self.ctx, "spout", &why, || Ok(())) {
+                    return SpoutStep::Progress;
                 }
+                self.done = true;
+                return SpoutStep::Done;
             }
         };
         match produced {
             Some(t) => {
+                if let (Some(t0), Some(obs)) = (t0, &self.obs) {
+                    obs.next_us.record(t0.elapsed().as_secs_f64() * 1e6);
+                }
                 self.process(t);
                 SpoutStep::Progress
             }
             None => self.idle_step(),
         }
+    }
+
+    fn semantics(&self) -> Semantics {
+        self.ctx.run.config.semantics
     }
 
     /// Route one produced tuple downstream.
@@ -336,14 +219,14 @@ impl SpoutCore {
             self.local_auto
         };
         t.lineage = local;
-        match self.ctx.semantics {
+        match self.semantics() {
             Semantics::AtMostOnce => {
                 t.root = 0;
                 self.emit.push(&t, false);
             }
             Semantics::AtLeastOnce => {
                 self.root_counter += 1;
-                let root = encode_root(self.ctx.task, self.root_counter);
+                let root = encode_root(self.ctx.id, self.root_counter);
                 t.root = root;
                 let born = self.ack_sampler.hit().then(Instant::now);
                 self.in_flight.insert(root, (local, born));
@@ -365,7 +248,7 @@ impl SpoutCore {
             }
         }
         if let Some(new_wm) = adv {
-            self.emit.broadcast_watermark(self.ctx.wm_source, new_wm, false);
+            self.emit.broadcast_watermark(self.ctx.id, new_wm, false);
         }
     }
 
@@ -376,15 +259,15 @@ impl SpoutCore {
         // this point bumps the sequence, and the runner's re-check of
         // `seen` re-activates the slot instead of sleeping on missed
         // progress.
-        let seen = self.ctx.ack_seq.load(Ordering::Acquire);
+        let seen = self.ctx.run.ack_seq.load(Ordering::Acquire);
         // Idle: ship partial batches and settle before deciding.
         self.emit.flush_all();
         let mut progressed = 0;
-        if self.ctx.semantics == Semantics::AtLeastOnce {
+        if self.semantics() == Semantics::AtLeastOnce {
             self.since_settle = 0;
             progressed = self.settle();
         }
-        let done = match self.ctx.semantics {
+        let done = match self.semantics() {
             Semantics::AtMostOnce => true,
             Semantics::AtLeastOnce => self.spout.pending() == 0,
         };
@@ -409,17 +292,17 @@ impl SpoutCore {
         }
         if let Some((adv, max_ts)) = idle_mark {
             if let Some(new_wm) = adv {
-                self.emit.broadcast_watermark(self.ctx.wm_source, new_wm, false);
+                self.emit.broadcast_watermark(self.ctx.id, new_wm, false);
             }
-            self.emit.broadcast_watermark(self.ctx.wm_source, max_ts, true);
+            self.emit.broadcast_watermark(self.ctx.id, max_ts, true);
         }
         if progressed > 0 {
             // Roots settled: the run is draining, not stuck.
             self.exhausted_at = None;
         }
         let started = *self.exhausted_at.get_or_insert_with(Instant::now);
-        if started.elapsed() > self.ctx.shutdown_timeout {
-            self.ctx.unclean.store(true, Ordering::Relaxed);
+        if started.elapsed() > self.ctx.run.config.shutdown_timeout {
+            self.ctx.run.unclean.store(true, Ordering::Relaxed);
             self.finish();
             self.done = true;
             return SpoutStep::Done;
@@ -436,7 +319,7 @@ impl SpoutCore {
             // pending window downstream fires before the flush phase.
             // (FIFO order puts this marker ahead of the coordinator's
             // `Flush`, which is only sent after spouts are joined.)
-            self.emit.broadcast_watermark(self.ctx.wm_source, u64::MAX, false);
+            self.emit.broadcast_watermark(self.ctx.id, u64::MAX, false);
         }
     }
 
@@ -448,11 +331,11 @@ impl SpoutCore {
         let obs = self.obs.as_ref();
         let visit_start = obs.map(|_| Instant::now());
         let (completed, failed) = {
-            let mut acker = self.ctx.acker.lock().unwrap();
+            let mut acker = self.ctx.run.acker.lock().expect("acker lock poisoned");
             for (root, xor) in self.pending_inits.drain(..) {
                 acker.init(root, xor);
             }
-            acker.expire(self.ctx.ack_timeout);
+            acker.expire(self.ctx.run.config.ack_timeout);
             (acker.take_completed(), acker.take_failed())
         };
         let mut settled = 0u64;
@@ -460,11 +343,11 @@ impl SpoutCore {
         let mut requeue_failed = Vec::new();
         for root in completed {
             let (task, _) = decode_root(root);
-            if task == self.ctx.task {
+            if task == self.ctx.id {
                 if let Some((local, born)) = self.in_flight.remove(&root) {
                     self.spout.ack(local);
                     self.quarantine.counts.remove(&local);
-                    self.ctx.metrics.root_acked();
+                    self.ctx.run.metrics.root_acked();
                     settled += 1;
                     if let (Some(obs), Some(born)) = (obs, born) {
                         obs.ack_us.record(born.elapsed().as_secs_f64() * 1e6);
@@ -477,9 +360,9 @@ impl SpoutCore {
         }
         for root in failed {
             let (task, _) = decode_root(root);
-            if task == self.ctx.task {
+            if task == self.ctx.id {
                 if let Some((local, _)) = self.in_flight.remove(&root) {
-                    self.ctx.metrics.root_failed();
+                    self.ctx.run.metrics.root_failed();
                     let replays = self.quarantine.counts.entry(local).or_insert(0);
                     *replays += 1;
                     if self.quarantine.max_replays.is_some_and(|max| *replays > max) {
@@ -493,16 +376,16 @@ impl SpoutCore {
                             .unwrap_or_else(|| tuple_of([local as i64]));
                         t.lineage = local;
                         t.root = 0;
-                        self.ctx.metrics.root_quarantined();
+                        self.ctx.run.metrics.root_quarantined();
                         self.quarantine.dlq.add(1);
-                        super::sink_slot(&self.ctx.sink, &self.quarantine.key)
+                        super::sink_slot(&self.ctx.run.sink, &self.quarantine.key)
                             .lock()
                             .unwrap()
                             .push(t);
                     } else if self.spout.fail(local) {
                         // Replay is the spout's decision: only count one
                         // when the spout actually requeued the message.
-                        self.ctx.metrics.root_replayed();
+                        self.ctx.run.metrics.root_replayed();
                     }
                     settled += 1;
                 }
@@ -512,7 +395,7 @@ impl SpoutCore {
         }
         let requeued = !requeue_completed.is_empty() || !requeue_failed.is_empty();
         if requeued {
-            let mut acker = self.ctx.acker.lock().unwrap();
+            let mut acker = self.ctx.run.acker.lock().expect("acker lock poisoned");
             for root in requeue_completed {
                 acker.requeue_completed(root);
             }

@@ -10,7 +10,8 @@
 //! * **Isolation (Heron).** Every spout `next_tuple` and bolt
 //!   `execute`/`flush`/`on_watermark`/`on_idle` call runs under
 //!   `catch_unwind`: a panic kills the *call*, not the worker thread,
-//!   and never the topology.
+//!   and never the topology. One supervisor (`executor/task.rs`) does
+//!   this for both task kinds, using the policy and tracker below.
 //! * **Restart (Storm's supervisor / Heron's stream manager).** A
 //!   [`RestartPolicy`] grants each task a budget of restarts inside a
 //!   sliding window, with a deterministic (jitterless) exponential
@@ -29,12 +30,10 @@
 //!   replayed forever (the classic poison-tuple defence).
 //!
 //! [`FaultPlan`] is the one chaos harness: per-component panic
-//! probability, per-link drop/delay injection, and checkpoint-write
-//! failure injection (armed onto a
-//! [`crate::checkpoint::CheckpointStore`] with
-//! [`FaultPlan::arm_store`]), all seeded and deterministic.
+//! probability, per-link drop/delay injection, and storage I/O faults
+//! (applied through [`FaultPlan::wrap_storage`]), all seeded and
+//! deterministic.
 
-use crate::checkpoint::CheckpointStore;
 use crate::storage::{FaultyStorage, Storage, StorageFaults};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -172,8 +171,8 @@ impl RestartTracker {
 
 /// A declarative chaos plan: which faults to inject where, under one
 /// seed. The executor applies the panic and link faults
-/// (`ExecutorConfig::faults`); checkpoint-write faults are armed onto a
-/// store explicitly with [`FaultPlan::arm_store`], since stores live
+/// (`ExecutorConfig::faults`); storage faults wrap a storage handle
+/// explicitly with [`FaultPlan::wrap_storage`], since stores live
 /// outside the executor.
 ///
 /// Component lookups fall back to the `""` entry, so
@@ -191,9 +190,6 @@ pub struct FaultPlan {
     /// Per-component `(probability, delay)` injected before an outgoing
     /// batch send (network latency spikes).
     link_delay: Vec<(String, (f64, Duration))>,
-    /// Probability that a `CheckpointStore::commit_batch` call fails
-    /// (applied via [`FaultPlan::arm_store`]).
-    commit_fail_prob: f64,
     /// Storage-level I/O faults (torn appends, bit flips, transient
     /// errors, latency), applied via [`FaultPlan::wrap_storage`].
     storage_faults: Option<StorageFaults>,
@@ -210,7 +206,6 @@ impl FaultPlan {
         self.panic_prob.is_empty()
             && self.link_drop.is_empty()
             && self.link_delay.is_empty()
-            && self.commit_fail_prob == 0.0
             && self.storage_faults.is_none()
     }
 
@@ -233,18 +228,6 @@ impl FaultPlan {
     pub fn delay_on(mut self, component: &str, prob: f64, delay: Duration) -> Self {
         self.link_delay.push((component.to_string(), (prob, delay)));
         self
-    }
-
-    /// Builder: checkpoint-write failure probability (take effect via
-    /// [`FaultPlan::arm_store`]).
-    pub fn fail_commits(mut self, prob: f64) -> Self {
-        self.commit_fail_prob = prob;
-        self
-    }
-
-    /// Install the plan's checkpoint-write faults on `store`.
-    pub fn arm_store(&self, store: &CheckpointStore) {
-        store.inject_commit_failures(self.commit_fail_prob, self.seed ^ 0xC0117);
     }
 
     /// Builder: storage-level I/O faults ([`StorageFaults`]), taking

@@ -182,33 +182,41 @@ fn at_least_once_no_loss_under_panics_drops_and_kill() {
 
 /// Exactly-once under panics + drops (no kill): a full run with bolt
 /// factories lands on counts identical to the ground truth — every
-/// replayed tuple deduplicated, every restart recovered from the
-/// checkpoint.
+/// replayed tuple deduplicated, every restart recovered. Run once with
+/// the panics in `wc` (each restart rebuilds the bolt from its
+/// checkpoint) and once in the `log` spout (each restart resumes the
+/// same instance in place).
 #[test]
 fn exactly_once_exact_under_panics_and_drops() {
-    for scheduling in schedulings() {
-        let log = Log::new(1).unwrap();
-        let truth = fill_log(&log, 2_000, 43);
-        let store = CheckpointStore::new();
-        let faults = FaultPlan::new(99).panic_on("wc", 0.01).drop_on("log", 0.01);
+    for victim in ["wc", "log"] {
+        for scheduling in schedulings() {
+            let log = Log::new(1).unwrap();
+            let truth = fill_log(&log, 2_000, 43);
+            let store = CheckpointStore::new();
+            let faults = FaultPlan::new(99).panic_on(victim, 0.01).drop_on("log", 0.01);
 
-        let result = run_topology(
-            eo_wordcount(&log, &store, 0, None),
-            chaos_config(faults, None, scheduling),
-        )
-        .unwrap();
-        assert!(result.clean_shutdown);
-        assert_eq!(
-            merged_counts(&result.outputs),
-            truth,
-            "{scheduling:?}: chaos perturbed the exact counts"
-        );
+            let result = run_topology(
+                eo_wordcount(&log, &store, 0, None),
+                chaos_config(faults, None, scheduling),
+            )
+            .unwrap();
+            assert!(result.clean_shutdown, "{victim} {scheduling:?}: unclean");
+            assert_eq!(
+                merged_counts(&result.outputs),
+                truth,
+                "{victim} {scheduling:?}: chaos perturbed the exact counts"
+            );
 
-        let snap = result.metrics.snapshot();
-        assert!(snap.task_panics > 0, "{scheduling:?}: chaos plan never fired");
-        assert!(snap.task_restarts > 0);
-        assert_eq!(snap.escalations, 0);
-        assert!(snap.counters.get("wc.restarts").copied().unwrap_or(0) > 0);
+            let snap = result.metrics.snapshot();
+            let panics = snap.counter(&format!("{victim}.panics"));
+            assert!(
+                snap.counter(&format!("{victim}.restarts")) > 0,
+                "{victim} {scheduling:?}: chaos plan never fired"
+            );
+            assert_eq!(panics, snap.task_panics, "{victim} {scheduling:?}: panics misattributed");
+            assert_eq!(snap.task_restarts, snap.task_panics, "every panic must be forgiven");
+            assert_eq!(snap.escalations, 0);
+        }
     }
 }
 
@@ -299,5 +307,32 @@ fn per_component_restart_override_wins() {
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("relay.panics"), 0, "{scheduling:?}: boom's panic blamed on relay");
         assert!(snap.counter("boom.panics") > 0, "{scheduling:?}: boom's panic not counted");
+    }
+}
+
+/// A spout escalation names its own component and its task index
+/// within that component — not a counter over every spout task.
+/// `b`'s only task is task 0, even though it is the second spout task.
+#[test]
+fn spout_escalation_names_the_spout_and_its_task() {
+    for scheduling in schedulings() {
+        let mut tb = TopologyBuilder::new();
+        tb.set_spout("a", vec![vec_spout((0..50).map(|i| tuple_of([i])).collect())]);
+        tb.set_spout("b", vec![vec_spout((0..50).map(|i| tuple_of([i])).collect())])
+            .restart(RestartPolicy::none());
+        let sink = |_: &Tuple, _: &mut OutputCollector| {};
+        tb.set_bolt("sink", vec![Box::new(sink) as Box<dyn Bolt>]).shuffle("a").shuffle("b");
+
+        let config = chaos_config(FaultPlan::new(5).panic_on("b", 1.0), None, scheduling);
+        let metrics = Metrics::new();
+        let err = run_topology_with(tb, config, metrics.clone())
+            .expect_err("b's first panic must escalate");
+        assert!(
+            err.to_string().contains("spout 'b' task 0 escalated"),
+            "{scheduling:?}: wrong spout or task: {err}"
+        );
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter("b.panics"), 1, "{scheduling:?}");
+        assert_eq!(snap.counter("a.panics"), 0, "{scheduling:?}: b's panic blamed on a");
     }
 }
