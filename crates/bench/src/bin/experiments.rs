@@ -5,8 +5,11 @@
 //! cargo run --release -p sa-bench --bin experiments t1.4 t2    # some
 //! ```
 //!
-//! Each experiment prints the rows recorded in EXPERIMENTS.md and also
-//! appends machine-readable JSON to `experiments_results.json`.
+//! Each experiment prints the rows recorded in EXPERIMENTS.md; the rows
+//! of this run, and only those, are written as JSON to
+//! `out/experiments_results.json`. `scripts/full.sh` runs every
+//! experiment and copies that file over the tracked
+//! `experiments_results.json`.
 
 use sa_bench::{f, mps, row, section, timed};
 use sa_core::generators::*;
@@ -68,6 +71,44 @@ fn rows_to_json(rows: &[JsonRow]) -> String {
     out
 }
 
+type Experiment = fn(&mut Recorder);
+
+/// Every experiment by its CLI id, in the order a full run executes them.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("t1.1", t1_1_sampling),
+    ("t1.2", t1_2_filtering),
+    ("t1.3", t1_3_correlation),
+    ("t1.4", t1_4_cardinality),
+    ("t1.5", t1_5_quantiles),
+    ("t1.6", t1_6_moments),
+    ("t1.7", t1_7_frequent),
+    ("t1.8", t1_8_inversions),
+    ("t1.9", t1_9_subsequences),
+    ("t1.10", t1_10_paths),
+    ("t1.11", t1_11_anomaly),
+    ("t1.12", t1_12_patterns),
+    ("t1.13", t1_13_prediction),
+    ("t1.14", t1_14_clustering),
+    ("t1.15", t1_15_graph),
+    ("t1.16", t1_16_basic_counting),
+    ("t1.17", t1_17_significant),
+    ("t2", t2_platform),
+    ("t2.b", t2_batch_ablation),
+    ("t2.c", t2c_recovery),
+    ("t2.d", t2d_observability),
+    ("t2.e", t2e_event_time),
+    ("t2.f", t2f_supervision),
+    ("t2.g", t2g_query_serving),
+    ("t2.h", t2h_scheduler),
+    ("t2.j", t2j_rescale),
+    ("t2.k", t2k_durability),
+    ("f1", f1_lambda),
+    ("s2.h", s2_histograms),
+    ("s2.w", s2_wavelets),
+];
+
+const RESULTS: &str = "out/experiments_results.json";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // The T2.K kill -9 harness re-execs this binary as its victim; the
@@ -76,142 +117,23 @@ fn main() {
         t2k_child();
         return;
     }
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id || a == "all");
+    // A typo must not pass as an empty run that still writes results.
+    let known = |a: &str| a == "all" || EXPERIMENTS.iter().any(|(id, _)| *id == a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        eprintln!("unknown experiment '{bad}'; known: all {}", ids.join(" "));
+        std::process::exit(2);
+    }
     let mut r = Recorder { rows: Vec::new(), current: String::new() };
-
-    if want("t1.1") {
-        t1_1_sampling(&mut r);
-    }
-    if want("t1.2") {
-        t1_2_filtering(&mut r);
-    }
-    if want("t1.3") {
-        t1_3_correlation(&mut r);
-    }
-    if want("t1.4") {
-        t1_4_cardinality(&mut r);
-    }
-    if want("t1.5") {
-        t1_5_quantiles(&mut r);
-    }
-    if want("t1.6") {
-        t1_6_moments(&mut r);
-    }
-    if want("t1.7") {
-        t1_7_frequent(&mut r);
-    }
-    if want("t1.8") {
-        t1_8_inversions(&mut r);
-    }
-    if want("t1.9") {
-        t1_9_subsequences(&mut r);
-    }
-    if want("t1.10") {
-        t1_10_paths(&mut r);
-    }
-    if want("t1.11") {
-        t1_11_anomaly(&mut r);
-    }
-    if want("t1.12") {
-        t1_12_patterns(&mut r);
-    }
-    if want("t1.13") {
-        t1_13_prediction(&mut r);
-    }
-    if want("t1.14") {
-        t1_14_clustering(&mut r);
-    }
-    if want("t1.15") {
-        t1_15_graph(&mut r);
-    }
-    if want("t1.16") {
-        t1_16_basic_counting(&mut r);
-    }
-    if want("t1.17") {
-        t1_17_significant(&mut r);
-    }
-    if want("t2") {
-        t2_platform(&mut r);
-    }
-    if want("t2.b") {
-        t2_batch_ablation(&mut r);
-    }
-    if want("t2.c") {
-        t2c_recovery(&mut r);
-    }
-    if want("t2.d") {
-        t2d_observability(&mut r);
-    }
-    if want("t2.e") {
-        t2e_event_time(&mut r);
-    }
-    if want("t2.f") {
-        t2f_supervision(&mut r);
-    }
-    if want("t2.g") {
-        t2g_query_serving(&mut r);
-    }
-    if want("t2.h") {
-        t2h_scheduler(&mut r);
-    }
-    if want("t2.j") {
-        t2j_rescale(&mut r);
-    }
-    if want("t2.k") {
-        t2k_durability(&mut r);
-    }
-    if want("f1") {
-        f1_lambda(&mut r);
-    }
-    if want("s2.h") {
-        s2_histograms(&mut r);
-    }
-    if want("s2.w") {
-        s2_wavelets(&mut r);
-    }
-
-    let total = merge_results("experiments_results.json", &r.rows);
-    println!("\n[{} rows fresh, {total} total in experiments_results.json]", r.rows.len());
-}
-
-/// Merge this invocation's rows into the results file: rows from
-/// experiments *not* re-run this time survive, so a partial run (e.g.
-/// the CI `query` gate running only t2.g) no longer clobbers the rest
-/// of the table. Returns the total row count written.
-fn merge_results(path: &str, fresh: &[JsonRow]) -> usize {
-    let rerun: std::collections::HashSet<&str> =
-        fresh.iter().map(|r| r.experiment.as_str()).collect();
-    let mut lines: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        for line in existing.lines() {
-            let t = line.trim();
-            if !t.starts_with('{') {
-                continue;
-            }
-            // Row lines look like {"experiment": "T2.F", ...} — the id
-            // is the second quoted string.
-            let id = t.split('"').nth(3).unwrap_or("");
-            if !id.is_empty() && !rerun.contains(id) {
-                lines.push(t.trim_end_matches(',').to_string());
-            }
+    for (id, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a == id || a == "all") {
+            run(&mut r);
         }
     }
-    let rendered = rows_to_json(fresh);
-    lines.extend(
-        rendered
-            .lines()
-            .filter(|l| l.trim().starts_with('{'))
-            .map(|l| l.trim().trim_end_matches(',').to_string()),
-    );
-    let total = lines.len();
-    let mut out = String::from("[\n");
-    for (i, line) in lines.iter().enumerate() {
-        let sep = if i + 1 == total { "" } else { "," };
-        out.push_str(&format!("  {line}{sep}\n"));
-    }
-    out.push(']');
-    std::fs::write(path, out).ok();
-    total
+
+    std::fs::create_dir_all("out").expect("create out/");
+    std::fs::write(RESULTS, rows_to_json(&r.rows)).expect("write the results file");
+    println!("\n[{} rows in {RESULTS}]", r.rows.len());
 }
 
 // ---------------------------------------------------------------- T1.1
@@ -1119,30 +1041,31 @@ fn t1_17_significant(r: &mut Recorder) {
 }
 
 // ------------------------------------------------------------------ T2
-fn t2_platform(r: &mut Recorder) {
+/// The nine-task pipeline T2, T2.B and T2.D measure: a spout of `n`
+/// words over 50 keys, four shuffle-grouped echo bolts (`stage1`), then
+/// four fields-grouped echo bolts (`sink`).
+fn echo_topology(n: usize) -> sa_platform::TopologyBuilder {
     use sa_platform::topology::{vec_spout, Bolt};
-    use sa_platform::tuple::tuple_of;
+    use sa_platform::{tuple_of, OutputCollector, TopologyBuilder, Tuple};
+    let tuples: Vec<Tuple> = (0..n).map(|i| tuple_of([format!("w{}", i % 50)])).collect();
+    let mut tb = TopologyBuilder::new();
+    tb.set_spout("src", vec![vec_spout(tuples)]);
+    let echo = || -> Vec<Box<dyn Bolt>> {
+        (0..4)
+            .map(|_| {
+                Box::new(|t: &Tuple, o: &mut OutputCollector| o.emit(t.clone())) as Box<dyn Bolt>
+            })
+            .collect()
+    };
+    tb.set_bolt("stage1", echo()).shuffle("src");
+    tb.set_bolt("sink", echo()).fields("stage1", vec![0]);
+    tb
+}
+
+fn t2_platform(r: &mut Recorder) {
     use sa_platform::*;
     use std::time::Duration;
     r.section("T2", "Streaming platforms — semantics × task→thread driver × failures");
-    let make = |n: usize| -> (TopologyBuilder, i64) {
-        let tuples: Vec<Tuple> = (0..n).map(|i| tuple_of([format!("w{}", i % 50)])).collect();
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("src", vec![vec_spout(tuples)]);
-        let echo: Vec<Box<dyn Bolt>> = (0..4)
-            .map(|_| {
-                Box::new(|t: &Tuple, o: &mut OutputCollector| o.emit(t.clone())) as Box<dyn Bolt>
-            })
-            .collect();
-        tb.set_bolt("stage1", echo).shuffle("src");
-        let sinks: Vec<Box<dyn Bolt>> = (0..4)
-            .map(|_| {
-                Box::new(|t: &Tuple, o: &mut OutputCollector| o.emit(t.clone())) as Box<dyn Bolt>
-            })
-            .collect();
-        tb.set_bolt("sink", sinks).fields("stage1", vec![0]);
-        (tb, n as i64)
-    };
     let n = 100_000;
     // Heron-style = a dedicated thread per task over bounded inboxes;
     // the Storm-style arm multiplexes all nine tasks over one shared
@@ -1160,7 +1083,7 @@ fn t2_platform(r: &mut Recorder) {
         ),
         ("heron-style, at-least-once, 2% loss", heron, Semantics::AtLeastOnce, 0.02),
     ] {
-        let (tb, truth) = make(n);
+        let tb = echo_topology(n);
         let (res, secs) = timed(|| {
             run_topology(
                 tb,
@@ -1175,12 +1098,12 @@ fn t2_platform(r: &mut Recorder) {
             )
             .unwrap()
         });
-        let delivered = res.outputs.get("sink").map_or(0, Vec::len) as i64;
+        let delivered = res.outputs.get("sink").map_or(0, Vec::len);
         let snap = res.metrics.snapshot();
         r.row(
             label,
             &[
-                ("delivered", format!("{delivered}/{truth}")),
+                ("delivered", format!("{delivered}/{n}")),
                 ("acked", snap.acked_roots.to_string()),
                 ("replayed", snap.replayed_roots.to_string()),
                 ("lost_msgs", snap.dropped_links.to_string()),
@@ -1197,35 +1120,15 @@ fn t2_platform(r: &mut Recorder) {
 /// synchronisation amortised over the batch) and what each guarantee
 /// costs on top.
 fn t2_batch_ablation(r: &mut Recorder) {
-    use sa_platform::topology::{vec_spout, Bolt};
-    use sa_platform::tuple::tuple_of;
     use sa_platform::*;
     use std::time::Duration;
     r.section("T2.B", "Batching ablation — batch_size × semantics, word-count throughput");
     let n = 100_000;
-    let make = || -> TopologyBuilder {
-        let tuples: Vec<Tuple> = (0..n).map(|i| tuple_of([format!("w{}", i % 50)])).collect();
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("src", vec![vec_spout(tuples)]);
-        let split: Vec<Box<dyn Bolt>> = (0..4)
-            .map(|_| {
-                Box::new(|t: &Tuple, o: &mut OutputCollector| o.emit(t.clone())) as Box<dyn Bolt>
-            })
-            .collect();
-        tb.set_bolt("stage1", split).shuffle("src");
-        let sinks: Vec<Box<dyn Bolt>> = (0..4)
-            .map(|_| {
-                Box::new(|t: &Tuple, o: &mut OutputCollector| o.emit(t.clone())) as Box<dyn Bolt>
-            })
-            .collect();
-        tb.set_bolt("sink", sinks).fields("stage1", vec![0]);
-        tb
-    };
     for (sem_label, semantics) in
         [("at-most-once", Semantics::AtMostOnce), ("at-least-once", Semantics::AtLeastOnce)]
     {
         for batch_size in [1usize, 8, 64, 256] {
-            let tb = make();
+            let tb = echo_topology(n);
             let (res, secs) = timed(|| {
                 run_topology(
                     tb,
@@ -1406,32 +1309,12 @@ fn t2c_recovery(r: &mut Recorder) {
 /// layer makes visible — ack latency quantiles, batch occupancy, queue
 /// high-water marks, and backpressure stalls per batch size.
 fn t2d_observability(r: &mut Recorder) {
-    use sa_platform::topology::{vec_spout, Bolt};
-    use sa_platform::tuple::tuple_of;
     use sa_platform::*;
     use std::time::Duration;
     r.section("T2.D", "Observability — instrumentation overhead & latency vs batch size");
     let n = 100_000;
-    let make = |n: usize| -> TopologyBuilder {
-        let tuples: Vec<Tuple> = (0..n).map(|i| tuple_of([format!("w{}", i % 50)])).collect();
-        let mut tb = TopologyBuilder::new();
-        tb.set_spout("src", vec![vec_spout(tuples)]);
-        let split: Vec<Box<dyn Bolt>> = (0..4)
-            .map(|_| {
-                Box::new(|t: &Tuple, o: &mut OutputCollector| o.emit(t.clone())) as Box<dyn Bolt>
-            })
-            .collect();
-        tb.set_bolt("stage1", split).shuffle("src");
-        let sinks: Vec<Box<dyn Bolt>> = (0..4)
-            .map(|_| {
-                Box::new(|t: &Tuple, o: &mut OutputCollector| o.emit(t.clone())) as Box<dyn Bolt>
-            })
-            .collect();
-        tb.set_bolt("sink", sinks).fields("stage1", vec![0]);
-        tb
-    };
     let run = |n: usize, batch_size: usize, sample_every: u32| {
-        let tb = make(n);
+        let tb = echo_topology(n);
         timed(|| {
             run_topology(
                 tb,
@@ -1509,7 +1392,7 @@ fn t2d_observability(r: &mut Recorder) {
     // Tight queues (capacity 8 instead of 1024): the stall counter
     // surfaces the backpressure the bounded executor model applies.
     {
-        let tb = make(n);
+        let tb = echo_topology(n);
         let (res, secs) = timed(|| {
             run_topology(
                 tb,
@@ -1653,68 +1536,17 @@ fn t2e_event_time(r: &mut Recorder) {
 
 // ---------------------------------------------------------------- T2.F
 fn t2f_supervision(r: &mut Recorder) {
-    use sa_core::synopsis::Synopsis;
     use sa_platform::log::Record;
-    use sa_platform::topology::{Bolt, BoltBuilder, OutputCollector, Spout};
+    use sa_platform::topology::{Bolt, OutputCollector, Spout};
     use sa_platform::tuple::tuple_of;
     use sa_platform::*;
-    use sa_sketches::heavy_hitters::SpaceSaving;
     use std::time::Duration;
     r.section("T2.F", "Supervision — recovery latency & goodput vs panic rate × backoff");
 
-    // A skewed word stream in a durable log, with ground-truth counts.
     const N: usize = 10_000;
-    const WC_TASKS: usize = 2;
     let log = Log::new(1).unwrap();
-    let mut rng = SplitMix64::new(2026);
-    let mut truth: HashMap<String, u64> = HashMap::new();
-    for _ in 0..N {
-        let i = rng.next_below(30).min(rng.next_below(30));
-        let word = format!("w{i:02}");
-        *truth.entry(word.clone()).or_default() += 1;
-        log.append(&word, Vec::new());
-    }
-
-    // Exactly-once wordcount with bolt *factories*: a supervised
-    // restart rebuilds each task from its checkpoint, mid-run.
-    let build = |store: &CheckpointStore| {
-        let mut tb = TopologyBuilder::new();
-        let spout = LogSpout::new(&log, 0, 0, 0, |rec: &Record| tuple_of([rec.key.as_str()]))
-            .with_frontier(store, "log.frontier", 32);
-        tb.set_spout("log", vec![Box::new(spout) as Box<dyn Spout>]);
-        let mut builders: Vec<BoltBuilder> = Vec::new();
-        for task in 0..WC_TASKS {
-            let store = store.clone();
-            builders.push(Box::new(move || {
-                let update = |t: &Tuple, s: &mut SpaceSaving<String>| {
-                    s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
-                };
-                // Commit cadence must beat the panic rate (see
-                // examples/supervised.rs): rare checkpoints burn each
-                // restart's progress on rebuild churn.
-                let cfg = OperatorConfig { checkpoint_every: 25, ..Default::default() };
-                let bolt = SynopsisBolt::with_config(
-                    &format!("wc/{task}"),
-                    &store,
-                    SpaceSaving::new(64).unwrap(),
-                    update,
-                    cfg,
-                )?;
-                Ok(Box::new(bolt) as Box<dyn Bolt>)
-            }));
-        }
-        tb.set_bolt("wc", builders).fields("log", vec![0]);
-        tb
-    };
-    let merged = |outputs: &HashMap<String, Vec<Tuple>>| -> HashMap<String, u64> {
-        let mut global = SpaceSaving::<String>::new(64).unwrap();
-        for t in &outputs["wc"] {
-            let mut part = SpaceSaving::<String>::new(64).unwrap();
-            part.restore(t.get(1).unwrap().as_bytes().unwrap()).unwrap();
-            global.merge(&part).unwrap();
-        }
-        global.heavy_hitters(0.0).into_iter().map(|h| (h.item, h.count)).collect()
-    };
+    let truth = wordcount_fill(&log, N, 2026);
+    let build = |store: &CheckpointStore| wordcount_topology(&log, store, 32, None);
 
     // The sweep: how much goodput does panic isolation cost, and how
     // much does the backoff schedule add to recovery latency? A
@@ -1744,7 +1576,7 @@ fn t2f_supervision(r: &mut Recorder) {
             let (res, secs) = timed(|| run_topology(build(&store), config).unwrap());
             let snap = res.metrics.snapshot();
             let restart = snap.histogram("wc.restart_us").copied().unwrap_or_default();
-            let exact = merged(&res.outputs) == truth;
+            let exact = wordcount_merged(&res.outputs) == truth;
             r.row(
                 &format!("panic={:>4.1}% backoff={:>5}µs", panic_prob * 100.0, backoff_us),
                 &[
@@ -1880,7 +1712,7 @@ fn t2g_query_serving(r: &mut Recorder) {
     }
     lambda.run_batch(); // a populated batch view; the storm refills speed
 
-    let mut bench_rows = Vec::new();
+    let mut p99s = Vec::new();
     for readers in [1usize, 4, 16] {
         let done = Arc::new(AtomicBool::new(false));
         let storm = {
@@ -1938,23 +1770,10 @@ fn t2g_query_serving(r: &mut Recorder) {
                 ("speed_epoch", lambda.metrics().gauge("speed.epoch").unwrap_or(0).to_string()),
             ],
         );
-        bench_rows.push((readers, reads_s, p50_us, p99_us, ingest_s));
+        p99s.push(p99_us);
     }
-
-    // Persist the sweep for trend lines. The 16-reader/1-reader p99
-    // ratio is a reported number from one wall-clock run, not a gate.
-    let ratio = bench_rows[2].3 / bench_rows[0].3.max(1e-9);
-    let mut out = String::from("{\n  \"experiment\": \"t2.g\",\n  \"rows\": [\n");
-    for (i, (readers, reads_s, p50, p99, ingest_s)) in bench_rows.iter().enumerate() {
-        let sep = if i + 1 == bench_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"readers\": {readers}, \"reads_per_s\": {reads_s:.0}, \
-             \"p50_us\": {p50:.2}, \"p99_us\": {p99:.2}, \"ingest_per_s\": {ingest_s:.0}}}{sep}\n"
-        ));
-    }
-    out.push_str(&format!("  ],\n  \"p99_ratio_16_over_1\": {ratio:.2}\n}}\n"));
-    std::fs::write("BENCH_query.json", out).ok();
-    println!("  [p99 16-reader/1-reader ratio: {ratio:.2} -> BENCH_query.json]");
+    // A reported number from one wall-clock run, not a gate.
+    r.row("p99 16 readers / 1 reader", &[("ratio", f(p99s[2] / p99s[0].max(1e-9)))]);
 }
 
 // ---------------------------------------------------------------- T2.H
@@ -2015,19 +1834,20 @@ fn t2h_scheduler(r: &mut Recorder) {
         assert_eq!(res.outputs.get("io").map_or(0, Vec::len), wide_n);
         wide_n as f64 / secs / 1e3
     };
-    let mut wide_rows: Vec<(String, f64)> = Vec::new();
     let tpt = run_wide(Scheduling::ThreadPerTask);
-    wide_rows.push(("wide64, thread-per-task (65 threads)".into(), tpt));
+    r.row(
+        "wide64, thread-per-task (65 threads)",
+        &[("Ktuples/s", f(tpt)), ("n", wide_n.to_string())],
+    );
     let mut by_workers = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let ktps = run_wide(Scheduling::WorkStealing { workers });
-        by_workers.push((workers, ktps));
-        wide_rows.push((format!("wide64, work-stealing workers={workers}"), ktps));
+        r.row(
+            &format!("wide64, work-stealing workers={workers}"),
+            &[("Ktuples/s", f(ktps)), ("n", wide_n.to_string())],
+        );
+        by_workers.push(ktps);
     }
-    for (label, ktps) in &wide_rows {
-        r.row(label, &[("Ktuples/s", f(*ktps)), ("n", wide_n.to_string())]);
-    }
-    let scaling = by_workers[2].1 / by_workers[0].1.max(1e-9);
 
     let chain_n = 200_000usize;
     let run_chain = |scheduling: Scheduling| -> f64 {
@@ -2067,33 +1887,17 @@ fn t2h_scheduler(r: &mut Recorder) {
         r.row(label, &[("Ktuples/s", f(ktps)), ("n", chain_n.to_string())]);
     }
 
-    // Persist for trend lines. The ratios come from one wall-clock run
-    // each and are reported, not gated; `cores` says how far the 1 → 4
-    // worker scaling can go on this host.
+    // The ratios come from one wall-clock run each and are reported, not
+    // gated; `cores` says how far the 1 → 4 worker scaling can go on
+    // this host.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n  \"experiment\": \"t2.h\",\n  \"wide64_ktuples_s\": [\n");
-    out.push_str(&format!(
-        "    {{\"scheduler\": \"thread-per-task\", \"ktuples_s\": {tpt:.1}}},\n"
-    ));
-    for (i, (workers, ktps)) in by_workers.iter().enumerate() {
-        let sep = if i + 1 == by_workers.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"scheduler\": \"work-stealing\", \"workers\": {workers}, \
-             \"ktuples_s\": {ktps:.1}}}{sep}\n"
-        ));
-    }
-    let ws8 = by_workers[3].1;
-    let ws8_over_tpt = ws8 / tpt.max(1e-9);
-    out.push_str(&format!(
-        "  ],\n  \"chain3_ktuples_s\": {{\"ws1\": {chain_ws1:.1}, \
-         \"thread_per_task\": {chain_tpt:.1}}},\n  \
-         \"ws_scaling_4_over_1\": {scaling:.2},\n  \"ws8_over_tpt\": {ws8_over_tpt:.2},\n  \
-         \"cores\": {cores}\n}}\n"
-    ));
-    std::fs::write("BENCH_sched.json", out).ok();
-    println!(
-        "  [wide64 ws 1->4 scaling: {scaling:.2}x, ws8/tpt: {ws8_over_tpt:.2}x \
-         -> BENCH_sched.json]"
+    r.row(
+        "ratios",
+        &[
+            ("ws_scaling_4_over_1", f(by_workers[2] / by_workers[0].max(1e-9))),
+            ("ws8_over_tpt", f(by_workers[3] / tpt.max(1e-9))),
+            ("cores", cores.to_string()),
+        ],
     );
 }
 
@@ -2209,56 +2013,32 @@ fn t2j_rescale(r: &mut Recorder) {
     let served = view.global().expect("view published").value;
     let exact_ok = truth.iter().all(|(k, &c)| served.estimate(k) == c);
     let table = ctl.table_of(&agg).unwrap();
-    let scaled_up = scaler.peak > 1;
-    let drained = scaler.active() < scaler.peak;
 
+    // Whether it scaled up (peak_active > 1) and drained (final_active <
+    // peak_active) is timing-dependent and only recorded; exactness is
+    // the bar.
     r.row(
         "storm",
         &[
             ("Ktuples/s", f(total / wall.as_secs_f64() / 1e3)),
+            ("wall_ms", f(wall.as_secs_f64() * 1e3)),
             ("peak_active", scaler.peak.to_string()),
             ("final_active", scaler.active().to_string()),
             ("ups", scaler.scale_ups.to_string()),
             ("downs", scaler.scale_downs.to_string()),
+            ("installs", table.rescales().to_string()),
             ("migrated_groups", table.migrated_groups().to_string()),
+            ("ticks", scaler.ticks.len().to_string()),
             ("exact", exact_ok.to_string()),
         ],
     );
-
-    let out = format!(
-        "{{\n  \"experiment\": \"t2.j\",\n  \"tuples\": {},\n  \"wall_ms\": {:.1},\n  \
-         \"peak_active\": {},\n  \"final_active\": {},\n  \"scale_ups\": {},\n  \
-         \"scale_downs\": {},\n  \"rescales_installed\": {},\n  \"migrated_groups\": {},\n  \
-         \"autoscaler_ticks\": {},\n  \"scaled_up\": {scaled_up},\n  \"drained\": {drained},\n  \
-         \"rescale_exact_ok\": {exact_ok}\n}}\n",
-        total as u64,
-        wall.as_secs_f64() * 1e3,
-        scaler.peak,
-        scaler.active(),
-        scaler.scale_ups,
-        scaler.scale_downs,
-        table.rescales(),
-        table.migrated_groups(),
-        scaler.ticks.len(),
-    );
-    std::fs::write("BENCH_rescale.json", out).ok();
-    println!(
-        "  [peak {} -> final {}, {} up / {} down, exact: {exact_ok} -> BENCH_rescale.json]",
-        scaler.peak,
-        scaler.active(),
-        scaler.scale_ups,
-        scaler.scale_downs
-    );
+    assert!(exact_ok, "t2.j: served counts drifted through a live migration");
 }
 
-// ---------------------------------------------------------------- T2.K
-
-/// Records in the T2.K kill -9 child's stream.
-const T2K_KILL_N: usize = 3_000;
+// ----------------------------------------------- word count (T2.F, T2.K)
 
 /// Skewed word stream appended to `log`; returns its exact counts.
-#[cfg(unix)]
-fn t2k_fill(log: &sa_platform::Log, n: usize, seed: u64) -> HashMap<String, u64> {
+fn wordcount_fill(log: &sa_platform::Log, n: usize, seed: u64) -> HashMap<String, u64> {
     let mut rng = SplitMix64::new(seed);
     let mut truth: HashMap<String, u64> = HashMap::new();
     for _ in 0..n {
@@ -2269,6 +2049,76 @@ fn t2k_fill(log: &sa_platform::Log, n: usize, seed: u64) -> HashMap<String, u64>
     }
     truth
 }
+
+/// Log spout with a committed-offset frontier (stored every
+/// `frontier_every` settled records) feeding two fields-grouped exact
+/// SpaceSaving word counters (k = 64 > 30 distinct words, so any lost or
+/// double-applied record shows up as a count mismatch). The bolts are
+/// builders, so a supervised restart rebuilds a task from its checkpoint
+/// mid-run.
+fn wordcount_topology(
+    log: &sa_platform::Log,
+    store: &sa_platform::CheckpointStore,
+    frontier_every: u64,
+    throttle: Option<std::time::Duration>,
+) -> sa_platform::TopologyBuilder {
+    use sa_platform::{
+        tuple_of, Bolt, BoltBuilder, LogSpout, OperatorConfig, Record, Spout, SynopsisBolt,
+        TopologyBuilder, Tuple,
+    };
+    use sa_sketches::heavy_hitters::SpaceSaving;
+    let mut tb = TopologyBuilder::new();
+    let spout = LogSpout::new(log, 0, 0, 0, |r: &Record| tuple_of([r.key.as_str()])).with_frontier(
+        store,
+        "log.frontier",
+        frontier_every,
+    );
+    tb.set_spout("log", vec![Box::new(spout) as Box<dyn Spout>]);
+    let mut builders: Vec<BoltBuilder> = Vec::new();
+    for task in 0..2 {
+        let store = store.clone();
+        builders.push(Box::new(move || {
+            let update = move |t: &Tuple, s: &mut SpaceSaving<String>| {
+                if let Some(d) = throttle {
+                    std::thread::sleep(d);
+                }
+                s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
+            };
+            // Commit cadence must beat the panic rate (see
+            // examples/supervised.rs): rare checkpoints burn each
+            // restart's progress on rebuild churn.
+            let cfg = OperatorConfig { checkpoint_every: 25, ..Default::default() };
+            let bolt = SynopsisBolt::with_config(
+                &format!("wc/{task}"),
+                &store,
+                SpaceSaving::new(64).unwrap(),
+                update,
+                cfg,
+            )?;
+            Ok(Box::new(bolt) as Box<dyn Bolt>)
+        }));
+    }
+    tb.set_bolt("wc", builders).fields("log", vec![0]);
+    tb
+}
+
+/// Merge the per-task flush snapshots back into one exact count table.
+fn wordcount_merged(outputs: &HashMap<String, Vec<sa_platform::Tuple>>) -> HashMap<String, u64> {
+    use sa_core::Synopsis;
+    use sa_sketches::heavy_hitters::SpaceSaving;
+    let mut global = SpaceSaving::<String>::new(64).unwrap();
+    for t in &outputs["wc"] {
+        let mut part = SpaceSaving::<String>::new(64).unwrap();
+        part.restore(t.get(1).unwrap().as_bytes().unwrap()).unwrap();
+        global.merge(&part).unwrap();
+    }
+    global.heavy_hitters(0.0).into_iter().map(|h| (h.item, h.count)).collect()
+}
+
+// ---------------------------------------------------------------- T2.K
+
+/// Records in the T2.K kill -9 child's stream.
+const T2K_KILL_N: usize = 3_000;
 
 /// The durable log under `root`, group-committed every 32 appends.
 fn t2k_open_log(root: &std::path::Path) -> sa_platform::Log {
@@ -2285,62 +2135,6 @@ fn t2k_open_store(root: &std::path::Path) -> sa_platform::CheckpointStore {
     let storage: Arc<dyn Storage> = Arc::new(DiskStorage::new(root).unwrap());
     let cfg = DurableConfig { sync: SyncPolicy::EveryN(8), ..Default::default() };
     CheckpointStore::durable(storage, "ckpt", cfg).unwrap()
-}
-
-/// Log spout with a committed-offset frontier feeding two fields-grouped
-/// exact SpaceSaving word counters (k = 64 > 30 distinct words, so any
-/// lost or double-applied record shows up as a count mismatch).
-fn t2k_topology(
-    log: &sa_platform::Log,
-    store: &sa_platform::CheckpointStore,
-    throttle: Option<std::time::Duration>,
-) -> sa_platform::TopologyBuilder {
-    use sa_platform::{
-        tuple_of, Bolt, LogSpout, OperatorConfig, Record, Spout, SynopsisBolt, TopologyBuilder,
-        Tuple,
-    };
-    use sa_sketches::heavy_hitters::SpaceSaving;
-    let mut tb = TopologyBuilder::new();
-    let spout = LogSpout::new(log, 0, 0, 0, |r: &Record| tuple_of([r.key.as_str()])).with_frontier(
-        store,
-        "log.frontier",
-        16,
-    );
-    tb.set_spout("log", vec![Box::new(spout) as Box<dyn Spout>]);
-    let mut bolts: Vec<Box<dyn Bolt>> = Vec::new();
-    for task in 0..2 {
-        let update = move |t: &Tuple, s: &mut SpaceSaving<String>| {
-            if let Some(d) = throttle {
-                std::thread::sleep(d);
-            }
-            s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
-        };
-        let bolt = SynopsisBolt::with_config(
-            &format!("wc/{task}"),
-            store,
-            SpaceSaving::new(64).unwrap(),
-            update,
-            OperatorConfig { checkpoint_every: 25, ..Default::default() },
-        )
-        .unwrap();
-        bolts.push(Box::new(bolt));
-    }
-    tb.set_bolt("wc", bolts).fields("log", vec![0]);
-    tb
-}
-
-/// Merge the per-task flush snapshots back into one exact count table.
-#[cfg(unix)]
-fn t2k_merged(outputs: &HashMap<String, Vec<sa_platform::Tuple>>) -> HashMap<String, u64> {
-    use sa_core::Synopsis;
-    use sa_sketches::heavy_hitters::SpaceSaving;
-    let mut global = SpaceSaving::<String>::new(64).unwrap();
-    for t in &outputs["wc"] {
-        let mut part = SpaceSaving::<String>::new(64).unwrap();
-        part.restore(t.get(1).unwrap().as_bytes().unwrap()).unwrap();
-        global.merge(&part).unwrap();
-    }
-    global.heavy_hitters(0.0).into_iter().map(|h| (h.item, h.count)).collect()
 }
 
 /// Total bytes on disk under `dir` (recursive) — the parent's progress
@@ -2367,7 +2161,7 @@ fn t2k_child() {
     let root = std::path::PathBuf::from(root);
     let log = t2k_open_log(&root);
     let store = t2k_open_store(&root);
-    let tb = t2k_topology(&log, &store, Some(std::time::Duration::from_micros(150)));
+    let tb = wordcount_topology(&log, &store, 16, Some(std::time::Duration::from_micros(150)));
     let _ = run_topology(
         tb,
         ExecutorConfig {
@@ -2396,12 +2190,15 @@ fn t2k_kill9(root: &std::path::Path) -> (bool, u64, f64) {
         seed: 7,
         ..Default::default()
     };
-    let truth = t2k_fill(&t2k_open_log(root), T2K_KILL_N, 42);
+    let truth = wordcount_fill(&t2k_open_log(root), T2K_KILL_N, 42);
     // Uninterrupted exactly-once reference on an in-memory store.
-    let reference = t2k_merged(
-        &run_topology(t2k_topology(&t2k_open_log(root), &CheckpointStore::new(), None), cfg())
-            .unwrap()
-            .outputs,
+    let reference = wordcount_merged(
+        &run_topology(
+            wordcount_topology(&t2k_open_log(root), &CheckpointStore::new(), 16, None),
+            cfg(),
+        )
+        .unwrap()
+        .outputs,
     );
 
     let exe = std::env::current_exe().unwrap();
@@ -2429,8 +2226,9 @@ fn t2k_kill9(root: &std::path::Path) -> (bool, u64, f64) {
     let log = t2k_open_log(root);
     let store = t2k_open_store(root);
     let offset = frontier_offset(&store, "log.frontier");
-    let recovered =
-        t2k_merged(&run_topology(t2k_topology(&log, &store, None), cfg()).unwrap().outputs);
+    let recovered = wordcount_merged(
+        &run_topology(wordcount_topology(&log, &store, 16, None), cfg()).unwrap().outputs,
+    );
     let recover_ms = t0.elapsed().as_secs_f64() * 1e3;
     let exact =
         killed && offset < T2K_KILL_N as u64 && recovered == truth && recovered == reference;
@@ -2521,45 +2319,30 @@ fn t2k_durability(r: &mut Recorder) {
             ("fsyncs", group_fsyncs.to_string()),
             ("wal_replay_ms", f(group_wal)),
             ("snap_replay_ms", f(group_snap)),
+            ("speedup_vs_fsync_every", f(always_secs / group_secs)),
         ],
     );
-    let speedup = always_secs / group_secs;
 
-    let kill_root = root.join("kill9");
+    // A host that cannot SIGKILL a child cannot evaluate the crash: its
+    // row reads skipped, never false or true.
     #[cfg(unix)]
-    let (kill9_exact_ok, replayed, recover_ms) = t2k_kill9(&kill_root);
+    let kill9 = Some(t2k_kill9(&root.join("kill9")));
     #[cfg(not(unix))]
-    let (kill9_exact_ok, replayed, recover_ms) = {
-        let _ = &kill_root;
-        (false, 0u64, 0.0f64)
+    let kill9: Option<(bool, u64, f64)> = None;
+    let _ = std::fs::remove_dir_all(&root);
+    let Some((exact, replayed, recover_ms)) = kill9 else {
+        r.row("kill -9", &[("exact", "skipped: needs SIGKILL".to_string())]);
+        return;
     };
     r.row(
         "kill -9",
         &[
             ("replayed", format!("{replayed}/{T2K_KILL_N}")),
             ("recover_ms", f(recover_ms)),
-            ("exact", kill9_exact_ok.to_string()),
+            ("exact", exact.to_string()),
         ],
     );
-
-    let out = format!(
-        "{{\n  \"experiment\": \"t2.k\",\n  \"commits\": {COMMITS},\n  \
-         \"memory_commits_per_s\": {:.0},\n  \"fsync_every_commits_per_s\": {:.0},\n  \
-         \"group_commit_commits_per_s\": {:.0},\n  \"group_commit_speedup\": {speedup:.2},\n  \
-         \"fsync_every_fsyncs\": {always_fsyncs},\n  \"group_commit_fsyncs\": {group_fsyncs},\n  \
-         \"wal_replay_ms\": {group_wal:.2},\n  \"snapshot_recover_ms\": {group_snap:.2},\n  \
-         \"kill9_replayed\": {replayed},\n  \"kill9_recover_ms\": {recover_ms:.1},\n  \
-         \"kill9_exact_ok\": {kill9_exact_ok}\n}}\n",
-        COMMITS as f64 / mem_secs,
-        COMMITS as f64 / always_secs,
-        COMMITS as f64 / group_secs,
-    );
-    std::fs::write("BENCH_durability.json", out).ok();
-    println!(
-        "  [group-commit {speedup:.2}x vs fsync-every, kill -9 exact: {kill9_exact_ok} \
-         -> BENCH_durability.json]"
-    );
-    let _ = std::fs::remove_dir_all(&root);
+    assert!(exact, "t2.k: kill -9 recovery is not bit-identical to ground truth");
 }
 
 // ---------------------------------------------------------------- S2.H
