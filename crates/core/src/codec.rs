@@ -74,6 +74,13 @@ impl ByteWriter {
         self
     }
 
+    /// Append bytes produced by another writer verbatim (no length
+    /// prefix), e.g. a cached sub-record.
+    pub fn put_raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
     /// Write a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) -> &mut Self {
         self.put_bytes(v.as_bytes())

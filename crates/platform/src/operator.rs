@@ -181,7 +181,13 @@ pub trait OperatorState: Send {
 
     /// The checkpoint's snapshot payload (the shell wraps it in the
     /// `last applied id` envelope, see [`decode_checkpoint`]).
-    fn encode(&self) -> Vec<u8>;
+    ///
+    /// Takes `&mut self` so a state may cache encoded parts between
+    /// commits and re-encode only what changed since the last call (the
+    /// window state caches one record per pane). Contract: the output
+    /// must equal, byte for byte, what a full encode of the same state
+    /// from scratch would produce.
+    fn encode(&mut self) -> Vec<u8>;
 
     /// Replace the state with a decoded snapshot payload.
     fn restore(&mut self, payload: &[u8]) -> Result<()>;
@@ -624,7 +630,7 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> OperatorState for Syno
         (self.update)(input, &mut self.summary);
     }
 
-    fn encode(&self) -> Vec<u8> {
+    fn encode(&mut self) -> Vec<u8> {
         self.summary.snapshot()
     }
 

@@ -58,9 +58,11 @@ echo "== experiment kick-tires (serving, scheduler, rescale, durability) =="
 cargo run --release -q -p sa-bench --bin experiments t2.g t2.h t2.j t2.k
 
 echo "== benchmark smoke (repo benchmark builds, runs, matches its reference) =="
-# One quick workload, untraced and traced; run.sh exits non-zero on a
-# reference mismatch.
+# Two quick workloads, untraced and traced; run.sh exits non-zero on a
+# reference mismatch. drain_mem is the saturated path; paced_mem is the
+# open-loop one, where the aggregation tasks commit on every idle.
 bash benchmark/run.sh --quick --workload drain_mem > /dev/null
+bash benchmark/run.sh --quick --workload paced_mem > /dev/null
 
 if $in_git; then
     echo "== tree unchanged =="
