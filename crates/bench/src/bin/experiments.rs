@@ -1516,6 +1516,13 @@ fn t2e_event_time(r: &mut Recorder) {
             ));
         }
         let emitted = res.outputs.get("win").map(Vec::len).unwrap_or(0);
+        let amended = emitted - distinct.len();
+        // The table's claim, checked: nothing is dropped exactly when
+        // bound + lateness covers the stream's disorder, and lateness
+        // with a bound short of it amends windows that fired early.
+        let cell = format!("t2.e: bound={bound} lateness={lateness}");
+        assert_eq!(dropped == 0, bound + lateness >= DISORDER, "{cell}: {dropped} dropped");
+        assert!(lateness == 0 || bound >= DISORDER || amended > 0, "{cell}: nothing amended");
         r.row(
             &format!("bound={bound:>2} lateness={lateness:>2}"),
             &[
@@ -1525,7 +1532,7 @@ fn t2e_event_time(r: &mut Recorder) {
                 ),
                 ("dropped_late", dropped.to_string()),
                 ("windows", distinct.len().to_string()),
-                ("amended", (emitted - distinct.len()).to_string()),
+                ("amended", amended.to_string()),
                 ("fired", fired.to_string()),
                 ("settle_delay", (bound + lateness).to_string()),
                 ("Ktuples/s", f(total as f64 / secs / 1e3)),

@@ -81,7 +81,7 @@ pub use storage::{
     DiskStorage, FaultyStorage, MemStorage, Storage, StorageFaults, StorageStats, SyncPolicy,
 };
 pub use supervise::{panic_message, FaultPlan, RestartDecision, RestartPolicy, RestartTracker};
-pub use time::{TimerService, WatermarkConfig, WatermarkGen, WatermarkMerger};
+pub use time::{WatermarkConfig, WatermarkGen, WatermarkMerger};
 pub use topology::{
     vec_spout, Bolt, BoltBuilder, BoltFactory, BoltHandle, Grouping, IntoBoltFactory,
     OutputCollector, Scheduling, Spout, SpoutHandle, TopologyBuilder, VecSpout,

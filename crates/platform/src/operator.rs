@@ -58,15 +58,13 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::log::{Log, Record};
-use crate::metrics::{CounterHandle, Metrics};
+use crate::metrics::{CounterHandle, HistogramHandle, Metrics};
 use crate::rescale::{group_key, key_group, Shard, KEY_GROUPS};
 use crate::supervise::RestartPolicy;
 use crate::topology::{Bolt, OutputCollector, Spout};
 use crate::tuple::{Tuple, Value};
 use sa_core::codec::{ByteReader, ByteWriter};
-use sa_core::traits::QuantileSketch;
 use sa_core::{Merge, Result, SaError, Synopsis};
-use sa_sketches::quantiles::GkSketch;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -252,15 +250,15 @@ pub struct Checkpointed<St> {
     /// replay cycle that did *not* happen).
     commit_retries: u64,
     /// `{component}.commit_failures` / `{component}.commit_retries`
-    /// counters, wired by [`Bolt::register_metrics`] when the bolt runs
-    /// under an executor (absent when driven standalone).
+    /// counters and the `{component}.commit_us` histogram of commit
+    /// (encode + store write + gc) latency, wired by
+    /// [`Bolt::register_metrics`] when the bolt runs under an executor
+    /// (absent when driven standalone).
     commit_failures_ctr: Option<CounterHandle>,
     commit_retries_ctr: Option<CounterHandle>,
-    /// Commit (encode + store write + gc) latency in µs — the bolt
-    /// observes its own checkpoint cost with the repo's GK sketch.
-    commit_us: GkSketch,
-    /// Time spent restoring checkpoints, in µs (`None`: none restored).
-    restore_us: Option<f64>,
+    commit_us: Option<HistogramHandle>,
+    /// Whether any slot was restored from a checkpoint.
+    recovered: bool,
 }
 
 impl<St: OperatorState> Checkpointed<St> {
@@ -282,8 +280,8 @@ impl<St: OperatorState> Checkpointed<St> {
             commit_retries: 0,
             commit_failures_ctr: None,
             commit_retries_ctr: None,
-            commit_us: GkSketch::new(0.005).expect("valid commit-latency epsilon"),
-            restore_us: None,
+            commit_us: None,
+            recovered: false,
         };
         me.open_slot(0, Arc::from(key), state)?;
         Ok(me)
@@ -301,7 +299,7 @@ impl<St: OperatorState> Checkpointed<St> {
     where
         St: Clone,
     {
-        let pristine = self.restore_us.is_none() && self.sharding.is_none();
+        let pristine = !self.recovered && self.sharding.is_none();
         let Some(slot) = self.slots.pop().filter(|_| pristine) else {
             let why = "needs an unsharded operator whose own key holds no checkpoint";
             return Err(SaError::invalid("sharded", why));
@@ -317,10 +315,9 @@ impl<St: OperatorState> Checkpointed<St> {
     fn open_slot(&mut self, group: usize, key: Arc<str>, mut state: St) -> Result<usize> {
         let mut last_applied = 0;
         if let Some((_, value)) = self.store.get(&key) {
-            let restore_start = Instant::now();
             let (applied, payload) = decode_checkpoint(&value)?;
             state.restore(&payload)?;
-            *self.restore_us.get_or_insert(0.0) += restore_start.elapsed().as_secs_f64() * 1e6;
+            self.recovered = true;
             last_applied = applied;
         }
         let at = self.slots.partition_point(|s| s.group < group);
@@ -471,7 +468,9 @@ impl<St: OperatorState> Checkpointed<St> {
         if let Some(horizon) = self.cfg.gc_horizon {
             self.store.gc(&slot.key, slot.last_applied.saturating_sub(horizon));
         }
-        self.commit_us.insert(commit_start.elapsed().as_secs_f64() * 1e6);
+        if let Some(h) = &self.commit_us {
+            h.record(commit_start.elapsed().as_secs_f64() * 1e6);
+        }
         if let (true, Some(out)) = (self.cfg.emit_on_commit, partial_to) {
             out.emitted.extend(slot.state.partial(&slot.key, snapshot, slot.last_applied));
         }
@@ -493,7 +492,7 @@ impl<St: OperatorState> Checkpointed<St> {
 
     /// Whether a prior checkpoint was restored.
     pub fn recovered(&self) -> bool {
-        self.restore_us.is_some()
+        self.recovered
     }
 
     /// Replayed tuples dropped by deduplication.
@@ -511,20 +510,6 @@ impl<St: OperatorState> Checkpointed<St> {
     /// surface as a failed commit or a replay.
     pub fn commit_retries(&self) -> u64 {
         self.commit_retries
-    }
-
-    /// Commit-latency quantiles `(p50, p90, p99)` in µs across the
-    /// commits this bolt has performed; `None` before the first commit.
-    pub fn commit_latency_us(&self) -> Option<(f64, f64, f64)> {
-        let q = |phi| self.commit_us.query(phi).unwrap_or(0.0);
-        (self.commit_us.count() > 0).then(|| (q(0.5), q(0.9), q(0.99)))
-    }
-
-    /// How long restoring checkpoints took, in µs — the constructor's
-    /// restore for an unsharded task, summed over restored key-groups
-    /// for a sharded one (`None` when nothing was restored).
-    pub fn restore_us(&self) -> Option<f64> {
-        self.restore_us
     }
 
     /// The live states, in key-group order: one for an unsharded task,
@@ -613,6 +598,7 @@ impl<St: OperatorState> Bolt for Checkpointed<St> {
     fn register_metrics(&mut self, metrics: &Metrics, component: &str) {
         self.commit_failures_ctr = Some(metrics.register(&format!("{component}.commit_failures")));
         self.commit_retries_ctr = Some(metrics.register(&format!("{component}.commit_retries")));
+        self.commit_us = Some(metrics.register_histogram(&format!("{component}.commit_us")));
     }
 }
 
@@ -1174,19 +1160,22 @@ mod tests {
         let mut bolt =
             SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg.clone())
                 .unwrap();
-        assert!(bolt.commit_latency_us().is_none(), "no commits yet");
-        assert!(bolt.restore_us().is_none(), "fresh start restores nothing");
+        let metrics = Metrics::new();
+        bolt.register_metrics(&metrics, "agg");
+        let commit_us = || *metrics.snapshot().histogram("agg.commit_us").expect("registered");
+        assert_eq!(commit_us().count, 0, "no commits yet");
+        assert!(!bolt.recovered(), "fresh start restores nothing");
         let mut out = OutputCollector::new();
         for id in 1..=20u64 {
             bolt.execute(&int_tuple(1, id), &mut out);
         }
-        let (p50, p90, p99) = bolt.commit_latency_us().expect("5 commits happened");
-        assert!(p50 > 0.0 && p50 <= p90 && p90 <= p99, "bad quantiles: {p50} {p90} {p99}");
+        let h = commit_us();
+        assert_eq!(h.count, 5, "one sample per commit");
+        assert!(h.p50 > 0.0 && h.p50 <= h.p90 && h.p90 <= h.p99, "bad quantiles: {h:?}");
         drop(bolt);
         let restarted =
             SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg).unwrap();
         assert!(restarted.recovered());
-        assert!(restarted.restore_us().is_some(), "recovery must time the restore");
     }
 
     /// What an unsharded task stores is a compatibility surface — a

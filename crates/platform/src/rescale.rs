@@ -241,10 +241,11 @@ struct ControllerInner {
 #[derive(Clone, Default)]
 pub struct RescaleController {
     inner: Arc<ControllerInner>,
-    /// How long `resize` waits for every task to acknowledge the
-    /// quiesce before aborting it.
-    quiesce_timeout: Duration,
 }
+
+/// How long [`RescaleController::resize`] waits for every task to
+/// acknowledge the quiesce before aborting it.
+const QUIESCE_TIMEOUT: Duration = Duration::from_secs(5);
 
 impl std::fmt::Debug for RescaleController {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -255,18 +256,9 @@ impl std::fmt::Debug for RescaleController {
 }
 
 impl RescaleController {
-    /// A controller with the default 5 s quiesce timeout.
+    /// A controller with no components registered yet.
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(ControllerInner::default()),
-            quiesce_timeout: Duration::from_secs(5),
-        }
-    }
-
-    /// Override the quiesce-acknowledgement timeout.
-    pub fn with_quiesce_timeout(mut self, timeout: Duration) -> Self {
-        self.quiesce_timeout = timeout;
-        self
+        Self::default()
     }
 
     /// Register (or fetch) the shard table for `component`, compiled
@@ -319,8 +311,8 @@ impl RescaleController {
     /// assignment is installed and replay re-drives the rejected
     /// in-flight tuples to their new owners, which restore migrated
     /// groups from the checkpoint store. If acknowledgements do not
-    /// arrive within the quiesce timeout (component not running, or
-    /// shutting down), the quiesce is aborted and an error returned.
+    /// arrive within 5 s (component not running, or shutting down), the
+    /// quiesce is aborted and an error returned.
     ///
     /// Returns the new active count (which may equal the old one).
     pub fn resize(&self, component: &str, active: usize) -> Result<usize> {
@@ -341,7 +333,7 @@ impl RescaleController {
                 expected += 1;
             }
         }
-        let deadline = Instant::now() + self.quiesce_timeout;
+        let deadline = Instant::now() + QUIESCE_TIMEOUT;
         while table.acks() < expected {
             if Instant::now() > deadline {
                 table.abort_quiesce();
@@ -619,6 +611,27 @@ mod tests {
         assert_eq!(table.active(), 3);
         assert_eq!(ctl.resize("agg", 99).unwrap(), 4, "clamped to slots");
         assert!(ctl.resize("ghost", 2).is_err());
+    }
+
+    /// A controller built by `default()` waits for a task that
+    /// acknowledges the quiesce late instead of aborting at once.
+    #[test]
+    fn default_controller_waits_for_a_late_quiesce_ack() {
+        let ctl = RescaleController::default();
+        let table = ctl.table("agg", 4, 1);
+        let (tx, rx) = crate::channel::channel(None);
+        ctl.register_senders("agg", vec![tx]);
+        let task = {
+            let table = table.clone();
+            std::thread::spawn(move || {
+                assert!(matches!(rx.recv(), Ok(Msg::Rescale)), "the task is kicked");
+                std::thread::sleep(Duration::from_millis(20));
+                table.ack_quiesce(0, table.quiesce_gen());
+            })
+        };
+        assert_eq!(ctl.resize("agg", 2).unwrap(), 2);
+        task.join().unwrap();
+        assert_eq!(table.active(), 2);
     }
 
     type Counter = SynopsisBolt<SpaceSaving<String>, fn(&Tuple, &mut SpaceSaving<String>)>;

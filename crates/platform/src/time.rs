@@ -1,4 +1,4 @@
-//! Event time: watermarks and timers.
+//! Event time: watermarks.
 //!
 //! This module implements the MillWheel-style "notion of logical time"
 //! the paper singles out: a *low watermark* is a promise that no tuple
@@ -7,16 +7,14 @@
 //! out-of-orderness bound), the executor carries them through links as
 //! in-band control markers, and multi-input bolts merge them by taking
 //! the minimum across inputs — so one slow upstream correctly holds
-//! back downstream time. [`TimerService`] turns the advancing watermark
-//! into ordered per-key callbacks, which is what windowed operators
-//! fire on.
+//! back downstream time. A bolt sees each strict advance of its merged
+//! watermark once, through `Bolt::on_watermark`; windowed operators
+//! fire and expire their panes from it (see [`crate::window`]).
 //!
 //! Watermarks here are *logical*: `u64` event-time units, not wall
 //! clock. `u64::MAX` is the end-of-stream watermark a finished source
 //! broadcasts so every pending window fires before shutdown.
 
-use std::collections::{BinaryHeap, HashSet};
-use std::hash::Hash;
 use std::time::Duration;
 
 /// Watermark policy for a topology (set on
@@ -184,61 +182,6 @@ impl WatermarkMerger {
     }
 }
 
-/// Per-key event-time timers, fired in timestamp order as the local
-/// watermark passes them. Registering the same `(time, key)` twice is
-/// a no-op, matching MillWheel's idempotent timer semantics.
-#[derive(Clone, Debug, Default)]
-pub struct TimerService<K: Ord + Hash + Clone> {
-    heap: BinaryHeap<std::cmp::Reverse<(u64, K)>>,
-    registered: HashSet<(u64, K)>,
-}
-
-impl<K: Ord + Hash + Clone> TimerService<K> {
-    /// Empty timer service.
-    pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), registered: HashSet::new() }
-    }
-
-    /// Register a timer for `key` at event time `at`. Returns `false`
-    /// if that exact timer was already pending.
-    pub fn register(&mut self, at: u64, key: K) -> bool {
-        if !self.registered.insert((at, key.clone())) {
-            return false;
-        }
-        self.heap.push(std::cmp::Reverse((at, key)));
-        true
-    }
-
-    /// Pop every timer with deadline `<= wm`, in (time, key) order.
-    pub fn advance(&mut self, wm: u64) -> Vec<(u64, K)> {
-        let mut fired = Vec::new();
-        while let Some(std::cmp::Reverse((at, _))) = self.heap.peek() {
-            if *at > wm {
-                break;
-            }
-            let std::cmp::Reverse((at, key)) = self.heap.pop().expect("peeked");
-            self.registered.remove(&(at, key.clone()));
-            fired.push((at, key));
-        }
-        fired
-    }
-
-    /// Earliest pending deadline.
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.heap.peek().map(|std::cmp::Reverse((at, _))| *at)
-    }
-
-    /// Number of pending timers.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,21 +259,5 @@ mod tests {
         let mut m = WatermarkMerger::new([1]);
         assert_eq!(m.update(9, 10, false), None);
         assert_eq!(m.update(1, 10, false), Some(10));
-    }
-
-    #[test]
-    fn timers_fire_in_order_and_dedup() {
-        let mut t = TimerService::new();
-        assert!(t.register(30, "b"));
-        assert!(t.register(10, "a"));
-        assert!(t.register(10, "z"));
-        assert!(!t.register(10, "a"), "duplicate timer is a no-op");
-        assert_eq!(t.next_deadline(), Some(10));
-        assert_eq!(t.advance(9), vec![]);
-        assert_eq!(t.advance(10), vec![(10, "a"), (10, "z")]);
-        assert!(t.register(10, "a"), "fired timers can be re-registered");
-        assert_eq!(t.advance(100), vec![(10, "a"), (30, "b")]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
     }
 }

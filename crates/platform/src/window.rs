@@ -5,9 +5,11 @@
 //! event-time windows (tumbling, sliding, or session — the vocabulary
 //! shared by every Table-2 system), and folds it into a per-window
 //! [`Synopsis`] aggregate. Windows *fire* when the bolt's merged
-//! watermark passes their end: [`crate::time::TimerService`] turns the
-//! advancing watermark into ordered `(key, window)` callbacks, and the
+//! watermark passes their end, in `(end, key, start)` order, and the
 //! firing emits `[Str(key), Int(start), Int(end), Bytes(snapshot)]`.
+//! The live panes are the only timer state: a pane's window and the
+//! watermark decide when it fires and when it expires, whichever way
+//! the pane was created.
 //!
 //! Lateness semantics (Flink's model, which the survey credits as the
 //! production treatment of out-of-order data):
@@ -23,14 +25,15 @@
 //!   every window it maps to) is diverted to the
 //!   [`OutputCollector::emit_late`] side output and counted by the
 //!   component's `dropped_late` metric — it can no longer change any
-//!   result, but it is not silently discarded.
+//!   result, but it is not silently discarded. Its window's pane was
+//!   dropped when the watermark reached `window.end + lateness`.
 //!
 //! [`WindowBolt`] is the [`Checkpointed`] exactly-once shell over
-//! [`WindowState`] — every `(key, window)` aggregate, the open
-//! sessions and the timers. Dedup, the atomic `commit_batch` of state
-//! plus applied ids, token GC and held acks are the shell's, shared
-//! with [`crate::operator::SynopsisBolt`], so crash recovery via log
-//! replay reproduces the exact window results of an uncrashed run.
+//! [`WindowState`] — every `(key, window)` aggregate and the open
+//! sessions. Dedup, the atomic `commit_batch` of state plus applied
+//! ids, token GC and held acks are the shell's, shared with
+//! [`crate::operator::SynopsisBolt`], so crash recovery via log replay
+//! reproduces the exact window results of an uncrashed run.
 
 use crate::checkpoint::CheckpointStore;
 use crate::operator::{Checkpointed, OperatorConfig, OperatorState};
@@ -95,17 +98,6 @@ impl WindowConfig {
     }
 }
 
-/// What a timer is armed to do.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum TimerKind {
-    /// Watermark passed `window.end`: emit the aggregate.
-    Fire,
-    /// Watermark passed `window.end + lateness`: drop the state.
-    Cleanup,
-}
-
-type TimerKey = (String, Window, TimerKind);
-
 /// One live `(key, window)` aggregate.
 #[derive(Clone)]
 struct Pane<S> {
@@ -127,21 +119,45 @@ impl<S: Synopsis> Pane<S> {
     /// The pane's checkpoint record, encoded now if stale.
     fn record(&mut self, key: &str, win: &Window) -> &[u8] {
         self.record.get_or_insert_with(|| {
-            let mut w = ByteWriter::new();
+            let snapshot = self.agg.snapshot();
+            let mut w = ByteWriter::with_capacity(8 + key.len() + 8 + 8 + 1 + 8 + snapshot.len());
             w.put_str(key)
                 .put_u64(win.start)
                 .put_u64(win.end)
                 .put_bool(self.dirty)
-                .put_bytes(&self.agg.snapshot());
+                .put_bytes(&snapshot);
             w.finish()
         })
+    }
+
+    /// The result tuple of a firing; the pane is clean afterwards.
+    fn fire(&mut self, key: &str, win: Window) -> Tuple {
+        self.dirty = false;
+        self.record = None;
+        Tuple::new(vec![
+            Value::Str(key.into()),
+            Value::Int(win.start as i64),
+            Value::Int(win.end as i64),
+            Value::Bytes(self.agg.snapshot().into()),
+        ])
+        .at(win.end.saturating_sub(1))
+    }
+}
+
+/// When the pane of `w` next needs the watermark: its firing at `end`
+/// until the watermark reaches it, then its expiry at `end + lateness`.
+fn deadline(w: &Window, wm: Option<u64>, lateness: u64) -> u64 {
+    if wm.is_some_and(|wm| w.end <= wm) {
+        w.end.saturating_add(lateness)
+    } else {
+        w.end
     }
 }
 
 const WINDOW_TAG: u8 = b'W';
 
-/// The keyed, windowed [`OperatorState`]: assigners, sessions, timers
-/// and lateness over one synopsis per `(key, window)`. See the module
+/// The keyed, windowed [`OperatorState`]: assigners, sessions and
+/// lateness over one synopsis per `(key, window)`. See the module
 /// docs for semantics. `update` folds one tuple into the per-window
 /// synopsis; `Merge` is required because session windows that grow
 /// together must merge their aggregates.
@@ -154,7 +170,9 @@ pub struct WindowState<S, F> {
     groups: BTreeMap<(String, Window), Pane<S>>,
     /// Open sessions per key (session spec only).
     sessions: HashMap<String, SessionWindows>,
-    timers: crate::time::TimerService<TimerKey>,
+    /// No pane's [`deadline`] is below this (`u64::MAX` when none is
+    /// live), so a watermark below it has nothing to fire or expire.
+    due: u64,
     /// Local watermark (None until the first `on_watermark`).
     wm: Option<u64>,
     /// Session-aggregate merges that failed (incompatible synopses).
@@ -199,7 +217,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
             cfg,
             groups: BTreeMap::new(),
             sessions: HashMap::new(),
-            timers: crate::time::TimerService::new(),
+            due: u64::MAX,
             wm: None,
             merge_errors: 0,
         }
@@ -231,52 +249,27 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
         self.wm.is_some_and(|wm| w.end <= wm)
     }
 
-    /// Arm the fire/cleanup timers for a (key, window) group.
-    fn arm(&mut self, key: &str, w: Window) {
-        self.timers.register(w.end, (key.to_string(), w, TimerKind::Fire));
-        if self.cfg.allowed_lateness > 0 {
-            self.timers.register(
-                w.end.saturating_add(self.cfg.allowed_lateness),
-                (key.to_string(), w, TimerKind::Cleanup),
-            );
-        }
-    }
-
-    /// Emit one window result and mark it clean.
-    fn emit_window(&mut self, key: &str, w: Window, out: &mut OutputCollector) {
-        let Some(state) = self.groups.get_mut(&(key.to_string(), w)) else {
-            return;
-        };
-        state.dirty = false;
-        state.record = None;
-        let snapshot = state.agg.snapshot();
-        out.emit(
-            Tuple::new(vec![
-                Value::Str(key.to_string().into()),
-                Value::Int(w.start as i64),
-                Value::Int(w.end as i64),
-                Value::Bytes(snapshot.into()),
-            ])
-            .at(w.end.saturating_sub(1)),
-        );
+    /// Lower [`WindowState::due`] to the deadline of `w`'s live pane.
+    fn track(&mut self, w: &Window) {
+        self.due = self.due.min(deadline(w, self.wm, self.cfg.allowed_lateness));
     }
 
     /// Fold a tuple into one live (possibly already-fired) window.
     fn apply_to(&mut self, key: &str, w: Window, input: &Tuple, out: &mut OutputCollector) {
-        let entry = self
+        let fired = self.already_fired(&w);
+        let pane = self
             .groups
             .entry((key.to_string(), w))
             .or_insert_with(|| Pane::new(self.template.clone(), false));
-        (self.update)(input, &mut entry.agg);
-        entry.dirty = true;
-        entry.record = None;
-        if self.already_fired(&w) {
+        (self.update)(input, &mut pane.agg);
+        pane.dirty = true;
+        pane.record = None;
+        if fired {
             // Straggler inside the lateness horizon: re-fire now with
             // the amended aggregate (the downstream sees a correction).
-            self.emit_window(key, w, out);
-        } else {
-            self.arm(key, w);
+            out.emit(pane.fire(key, w));
         }
+        self.track(&w);
     }
 
     /// Session-spec path: extend/merge sessions and their aggregates.
@@ -299,14 +292,12 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
             }
         }
         (self.update)(input, &mut agg);
-        self.groups.insert((key.to_string(), merged), Pane::new(agg, true));
-        // Timers for absorbed windows go stale; their firings find no
-        // group and are ignored (lazy deletion).
+        let mut pane = Pane::new(agg, true);
         if self.already_fired(&merged) {
-            self.emit_window(key, merged, out);
-        } else {
-            self.arm(key, merged);
+            out.emit(pane.fire(key, merged));
         }
+        self.groups.insert((key.to_string(), merged), pane);
+        self.track(&merged);
     }
 }
 
@@ -384,20 +375,19 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
         w.finish()
     }
 
-    /// Rebuild groups, sessions, and timers from a snapshot payload.
+    /// Rebuild groups and sessions from a snapshot payload.
     fn restore(&mut self, bytes: &[u8]) -> Result<()> {
         let mut r = ByteReader::new(bytes);
         r.expect_tag(WINDOW_TAG, "window checkpoint")?;
         let n_groups = r.get_len(17)?;
-        let mut armed = Vec::new();
         for _ in 0..n_groups {
             let key = r.get_str()?;
             let win = Window { start: r.get_u64()?, end: r.get_u64()? };
             let dirty = r.get_bool()?;
             let mut agg = self.template.clone();
             agg.restore(r.get_bytes()?)?;
-            self.groups.insert((key.clone(), win), Pane::new(agg, dirty));
-            armed.push((key, win));
+            self.groups.insert((key, win), Pane::new(agg, dirty));
+            self.track(&win);
         }
         let n_sessions = r.get_len(9)?;
         let WindowSpec::Session { gap } = self.cfg.spec else {
@@ -406,11 +396,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
                     "session state in a non-session window checkpoint".into(),
                 ));
             }
-            r.finish()?;
-            for (key, win) in armed {
-                self.arm(&key, win);
-            }
-            return Ok(());
+            return r.finish();
         };
         for _ in 0..n_sessions {
             let key = r.get_str()?;
@@ -430,37 +416,44 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
             }
             self.sessions.insert(key, sess);
         }
-        r.finish()?;
-        for (key, win) in armed {
-            self.arm(&key, win);
-        }
-        Ok(())
+        r.finish()
     }
 
     fn on_watermark(&mut self, wm: u64, out: &mut OutputCollector) {
         // The executor's merger is monotone; max() guards unit tests
         // driving this directly.
-        self.wm = Some(self.wm.map_or(wm, |prev| prev.max(wm)));
-        for (_at, (key, win, kind)) in self.timers.advance(wm) {
-            match kind {
-                TimerKind::Fire => {
-                    if self.groups.contains_key(&(key.clone(), win)) {
-                        self.emit_window(&key, win, out);
-                        if self.cfg.allowed_lateness == 0 {
-                            self.groups.remove(&(key.clone(), win));
-                            if let Some(sess) = self.sessions.get_mut(&key) {
-                                sess.remove(&win);
-                            }
-                        }
-                    } // else: session absorbed this window — stale timer.
-                }
-                TimerKind::Cleanup => {
-                    self.groups.remove(&(key.clone(), win));
-                    if let Some(sess) = self.sessions.get_mut(&key) {
-                        sess.remove(&win);
-                    }
-                }
+        let prev = self.wm;
+        let wm = prev.map_or(wm, |prev| prev.max(wm));
+        self.wm = Some(wm);
+        if wm < self.due {
+            return;
+        }
+        // One pass over the live panes: fire every window this advance
+        // passed, drop every pane whose lateness ran out (with its
+        // session), and find the next deadline.
+        let lateness = self.cfg.allowed_lateness;
+        let sessions = &mut self.sessions;
+        let (mut fired, mut due) = (Vec::new(), u64::MAX);
+        self.groups.retain(|(key, win), pane| {
+            if win.end <= wm && prev.is_none_or(|prev| prev < win.end) {
+                fired.push((win.end, pane.fire(key, *win)));
             }
+            let next = deadline(win, Some(wm), lateness);
+            if next <= wm {
+                if let Some(sess) = sessions.get_mut(key) {
+                    sess.remove(win);
+                }
+                return false;
+            }
+            due = due.min(next);
+            true
+        });
+        self.due = due;
+        // The map iterates in (key, start) order; a stable sort by end
+        // makes it the (end, key, start) order windows fire in.
+        fired.sort_by_key(|&(end, _)| end);
+        for (_, result) in fired {
+            out.emit(result);
         }
     }
 
@@ -468,14 +461,10 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
         // Emit windows that never fired (no watermark reached them —
         // e.g. watermarks disabled, or an unclean drain). Fired-and-
         // unchanged groups are clean and not repeated.
-        let pending: Vec<(String, Window)> = self
-            .groups
-            .iter()
-            .filter(|(_, st)| st.dirty)
-            .map(|((k, w), _)| (k.clone(), *w))
-            .collect();
-        for (key, win) in pending {
-            self.emit_window(&key, win, out);
+        for ((key, win), pane) in &mut self.groups {
+            if pane.dirty {
+                out.emit(pane.fire(key, *win));
+            }
         }
     }
 }
@@ -596,12 +585,18 @@ mod tests {
         let (_, _, _, agg) = decode_result(&out.emitted[1]);
         assert_eq!(agg, CountSum { n: 2, sum: 11 });
         assert!(out.late.is_empty());
+        // A straggler of a key with no on-time tuple creates its pane
+        // inside the fired window: it fires once, and expires with it.
+        b.execute(&keyed("b", 4, 9, 4), &mut out);
+        assert_eq!(out.emitted.len(), 3, "new-key straggler fires once");
+        let (key, _, _, agg) = decode_result(&out.emitted[2]);
+        assert_eq!((key.as_str(), agg), ("b", CountSum { n: 1, sum: 4 }));
         // Too late: wm 25 ≥ 10 + 15.
         b.on_watermark(25, &mut out);
-        assert_eq!(b.live_windows(), 0, "cleanup timer dropped the state");
+        assert_eq!(b.live_windows(), 0, "expiry dropped both panes");
         b.execute(&keyed("a", 99, 9, 3), &mut out);
         assert_eq!(out.late.len(), 1, "expired window: side output");
-        assert_eq!(out.emitted.len(), 2, "no further firing");
+        assert_eq!(out.emitted.len(), 3, "no further firing");
     }
 
     #[test]
@@ -799,7 +794,8 @@ mod tests {
     /// lateness horizon (re-fires) and past it, watermark fires and
     /// cleanups, drains, and a restore from a mid-sequence checkpoint,
     /// over all three window shapes: after every step the cached encode
-    /// is the full encode, byte for byte.
+    /// is the full encode, byte for byte, and no pane outlived its
+    /// lateness.
     #[test]
     fn cached_encode_equals_a_full_encode_after_every_step() {
         let specs = [
@@ -844,6 +840,11 @@ mod tests {
                     }
                 }
                 assert_eq!(st.encode(), encode_from_scratch(&st), "seed {seed}, step {step}");
+                let expired = st.groups.keys().find(|(_, w)| w.end + cfg.allowed_lateness <= wm);
+                assert!(
+                    expired.is_none(),
+                    "seed {seed}, step {step}: {expired:?} outlived lateness"
+                );
             }
         }
     }

@@ -1,13 +1,17 @@
 //! Data-plane invariants: `All`-grouped fan-out must stay O(1)
 //! allocations per delivered tuple and deliver every tuple to every
-//! target, tuple clones must share their `Arc`-interned payloads, and
-//! the [`Frame`] pivot the benchmark prices must round-trip losslessly.
+//! target, a keyed window must allocate a small constant per tuple,
+//! tuple clones must share their `Arc`-interned payloads, and the
+//! [`Frame`] pivot the benchmark prices must round-trip losslessly.
 
+use sa_core::codec::ByteReader;
 use sa_core::rng::SplitMix64;
+use sa_core::{Merge, Synopsis};
 use sa_platform::topology::vec_spout;
 use sa_platform::{
-    alloc_stats, run_topology, tuple_of, Bolt, ExecutorConfig, Frame, OutputCollector, Semantics,
-    TopologyBuilder, Tuple, Value,
+    alloc_stats, run_topology, tuple_of, Bolt, CheckpointStore, ExecutorConfig, Frame,
+    OutputCollector, Semantics, TopologyBuilder, Tuple, Value, WatermarkConfig, WindowBolt,
+    WindowConfig, WindowSpec,
 };
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -133,6 +137,79 @@ fn all_grouped_fanout_allocs_per_tuple_is_constant() {
     assert!(
         allocs_per_tuple < 8.0,
         "fan-out allocates {allocs_per_tuple:.1} per delivered tuple — payload cloning is back?"
+    );
+}
+
+/// Per-window event count: the window operator's cost is under
+/// measurement, not the synopsis.
+#[derive(Clone, Default)]
+struct Count(u64);
+
+impl Synopsis for Count {
+    fn snapshot(&self) -> Vec<u8> {
+        self.0.to_le_bytes().to_vec()
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> sa_core::Result<()> {
+        let mut r = ByteReader::new(bytes);
+        self.0 = r.get_u64()?;
+        r.finish()
+    }
+}
+
+impl Merge for Count {
+    fn merge(&mut self, other: &Self) -> sa_core::Result<()> {
+        self.0 += other.0;
+        Ok(())
+    }
+}
+
+const WINDOW_KEYS: usize = 100;
+const WINDOW_SIZE: usize = 1_000;
+const WINDOW_TUPLES: usize = 50_000;
+
+/// A keyed tumbling window's panes are its only timer state, so an
+/// applied tuple costs its grouping key and its pane, never a timer
+/// registration: allocations per tuple stay a small constant.
+#[test]
+fn window_bolt_allocs_per_tuple_stay_small() {
+    let _g = serial();
+    let run = |n: usize| -> f64 {
+        let tuples: Vec<Tuple> = (0..n)
+            .map(|i| {
+                let key = format!("k{}", i % WINDOW_KEYS);
+                tuple_of([Value::Str(key.into()), Value::Int(i as i64)]).at(i as u64)
+            })
+            .collect();
+        let mut tb = TopologyBuilder::new();
+        tb.set_spout("src", vec![vec_spout(tuples)]);
+        let cfg = WindowConfig::new(WindowSpec::Tumbling { size: WINDOW_SIZE as u64 }, vec![0])
+            .lateness(100);
+        let count = |_: &Tuple, c: &mut Count| c.0 += 1;
+        let win = WindowBolt::new("win/0", &CheckpointStore::new(), Count::default(), cfg, count);
+        tb.set_bolt("win", vec![Box::new(win.unwrap()) as Box<dyn Bolt>]).fields("src", vec![0]);
+        let (a0, _) = alloc_stats::totals();
+        let result = run_topology(
+            tb,
+            ExecutorConfig {
+                semantics: Semantics::AtMostOnce,
+                watermarks: Some(WatermarkConfig::bounded(5)),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let (a1, _) = alloc_stats::totals();
+        // An in-order stream: every (key, window) fires exactly once.
+        assert_eq!(result.outputs["win"].len(), n / WINDOW_SIZE * WINDOW_KEYS);
+        (a1 - a0) as f64 / n as f64
+    };
+    run(2_000); // warm-up: metrics registration, thread spawns, etc.
+    let allocs_per_tuple = run(WINDOW_TUPLES);
+    // ~5 per tuple (key string, pane key, spout and link bookkeeping);
+    // a per-tuple timer registration adds four more key clones.
+    assert!(
+        allocs_per_tuple < 6.0,
+        "a windowed tuple allocates {allocs_per_tuple:.1} times — per-tuple timers are back?"
     );
 }
 

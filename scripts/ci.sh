@@ -48,14 +48,15 @@ echo "== scheduler gate (driver equivalence, chaos, idle CPU) =="
 # and that the pool's per-worker steal/run/park counters are live).
 cargo run --release -q --example scheduled_wordcount | grep -q "identical counts"
 
-echo "== experiment kick-tires (serving, scheduler, rescale, durability) =="
-# T2.G reader sweep; T2.H driver sweep (asserts clean runs and full
+echo "== experiment kick-tires (event time, serving, scheduler, rescale, durability) =="
+# T2.E watermark bound × lateness through real topologies (asserts
+# which cells drop nothing and which amend fired windows); T2.G reader sweep; T2.H driver sweep (asserts clean runs and full
 # delivery); T2.J autoscaler vs a Zipf hot-key storm through a
 # Parallelism::Auto query (asserts exact counts through every live
 # migration); T2.K fsync discipline and a kill -9 round-trip (asserts
 # bit-identical recovery). Wall-clock ratios and whether T2.J scaled up
 # and drained are recorded in out/, never gated.
-cargo run --release -q -p sa-bench --bin experiments t2.g t2.h t2.j t2.k
+cargo run --release -q -p sa-bench --bin experiments t2.e t2.g t2.h t2.j t2.k
 
 echo "== benchmark smoke (repo benchmark builds, runs, matches its reference) =="
 # Two quick workloads, untraced and traced; run.sh exits non-zero on a

@@ -78,8 +78,7 @@ pub mod prelude {
         QueryResult, Record, RescaleController, RestartDecision, RestartPolicy, RestartTracker,
         RunResult, SchedCounters, Scheduling, Semantics, ServingView, Shard, ShardTable, Spout,
         SpoutHandle, Staleness, Storage, StorageFaults, StorageStats, SyncPolicy, SynopsisBolt,
-        TimerService, TopologyBuilder, Tuple, Value, VecSpout, ViewEntry, ViewHandle, ViewRead,
-        WatermarkConfig, WatermarkGen, WatermarkMerger, WindowBolt, WindowConfig, WindowSpec,
-        KEY_GROUPS,
+        TopologyBuilder, Tuple, Value, VecSpout, ViewEntry, ViewHandle, ViewRead, WatermarkConfig,
+        WatermarkGen, WatermarkMerger, WindowBolt, WindowConfig, WindowSpec, KEY_GROUPS,
     };
 }
