@@ -8,8 +8,9 @@
 //!    append-only set of raw data — our [`crate::log::Log`]) and
 //!    pre-computes batch views — [`LambdaArchitecture::run_batch`].
 //! 3. The **serving layer** indexes the batch views for low-latency
-//!    queries — an epoch-swapped, lock-free [`ServingView`]: each batch
-//!    run publishes a new immutable generation, readers never block.
+//!    queries — an epoch-swapped [`ServingView`]: each batch run
+//!    publishes a new immutable generation, and a reader holds its
+//!    shard's lock for one lookup only.
 //! 4. The **speed layer** handles recent data only, compensating for the
 //!    batch/serving latency — a second [`ServingView`] republished on
 //!    the ingest path (every [`LambdaArchitecture::with_config`]
@@ -24,11 +25,14 @@
 //! point-query latencies, surfaced by
 //! [`LambdaArchitecture::metrics`].
 //!
-//! Writer-side coordination: `ingest` appends to the master log *under*
-//! the speed-layer buffer lock, so a batch run (which takes the same
-//! lock) can never fold an event into the batch view while its
-//! speed-layer increment is still in flight — merged queries stay exact
-//! through concurrent batch runs. Readers never touch that lock.
+//! Coordination: `ingest` appends to the master log *under* the
+//! speed-layer buffer lock, which a batch run also takes, so no event
+//! is folded into the batch view while its speed increment is in
+//! flight. A batch run then publishes the batch view and the emptied
+//! speed view with a swap counter odd in between; a merged query
+//! retries until it read both views under one even count, so it never
+//! counts an event in both layers or in neither. Readers never take
+//! the buffer lock.
 
 use crate::log::Log;
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -56,10 +60,10 @@ pub struct LambdaArchitecture {
     speed: ServingView<i64>,
     /// Speed-layer accumulation buffer (write side only).
     buf: Arc<Mutex<SpeedBuf>>,
-    /// Offset (per partition) up to which the batch views are computed.
-    batch_horizon: Arc<Mutex<Vec<u64>>>,
     /// Total events ingested — the staleness reference point.
     ingested: Arc<AtomicU64>,
+    /// Odd while `run_batch` swaps the two views (see the module docs).
+    swaps: Arc<AtomicU64>,
     /// Publish a speed epoch every this many ingests.
     publish_every: u64,
     /// Registry both views report into.
@@ -87,8 +91,8 @@ impl LambdaArchitecture {
             batch: ServingView::instrumented("batch", &metrics),
             speed: ServingView::instrumented("speed", &metrics),
             buf: Arc::new(Mutex::new(SpeedBuf { table: HashMap::new(), since: 0 })),
-            batch_horizon: Arc::new(Mutex::new(vec![0; partitions])),
             ingested: Arc::new(AtomicU64::new(0)),
+            swaps: Arc::new(AtomicU64::new(0)),
             publish_every: publish_every.max(1),
             metrics,
         })
@@ -124,8 +128,9 @@ impl LambdaArchitecture {
     /// dataset (that is the point of the batch layer: views are always
     /// recomputable from raw data) and publish them as a new serving
     /// epoch; then retire the speed-layer state the new views cover.
-    /// In-flight point queries keep the epoch they pinned; new queries
-    /// see the new views immediately.
+    /// In-flight point queries keep the epoch they read; new queries
+    /// see the new views immediately, and merged queries wait out the
+    /// swap of the two views.
     ///
     /// Returns the number of master records folded in.
     pub fn run_batch(&self) -> u64 {
@@ -143,23 +148,29 @@ impl LambdaArchitecture {
                 folded += 1;
             }
         }
+        self.swaps.fetch_add(1, Ordering::SeqCst);
         self.batch.publish(views, folded);
-        *self.batch_horizon.lock().unwrap() = horizon;
         // Retire the speed layer: everything below the horizon is now
         // served by the batch views (nothing can be above it — ingests
         // are stalled).
         buf.table.clear();
         buf.since = 0;
         self.speed.publish(HashMap::new(), self.ingested.load(Ordering::Relaxed));
+        self.swaps.fetch_add(1, Ordering::SeqCst);
         folded
     }
 
-    /// The deployment's query front door: a clone-cheap, lock-free
-    /// handle answering [`Layer::Batch`] / [`Layer::Speed`] /
-    /// [`Layer::Merged`] point queries with epoch + staleness metadata.
+    /// The deployment's query front door: a clone-cheap handle
+    /// answering [`Layer::Batch`] / [`Layer::Speed`] / [`Layer::Merged`]
+    /// point queries with epoch + staleness metadata.
     /// Hand one to each reader thread.
     pub fn handle(&self) -> QueryHandle {
-        QueryHandle::new(self.batch.clone(), self.speed.clone(), self.ingested.clone())
+        QueryHandle::new(
+            self.batch.clone(),
+            self.speed.clone(),
+            self.ingested.clone(),
+            self.swaps.clone(),
+        )
     }
 
     /// Stage 5: answer a query by merging the batch view (serving

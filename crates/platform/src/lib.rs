@@ -35,7 +35,10 @@
 //! under failures (failure-injection tests), and incremental scale-out
 //! (parallelism sweeps in t18).
 
+#![deny(unsafe_code)]
+
 pub mod acker;
+#[allow(unsafe_code)] // A `GlobalAlloc` impl is `unsafe` by definition.
 pub mod alloc_stats;
 pub mod channel;
 pub mod checkpoint;

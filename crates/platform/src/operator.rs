@@ -76,9 +76,6 @@ pub struct OperatorConfig {
     /// Smaller = less replay after a crash, more commit overhead (the
     /// t2.c experiment sweeps this).
     pub checkpoint_every: u64,
-    /// Also commit on `flush()` (topology drain). Leave on unless a
-    /// test wants to observe the purely periodic schedule.
-    pub commit_on_flush: bool,
     /// After each commit, free dedup tokens more than this far below
     /// the newest applied id. Safe when upstream record ids reach the
     /// task in non-decreasing order with reordering smaller than the
@@ -107,7 +104,6 @@ impl Default for OperatorConfig {
     fn default() -> Self {
         Self {
             checkpoint_every: 256,
-            commit_on_flush: true,
             gc_horizon: Some(65_536),
             emit_on_commit: false,
             commit_retry: Some(RestartPolicy { max_restarts: 3, ..RestartPolicy::default() }),
@@ -582,13 +578,11 @@ impl<St: OperatorState> Bolt for Checkpointed<St> {
             // slots; their final state is still owed downstream.
             self.restore_owned().unwrap_or_else(|e| panic!("key-group restore failed: {e}"));
         }
-        if self.cfg.commit_on_flush {
-            for i in 0..self.slots.len() {
-                self.commit(i, None);
-            }
-            if self.all_durable() {
-                out.release_acks();
-            }
+        for i in 0..self.slots.len() {
+            self.commit(i, None);
+        }
+        if self.all_durable() {
+            out.release_acks();
         }
         for slot in &mut self.slots {
             slot.state.drain(&slot.key, out);

@@ -4,7 +4,7 @@
 //! hashtags", "p99 latency per minute" — not a hand-wired bolt graph.
 //! [`Query`] is the declarative plan builder; [`AggQuery::serve`] names
 //! the continuously-updated result view; `compile` lowers the plan into
-//! a validated [`TopologyBuilder`] topology plus a lock-free
+//! a validated [`TopologyBuilder`] topology plus an epoch-swapped
 //! [`ServingView`] the running topology publishes into:
 //!
 //! ```text
@@ -478,7 +478,8 @@ pub struct ViewEntry<S> {
 }
 
 /// Reader handle onto a compiled query's serving view. Clone freely
-/// across threads; every read is lock-free (see [`ServingView`]).
+/// across threads; a read holds its thread's reader shard for one
+/// lookup and never waits on the topology (see [`ServingView`]).
 pub struct ViewHandle<S> {
     view: ServingView<ViewEntry<S>>,
 }

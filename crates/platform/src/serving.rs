@@ -1,55 +1,36 @@
-//! The serving index: a lock-free, epoch-swapped table for the Lambda
+//! The serving index: an epoch-swapped table for the Lambda
 //! Architecture's stage 3 (and for every view compiled by
 //! [`crate::query`]).
 //!
 //! The paper's serving layer "indexes batch views for low-latency
-//! queries" — the operational requirement is that *many* concurrent
-//! readers sustain point/merge queries while a writer (the speed layer,
-//! or a batch run) publishes new views. A mutex-guarded map serialises
-//! every reader behind the writer (and behind each other: a lock
-//! convoy); [`ServingView`] removes both:
-//!
-//! * **Readers are lock-free.** Each published generation is an
-//!   immutable [`EpochData`] behind an `Arc`, installed into one slot
-//!   of a small ring. A reader *pins* the current slot (one sharded
-//!   atomic increment), re-checks that the slot is still current, reads
-//!   straight from the immutable table, and unpins. No mutex, no CAS
-//!   retry loop on the hot path, and point queries never touch a shared
-//!   reference count — sixteen readers scale because the only shared
-//!   writes land on per-thread indicator shards.
-//! * **The writer never blocks readers.** Publishing builds the next
-//!   epoch off to the side, waits for the *oldest* slot in the ring to
-//!   drain (readers pinned there finished `SLOTS` generations ago),
-//!   installs the new epoch there, and swings the `current` index.
-//!   In-flight readers keep the epoch they pinned; new readers see the
-//!   new one. Epochs are therefore monotonically non-decreasing per
-//!   reader and a read is never torn across generations.
-//!
-//! The safety argument for the two `unsafe` blocks is spelled out
-//! inline; `tests/serving.rs` drives seeded writer/reader interleavings
-//! (including full ring wrap-arounds) to enforce the protocol's two
-//! observable guarantees: no torn reads, monotone epochs.
+//! queries": many readers sustain point/merge queries while a writer
+//! (the speed layer, or a batch run) publishes new views.
+//! [`ServingView`] does it in safe code. Each publish builds an
+//! immutable [`EpochData`] off to the side and shares it as an `Arc`,
+//! so no read is ever torn. Eight cache-line-aligned shards, each a
+//! `RwLock<Arc<EpochData>>`, hold the newest generation; a reader
+//! thread is assigned one shard round-robin and read-locks it for one
+//! lookup, so sixteen readers do not convoy on one lock word. `publish`
+//! write-locks shard 0 (which serialises publishers), swaps every other
+//! shard's `Arc`, then shard 0's. A thread always reads the same shard,
+//! so its epochs never go backwards. The trade: a publish may wait, per
+//! shard, for a reader holding it for one lookup and value clone. A
+//! replaced generation is freed once no [`ServingView::snapshot`] holds
+//! it. `tests/serving.rs` drives seeded writer/reader interleavings
+//! against both guarantees: no torn reads, monotone epochs.
 //!
 //! [`QueryHandle`] composes two views — batch and speed — into the
 //! paper's stage-5 merged query, tagging every answer with its epoch
 //! and [`Staleness`] metadata.
 
 use crate::metrics::{GaugeHandle, HistogramHandle, Metrics};
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-/// Ring length: a publishing writer reuses the slot `SLOTS - 1`
-/// generations old, so a reader may lag the writer by that many
-/// publishes before the writer has to wait for it to unpin.
-const SLOTS: usize = 8;
-
-/// Read-indicator shards: readers on different threads pin through
-/// different cache lines, so pinning never becomes the convoy it
-/// replaces.
-const INDICATOR_SHARDS: usize = 8;
+/// Reader shards, one cache line each.
+const SHARDS: usize = 8;
 
 /// One in this many point queries gets a clock read + histogram insert
 /// when the view is instrumented (the `{view}.query_us` metric).
@@ -72,73 +53,32 @@ pub struct EpochData<V> {
     pub table: HashMap<String, V>,
 }
 
-/// A padded per-shard counter (its own cache line).
+/// One reader shard on its own cache line: the newest generation and
+/// the shard's `query_us` sampling counter.
 #[repr(align(64))]
-#[derive(Default)]
-struct PaddedCounter(AtomicUsize);
-
-/// RCU-style read indicator: `pin` marks a reader inside the slot,
-/// `quiescent` tells the writer no reader remains.
-#[derive(Default)]
-struct ReadIndicator {
-    shards: [PaddedCounter; INDICATOR_SHARDS],
-}
-
-impl ReadIndicator {
-    fn pin(&self, shard: usize) {
-        self.shards[shard].0.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn unpin(&self, shard: usize) {
-        self.shards[shard].0.fetch_sub(1, Ordering::Release);
-    }
-
-    fn quiescent(&self) -> bool {
-        self.shards.iter().all(|s| s.0.load(Ordering::SeqCst) == 0)
-    }
-}
-
-struct Slot<V> {
-    readers: ReadIndicator,
-    /// Only the writer mutates this, and only after `readers` is
-    /// quiescent *and* `current` points elsewhere — see `publish`.
-    data: UnsafeCell<Arc<EpochData<V>>>,
+struct Shard<V> {
+    current: RwLock<Arc<EpochData<V>>>,
+    samples: AtomicU64,
 }
 
 struct Inner<V> {
-    slots: Box<[Slot<V>]>,
-    /// Index of the slot holding the newest published epoch.
-    current: AtomicUsize,
-    /// Serialises writers; holds the last epoch number handed out.
-    writer: Mutex<u64>,
+    /// Shard 0's write lock also serialises publishers.
+    shards: [Shard<V>; SHARDS],
     /// Sampled point-query latency (`{view}.query_us`), when
     /// instrumented.
     query_us: Option<HistogramHandle>,
     /// Published generation number (`{view}.epoch`), when instrumented.
     epoch_gauge: Option<GaugeHandle>,
-    /// Per-shard sampling counters for `query_us`.
-    samples: [PaddedCounter; INDICATOR_SHARDS],
 }
-
-// SAFETY: the UnsafeCell is the only non-Sync member. All mutation goes
-// through `publish`, which (a) serialises writers behind `writer` and
-// (b) waits for the slot's read indicator to drain before writing, so a
-// `&EpochData` handed to a pinned reader is never aliased by a write.
-// The acquire/release edges are carried by the SeqCst operations on
-// `current` and the indicator counters (see `pinned`/`publish`).
-unsafe impl<V: Send + Sync> Send for Inner<V> {}
-unsafe impl<V: Send + Sync> Sync for Inner<V> {}
 
 /// Reader shards are assigned round-robin per thread, once.
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
-    static READER_SHARD: usize =
-        NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % INDICATOR_SHARDS;
+    static READER_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
-/// A lock-free, epoch-swapped serving index. Clone-cheap (`Arc`
-/// inside): hand one clone to the publishing side and as many as you
-/// like to readers.
+/// An epoch-swapped serving index. Clone-cheap (`Arc` inside): hand one
+/// clone to the publishing side and as many as you like to readers.
 pub struct ServingView<V> {
     inner: Arc<Inner<V>>,
 }
@@ -149,13 +89,13 @@ impl<V> Clone for ServingView<V> {
     }
 }
 
-impl<V: Send + Sync> Default for ServingView<V> {
+impl<V> Default for ServingView<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V: Send + Sync> ServingView<V> {
+impl<V> ServingView<V> {
     /// An empty view at epoch 0.
     pub fn new() -> Self {
         Self::build(None, None)
@@ -179,98 +119,50 @@ impl<V: Send + Sync> ServingView<V> {
             published: Instant::now(),
             table: HashMap::new(),
         });
-        let slots = (0..SLOTS)
-            .map(|_| Slot {
-                readers: ReadIndicator::default(),
-                data: UnsafeCell::new(Arc::clone(&zero)),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            inner: Arc::new(Inner {
-                slots,
-                current: AtomicUsize::new(0),
-                writer: Mutex::new(0),
-                query_us,
-                epoch_gauge,
-                samples: Default::default(),
-            }),
-        }
+        let shards = std::array::from_fn(|_| Shard {
+            current: RwLock::new(Arc::clone(&zero)),
+            samples: AtomicU64::new(0),
+        });
+        Self { inner: Arc::new(Inner { shards, query_us, epoch_gauge }) }
     }
 
-    /// Run `f` against the current epoch while pinned to its slot. The
-    /// closure must be short — a pinned reader in the *oldest* slot is
-    /// the only thing that can make a writer wait.
-    fn pinned<R>(&self, f: impl FnOnce(&Arc<EpochData<V>>) -> R) -> R {
-        let shard = READER_SHARD.with(|s| *s);
-        loop {
-            let i = self.inner.current.load(Ordering::SeqCst);
-            let slot = &self.inner.slots[i];
-            slot.readers.pin(shard);
-            if self.inner.current.load(Ordering::SeqCst) == i {
-                // SAFETY: the re-check read `current == i` *after* the
-                // pin. `publish` stores `current = i` only after fully
-                // writing the slot's data, and it never rewrites a slot
-                // while its indicator is non-zero — so between pin and
-                // unpin this reference is valid and unaliased by
-                // writes. (A reader that pinned a slot the writer was
-                // about to reuse fails this re-check — the writer moved
-                // `current` away generations ago — and retries without
-                // ever dereferencing.)
-                let r = f(unsafe { &*slot.data.get() });
-                slot.readers.unpin(shard);
-                return r;
-            }
-            // The writer republished between load and pin: retry.
-            slot.readers.unpin(shard);
-        }
+    /// This thread's reader shard.
+    fn shard(&self) -> &Shard<V> {
+        &self.inner.shards[READER_SHARD.with(|s| *s)]
+    }
+
+    /// Run `f` against the current epoch under this thread's shard read
+    /// lock. The closure must be short: it is what a publish may wait
+    /// for.
+    fn read<R>(&self, f: impl FnOnce(&Arc<EpochData<V>>) -> R) -> R {
+        f(&self.shard().current.read().unwrap())
     }
 
     /// Publish the next generation: `table` becomes the new epoch,
     /// stamped with the `covers` progress marker. Returns the new epoch
-    /// number. Readers are never blocked; concurrent publishers
-    /// serialise behind an internal writer lock.
+    /// number. Concurrent publishers serialise on shard 0; a publish
+    /// waits on each shard only for the reader holding it.
     pub fn publish(&self, table: HashMap<String, V>, covers: u64) -> u64 {
-        let mut last = self.inner.writer.lock().unwrap();
-        *last += 1;
-        let epoch = *last;
+        let (head, rest) = self.inner.shards.split_first().unwrap();
+        let mut head = head.current.write().unwrap();
+        let epoch = head.epoch + 1;
         let data = Arc::new(EpochData { epoch, covers, published: Instant::now(), table });
-        let cur = self.inner.current.load(Ordering::SeqCst);
-        let next = (cur + 1) % SLOTS;
-        let slot = &self.inner.slots[next];
-        // Grace period: wait out readers still pinned to the ring's
-        // oldest generation. They pinned when this slot was current,
-        // `SLOTS - 1` publishes ago; reads are single point lookups, so
-        // in practice this never spins. When it does (a reader was
-        // descheduled mid-pin on an oversubscribed box), yield instead
-        // of burning the timeslice the reader needs to unpin.
-        let mut spins = 0u32;
-        while !slot.readers.quiescent() {
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+        for shard in rest {
+            *shard.current.write().unwrap() = Arc::clone(&data);
         }
-        // SAFETY: writers are serialised by the `writer` lock, the slot
-        // is not `current` (readers starting now pin `cur`), and its
-        // indicator just read quiescent — any reader that increments it
-        // from here on will fail the `current == next` re-check until
-        // the store below, which happens after this write completes.
-        unsafe {
-            *slot.data.get() = data;
-        }
-        self.inner.current.store(next, Ordering::SeqCst);
+        let _replaced = std::mem::replace(&mut *head, data);
         if let Some(g) = &self.inner.epoch_gauge {
             g.set(epoch);
         }
+        // `_replaced` (freed here unless a snapshot holds it) outlives
+        // the lock, so shard 0's readers do not wait for the free.
+        drop(head);
         epoch
     }
 
     /// The current epoch number (0 before the first publish).
     pub fn epoch(&self) -> u64 {
-        self.pinned(|d| d.epoch)
+        self.read(|d| d.epoch)
     }
 
     /// A shared handle to the entire current generation (for merge
@@ -278,22 +170,23 @@ impl<V: Send + Sync> ServingView<V> {
     /// lookups). The `Arc` keeps the epoch alive after the writer moves
     /// on.
     pub fn snapshot(&self) -> Arc<EpochData<V>> {
-        self.pinned(Arc::clone)
+        self.read(Arc::clone)
     }
 }
 
-impl<V: Clone + Send + Sync> ServingView<V> {
+impl<V: Clone> ServingView<V> {
     /// Point query: the value under `key` in the current epoch, plus
-    /// the epoch's metadata, read coherently under one pin. Records
-    /// sampled latency into `{view}.query_us` when instrumented.
+    /// the epoch's metadata, read coherently under one shard lock.
+    /// Records sampled latency into `{view}.query_us` when instrumented.
     pub fn get(&self, key: &str) -> ViewRead<V> {
-        let sample = self.inner.query_us.is_some() && {
-            let shard = READER_SHARD.with(|s| *s);
-            (self.inner.samples[shard].0.fetch_add(1, Ordering::Relaxed) as u64)
-                .is_multiple_of(QUERY_SAMPLE_EVERY)
-        };
+        let sample = self.inner.query_us.is_some()
+            && self
+                .shard()
+                .samples
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(QUERY_SAMPLE_EVERY);
         let t0 = sample.then(Instant::now);
-        let read = self.pinned(|d| ViewRead {
+        let read = self.read(|d| ViewRead {
             value: d.table.get(key).cloned(),
             epoch: d.epoch,
             covers: d.covers,
@@ -362,46 +255,49 @@ pub struct QueryHandle {
     batch: ServingView<i64>,
     speed: ServingView<i64>,
     ingested: Arc<AtomicU64>,
+    swaps: Arc<AtomicU64>,
 }
 
 impl QueryHandle {
-    /// A handle over the two serving views and the deployment's ingest
-    /// counter (the staleness reference point).
-    pub fn new(batch: ServingView<i64>, speed: ServingView<i64>, ingested: Arc<AtomicU64>) -> Self {
-        Self { batch, speed, ingested }
+    /// A handle over the two serving views, the deployment's ingest
+    /// counter (the staleness reference point) and its batch-swap
+    /// counter: odd while a batch run is between publishing the new
+    /// batch view and retiring the speed view it covers.
+    pub fn new(
+        batch: ServingView<i64>,
+        speed: ServingView<i64>,
+        ingested: Arc<AtomicU64>,
+        swaps: Arc<AtomicU64>,
+    ) -> Self {
+        Self { batch, speed, ingested, swaps }
     }
 
-    /// Answer a point query from the chosen layer. Lock-free: the
-    /// reader path touches only epoch-swapped immutable tables.
+    /// Answer a point query from the chosen layer. Readers never take
+    /// the ingest lock; a [`Layer::Merged`] read retries until it has
+    /// read both views between batch swaps, so it never counts an event
+    /// in both layers or in neither.
     pub fn query(&self, key: &str, layer: Layer) -> QueryResult<i64> {
         let ingested = self.ingested.load(Ordering::Relaxed);
-        let behind = |covers: u64| Some(ingested.saturating_sub(covers));
+        // `base` plus `r`'s value, with `r`'s epoch and staleness.
+        let answer = |base: i64, r: ViewRead<i64>| QueryResult {
+            value: base + r.value.unwrap_or(0),
+            epoch: r.epoch,
+            staleness: Staleness { behind: Some(ingested.saturating_sub(r.covers)), age: r.age },
+        };
         match layer {
-            Layer::Batch => {
-                let b = self.batch.get(key);
-                QueryResult {
-                    value: b.value.unwrap_or(0),
-                    epoch: b.epoch,
-                    staleness: Staleness { behind: behind(b.covers), age: b.age },
+            Layer::Batch => answer(0, self.batch.get(key)),
+            Layer::Speed => answer(0, self.speed.get(key)),
+            Layer::Merged => loop {
+                let swap = self.swaps.load(Ordering::SeqCst);
+                if swap.is_multiple_of(2) {
+                    let b = self.batch.get(key).value.unwrap_or(0);
+                    let s = self.speed.get(key);
+                    if self.swaps.load(Ordering::SeqCst) == swap {
+                        break answer(b, s);
+                    }
                 }
-            }
-            Layer::Speed => {
-                let s = self.speed.get(key);
-                QueryResult {
-                    value: s.value.unwrap_or(0),
-                    epoch: s.epoch,
-                    staleness: Staleness { behind: behind(s.covers), age: s.age },
-                }
-            }
-            Layer::Merged => {
-                let b = self.batch.get(key);
-                let s = self.speed.get(key);
-                QueryResult {
-                    value: b.value.unwrap_or(0) + s.value.unwrap_or(0),
-                    epoch: s.epoch,
-                    staleness: Staleness { behind: behind(s.covers), age: s.age },
-                }
-            }
+                std::thread::yield_now();
+            },
         }
     }
 }
@@ -432,7 +328,7 @@ mod tests {
     #[test]
     fn ring_wraps_past_slot_count() {
         let view: ServingView<i64> = ServingView::new();
-        for e in 1..=(3 * SLOTS as u64) {
+        for e in 1..=24 {
             assert_eq!(view.publish(table(&[("k", e as i64)]), e), e);
             assert_eq!(view.get("k").value, Some(e as i64));
             assert_eq!(view.epoch(), e);
@@ -447,10 +343,22 @@ mod tests {
         for e in 2..=20 {
             view.publish(table(&[("k", e)]), e as u64);
         }
-        // The pinned-then-cloned Arc still reads the old generation.
+        // The cloned Arc still reads the old generation.
         assert_eq!(snap.epoch, 1);
         assert_eq!(snap.table["k"], 1);
         assert_eq!(view.get("k").value, Some(20));
+    }
+
+    #[test]
+    fn replaced_generation_is_freed_once_no_snapshot_holds_it() {
+        let view: ServingView<i64> = ServingView::new();
+        view.publish(table(&[("k", 1)]), 1);
+        let held = view.snapshot();
+        let weak = Arc::downgrade(&view.snapshot());
+        view.publish(table(&[("k", 2)]), 2);
+        assert_eq!((held.epoch, held.table["k"]), (1, 1));
+        drop(held);
+        assert!(weak.upgrade().is_none(), "the view still holds a replaced generation");
     }
 
     #[test]
@@ -474,7 +382,7 @@ mod tests {
         let batch = ServingView::new();
         let speed = ServingView::new();
         let ingested = Arc::new(AtomicU64::new(0));
-        let h = QueryHandle::new(batch.clone(), speed.clone(), ingested.clone());
+        let h = QueryHandle::new(batch.clone(), speed.clone(), ingested.clone(), Arc::default());
         batch.publish(table(&[("x", 100)]), 100);
         speed.publish(table(&[("x", 7)]), 107);
         ingested.store(110, Ordering::Relaxed);

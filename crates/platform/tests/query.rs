@@ -213,3 +213,48 @@ fn lambda_merge_equals_replayed_master_under_interleaved_chaos() {
         }
     }
 }
+
+/// A merged read that lands between a batch run's two publishes (new
+/// batch view, then the emptied speed view) must not count the retired
+/// speed increments twice, nor lose them on the next read: it never
+/// exceeds what was ingested before it returned, and never decreases.
+#[test]
+fn lambda_merged_read_never_double_counts_across_a_batch_swap() {
+    use sa_platform::lambda::LambdaArchitecture;
+
+    const EVENTS: i64 = 20_000;
+    let lambda = Arc::new(LambdaArchitecture::with_config(1, 1).unwrap());
+    let done = Arc::new(AtomicBool::new(false));
+
+    let ingester = {
+        let (lambda, done) = (lambda.clone(), done.clone());
+        thread::spawn(move || {
+            for _ in 0..EVENTS {
+                lambda.ingest("k", 1);
+            }
+            done.store(true, Ordering::SeqCst);
+        })
+    };
+    let batcher = {
+        let (lambda, done) = (lambda.clone(), done.clone());
+        thread::spawn(move || {
+            while !done.load(Ordering::SeqCst) {
+                lambda.run_batch();
+            }
+        })
+    };
+
+    let handle = lambda.handle();
+    let (mut last, mut reads) = (0, 0u64);
+    while !done.load(Ordering::SeqCst) {
+        let merged = handle.query("k", Layer::Merged).value;
+        let ingested = lambda.ingested() as i64;
+        assert!(merged <= ingested, "read {reads}: merged {merged} > ingested {ingested}");
+        assert!(merged >= last, "read {reads}: merged went backwards {last} -> {merged}");
+        last = merged;
+        reads += 1;
+    }
+    ingester.join().unwrap();
+    batcher.join().unwrap();
+    assert_eq!(handle.query("k", Layer::Merged).value, EVENTS);
+}

@@ -1,7 +1,7 @@
 //! Concurrency tests for the epoch-swapped serving index: readers must
 //! never observe a torn table, epochs must be monotone per reader, and
-//! snapshots must stay intact while the slot ring wraps underneath
-//! them. Interleavings are perturbed by seeded yield schedules so a
+//! snapshots must stay intact while the writer publishes many
+//! generations past them. Interleavings are perturbed by seeded yield schedules so a
 //! failure reproduces from its seed.
 
 use sa_platform::ServingView;
@@ -115,9 +115,9 @@ fn snapshots_stay_intact_while_the_ring_wraps() {
     let view: ServingView<i64> = ServingView::new();
     let done = Arc::new(AtomicBool::new(false));
 
-    // Readers hoard snapshots while the writer laps the 8-slot ring
-    // many times over; each hoarded Arc must still read as the single
-    // coherent generation it was taken from.
+    // Readers hoard snapshots while the writer publishes many
+    // generations past them; each hoarded Arc must still read as the
+    // single coherent generation it was taken from.
     let hoarders: Vec<_> = (0..2)
         .map(|_| {
             let view = view.clone();

@@ -15,7 +15,7 @@ use streaming_analytics::prelude::Layer;
 
 fn main() {
     // Publish a speed epoch every 1024 ingests: the write side batches
-    // its epoch-swaps while readers stay lock-free throughout.
+    // its epoch-swaps; each read holds one reader shard for a lookup.
     let lambda = LambdaArchitecture::with_config(8, 1024).unwrap();
     let mut gen = ZipfStream::new(10_000, 1.1, 77);
 

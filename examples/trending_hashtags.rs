@@ -6,7 +6,7 @@
 //!    counting bolts), the way Twitter would deploy it on Storm/Heron;
 //! 3. as a declarative continuous query — the same deployment, stated
 //!    as a plan and compiled into the same topology shape, with the
-//!    answer served from a lock-free epoch-swapped view.
+//!    answer served from an epoch-swapped view.
 //!
 //! ```sh
 //! cargo run --release --example trending_hashtags
