@@ -2295,7 +2295,7 @@ fn t2k_durability(r: &mut Recorder) {
         };
         let store = open();
         let secs = run_commits(&store);
-        let (fsyncs, _, _, _) = store.storage_stats().unwrap().totals();
+        let (fsyncs, _, _) = store.storage_stats().unwrap().totals();
         drop(store);
         // Recovery cost, worst case: reopen replays the full WAL.
         let (store, wal_secs) = timed(open);

@@ -388,36 +388,30 @@ impl CheckpointStore {
     /// This is the MillWheel "strong production" primitive: state
     /// mutation and dedup-token insertion are one atomic step, so a
     /// crash between them is impossible.
+    ///
+    /// # Panics
+    ///
+    /// On a storage-backend write error of a durable store (nothing was
+    /// mutated; the WAL append repairs its own torn tail).
     pub fn commit<F>(&self, key: &str, record_id: u64, update: F) -> bool
-    where
-        F: FnOnce(Option<&[u8]>) -> Vec<u8>,
-    {
-        self.try_commit(key, record_id, update).expect("durable checkpoint commit failed")
-    }
-
-    /// [`CheckpointStore::commit`] with storage errors surfaced instead
-    /// of panicking — the form durable callers should use. On `Err`
-    /// nothing was mutated (the WAL append repairs its own torn tail),
-    /// and a transient error is safe to retry.
-    pub fn try_commit<F>(&self, key: &str, record_id: u64, update: F) -> Result<bool>
     where
         F: FnOnce(Option<&[u8]>) -> Vec<u8>,
     {
         let mut inner = self.inner.lock().unwrap();
         if inner.is_duplicate(key, record_id) {
             inner.duplicates += 1;
-            return Ok(false);
+            return false;
         }
         let current = inner.state.get(key).map(|(_, v)| v.clone());
         let new = update(current.as_deref());
         if inner.durable.is_some() {
             let mut w = ByteWriter::with_capacity(32 + key.len() + new.len());
             w.tag(OP_COMMIT).put_str(key).put_u64(1).put_u64(record_id).put_bytes(&new);
-            inner.wal_append(&w.finish())?;
+            inner.wal_append(&w.finish()).expect("durable checkpoint commit failed");
         }
         inner.apply_commit_batch(key, &[record_id], new);
         inner.maybe_compact();
-        Ok(true)
+        true
     }
 
     /// Atomically commit a *batch* of record ids together with a full

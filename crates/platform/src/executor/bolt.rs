@@ -181,8 +181,8 @@ impl BoltCore {
                 }
                 self.emit.flush_if_lingering();
             }
-            Msg::Watermark { source, wm, idle } => {
-                let advanced = self.merger.as_mut().and_then(|m| m.update(source, wm, idle));
+            Msg::Watermark { source, wm } => {
+                let advanced = self.merger.as_mut().and_then(|m| m.update(source, wm));
                 if let Some(new_wm) = advanced {
                     if let Some(out) = self.guarded(|b, o| b.on_watermark(new_wm, o)) {
                         if let Some(fired) = &self.fired {
@@ -202,7 +202,7 @@ impl BoltCore {
                     // callback panicked — watermarks are control
                     // flow) — flushing first so it stays behind
                     // everything we just emitted.
-                    self.emit.broadcast_watermark(self.ctx.id, new_wm, false);
+                    self.emit.broadcast_watermark(self.ctx.id, new_wm);
                 }
             }
             Msg::Rescale => {

@@ -19,8 +19,6 @@ pub(crate) struct EmitCtx {
     shuffle_counters: Vec<usize>,
     rng: SplitMix64,
     drop_prob: f64,
-    /// Chaos: `(probability, delay)` slept before a batch send.
-    delay: Option<(f64, Duration)>,
     pub(crate) batch_size: usize,
     batch_linger: Duration,
     /// When the oldest currently-buffered tuple was pushed. `None`
@@ -62,7 +60,6 @@ impl EmitCtx {
             routes,
             rng: SplitMix64::new(ctx.seed),
             drop_prob: run.config.faults.drop_for(component).unwrap_or(0.0),
-            delay: run.config.faults.delay_for(component),
             batch_size: run.config.batch_size.max(1),
             batch_linger: run.config.batch_linger,
             oldest: None,
@@ -152,7 +149,6 @@ impl EmitCtx {
                             fill.record(batch.len() as f64);
                         }
                     }
-                    maybe_delay(&mut self.rng, self.delay);
                     // Blocking send = backpressure in bounded mode.
                     let _ = self.routes[ri].senders[t].send(Msg::Data(batch));
                     if self.buffered == 0 {
@@ -184,7 +180,6 @@ impl EmitCtx {
                         fill.record(batch.len() as f64);
                     }
                 }
-                maybe_delay(&mut self.rng, self.delay);
                 let _ = self.routes[ri].senders[t].send(Msg::Data(batch));
             }
         }
@@ -228,22 +223,12 @@ impl EmitCtx {
     /// grouping, and bypass drop injection). Buffered data is flushed
     /// first so the marker cannot overtake tuples it covers — FIFO
     /// channel order does the rest.
-    pub(crate) fn broadcast_watermark(&mut self, source: u32, wm: u64, idle: bool) {
+    pub(crate) fn broadcast_watermark(&mut self, source: u32, wm: u64) {
         self.flush_all();
         for route in &self.routes {
             for s in &route.senders {
-                let _ = s.send(Msg::Watermark { source, wm, idle });
+                let _ = s.send(Msg::Watermark { source, wm });
             }
-        }
-    }
-}
-
-/// Chaos: with probability `prob`, hold the caller back `delay` long
-/// (injected network latency) before a channel send.
-pub(crate) fn maybe_delay(rng: &mut SplitMix64, delay: Option<(f64, Duration)>) {
-    if let Some((prob, d)) = delay {
-        if prob > 0.0 && rng.bernoulli(prob) {
-            std::thread::sleep(d);
         }
     }
 }

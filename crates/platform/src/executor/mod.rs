@@ -206,14 +206,12 @@ pub(crate) enum Msg {
     Data(Batch),
     /// In-band watermark marker: the task identified by `source`
     /// promises no tuple with `event_time < wm` will follow on this
-    /// link. `idle` declares the source dormant (excluded from
-    /// downstream min-merges until it speaks again). Markers ride the
-    /// same FIFO channels as data — senders flush their emit buffers
-    /// first, so a marker can never overtake tuples it covers.
+    /// link. Markers ride the same FIFO channels as data — senders
+    /// flush their emit buffers first, so a marker can never overtake
+    /// tuples it covers.
     Watermark {
         source: u32,
         wm: u64,
-        idle: bool,
     },
     /// Rescale kick: a shard-table phase change is in flight for this
     /// component. Wakes parked tasks and drives the idle hook so

@@ -35,10 +35,6 @@ struct SpoutWm {
     cfg: WatermarkConfig,
     /// Emissions since the last broadcast attempt.
     since_emit: usize,
-    /// When this spout last produced a tuple (idle detection).
-    last_emit: Instant,
-    /// Whether the idle marker for the current lull was already sent.
-    idle_sent: bool,
 }
 
 /// The spout loop's histogram handles (instrumented runs only).
@@ -118,8 +114,6 @@ impl SpoutCore {
             gen: WatermarkGen::new(cfg.bound),
             cfg,
             since_emit: 0,
-            last_emit: Instant::now(),
-            idle_sent: false,
         });
         Self {
             spout,
@@ -155,7 +149,7 @@ impl SpoutCore {
     }
 
     /// One iteration of the spout loop. Never blocks beyond supervised
-    /// restart backoff and chaos delays.
+    /// restart backoff and downstream backpressure.
     fn step(&mut self) -> SpoutStep {
         if self.done {
             return SpoutStep::Done;
@@ -240,15 +234,13 @@ impl SpoutCore {
                 w.gen.observe(et);
             }
             w.since_emit += 1;
-            w.last_emit = Instant::now();
-            w.idle_sent = false;
             if w.since_emit >= w.cfg.emit_every {
                 w.since_emit = 0;
                 adv = w.gen.advance();
             }
         }
         if let Some(new_wm) = adv {
-            self.emit.broadcast_watermark(self.ctx.id, new_wm, false);
+            self.emit.broadcast_watermark(self.ctx.id, new_wm);
         }
     }
 
@@ -277,25 +269,6 @@ impl SpoutCore {
             self.done = true;
             return SpoutStep::Done;
         }
-        // An idle lull long enough to trip the timeout: drop the
-        // out-of-orderness margin (everything emittable has been
-        // emitted) and declare this source idle so it stops gating
-        // downstream min-merges.
-        let mut idle_mark = None;
-        if let Some(w) = self.wm.as_mut() {
-            if let Some(timeout) = w.cfg.idle_timeout {
-                if !w.idle_sent && w.last_emit.elapsed() >= timeout {
-                    w.idle_sent = true;
-                    idle_mark = Some((w.gen.advance_to_max(), w.gen.max_ts().unwrap_or(0)));
-                }
-            }
-        }
-        if let Some((adv, max_ts)) = idle_mark {
-            if let Some(new_wm) = adv {
-                self.emit.broadcast_watermark(self.ctx.id, new_wm, false);
-            }
-            self.emit.broadcast_watermark(self.ctx.id, max_ts, true);
-        }
         if progressed > 0 {
             // Roots settled: the run is draining, not stuck.
             self.exhausted_at = None;
@@ -319,7 +292,7 @@ impl SpoutCore {
             // pending window downstream fires before the flush phase.
             // (FIFO order puts this marker ahead of the coordinator's
             // `Flush`, which is only sent after spouts are joined.)
-            self.emit.broadcast_watermark(self.ctx.id, u64::MAX, false);
+            self.emit.broadcast_watermark(self.ctx.id, u64::MAX);
         }
     }
 

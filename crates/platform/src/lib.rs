@@ -20,7 +20,8 @@
 //! * **MillWheel** — [`checkpoint`]'s versioned store with atomic
 //!   per-key commits and dedup tokens: exactly-once state updates.
 //! * **Samza / Kafka** — [`log`]'s durable partitioned log with offsets,
-//!   retention ([`log::Log::trim`]) and replayable consumers.
+//!   retention ([`log::Log::trim`]) and replay from a committed offset
+//!   ([`operator::LogSpout`]).
 //! * **The operator layer** — [`operator`]: [`operator::SynopsisBolt`]
 //!   runs any `sa_core::Synopsis` with checkpointed exactly-once state,
 //!   [`operator::LogSpout`] replays the log after a crash, and
@@ -62,7 +63,7 @@ pub use channel::LinkStats;
 pub use checkpoint::{CheckpointStore, DurableConfig};
 pub use executor::{run_topology, run_topology_with, ExecutorConfig, RunResult, Semantics};
 pub use frame::Frame;
-pub use log::{Consumer, Log, Record};
+pub use log::{Log, Record};
 pub use metrics::{
     CounterHandle, GaugeHandle, HistogramHandle, HistogramSummary, LinkSnapshot, Metrics,
     MetricsSnapshot, Sampler, SchedCounters,

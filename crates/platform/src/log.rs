@@ -285,44 +285,6 @@ impl Log {
     }
 }
 
-/// A consumer with per-partition committed offsets (a one-member
-/// "consumer group"): reads are repeatable until committed, which is
-/// exactly the at-least-once contract Samza inherits from Kafka.
-#[derive(Clone, Debug)]
-pub struct Consumer {
-    log: Log,
-    offsets: Vec<u64>,
-}
-
-impl Consumer {
-    /// A consumer starting at the log's beginning.
-    pub fn new(log: &Log) -> Self {
-        Self { log: log.clone(), offsets: vec![0; log.partitions()] }
-    }
-
-    /// Poll up to `max` records from one partition (does not advance the
-    /// committed offset).
-    pub fn poll(&self, partition: usize, max: usize) -> Vec<Record> {
-        self.log.read(partition, self.offsets[partition], max)
-    }
-
-    /// Commit the offset after processing records up to `offset`
-    /// exclusive.
-    pub fn commit(&mut self, partition: usize, offset: u64) {
-        self.offsets[partition] = offset;
-    }
-
-    /// Committed offset of a partition.
-    pub fn committed(&self, partition: usize) -> u64 {
-        self.offsets[partition]
-    }
-
-    /// Records remaining across all partitions.
-    pub fn lag(&self) -> u64 {
-        (0..self.log.partitions()).map(|p| self.log.end_offset(p) - self.offsets[p]).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,25 +328,6 @@ mod tests {
             }
         }
         assert!(used >= 6, "only {used} partitions used");
-    }
-
-    #[test]
-    fn consumer_replay_until_commit() {
-        let log = Log::new(1).unwrap();
-        for i in 0..5u8 {
-            log.append("k", vec![i]);
-        }
-        let mut c = Consumer::new(&log);
-        let batch1 = c.poll(0, 3);
-        assert_eq!(batch1.len(), 3);
-        // Crash before commit: poll again → same records (replay).
-        let batch2 = c.poll(0, 3);
-        assert_eq!(batch1, batch2);
-        c.commit(0, 3);
-        let batch3 = c.poll(0, 3);
-        assert_eq!(batch3.len(), 2);
-        assert_eq!(batch3[0].value, vec![3]);
-        assert_eq!(c.lag(), 2);
     }
 
     #[test]

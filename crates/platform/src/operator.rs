@@ -1326,6 +1326,31 @@ mod tests {
         assert_eq!(frontier_offset(&store, "missing"), 0);
     }
 
+    /// A frontier put the durable store rejects is counted and deferred
+    /// to the next cadence: the spout neither panics nor advances the
+    /// persisted frontier.
+    #[test]
+    fn log_spout_counts_and_defers_rejected_frontier_puts() {
+        use crate::checkpoint::DurableConfig;
+        use crate::storage::{FaultyStorage, MemStorage, StorageFaults};
+        let log = Log::new(1).unwrap();
+        for i in 0..4u8 {
+            log.append("k", vec![i]);
+        }
+        let torn = StorageFaults::new(1).torn_appends(1.0);
+        let storage = Arc::new(FaultyStorage::new(Arc::new(MemStorage::new()), torn));
+        let store = CheckpointStore::durable(storage, "ckpt", DurableConfig::default()).unwrap();
+        let mut spout =
+            LogSpout::new(&log, 0, 0, 0, |r: &Record| tuple_of([i64::from(r.value[0])]))
+                .with_frontier(&store, "f", 1);
+        for root in 1..=4 {
+            spout.next_tuple().unwrap();
+            spout.ack(root);
+        }
+        assert_eq!(spout.frontier_put_failures(), 4);
+        assert_eq!(frontier_offset(&store, "f"), 0);
+    }
+
     #[test]
     fn replay_offset_is_min_over_keys() {
         let store = CheckpointStore::new();

@@ -18,7 +18,7 @@
 //!   `fsync` on [`Storage::sync`] and atomic `rename`.
 //! * [`FaultyStorage`] — the chaos wrapper: seeded torn writes (a
 //!   prefix lands, then the "crash"), bit flips on read, transient
-//!   `EIO`s, and per-op latency. Wired into
+//!   `EIO`s. Wired into
 //!   [`crate::supervise::FaultPlan`] so storage faults ride the same
 //!   chaos harness as panics and drops.
 //!
@@ -54,7 +54,6 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven, built at compile time.
@@ -447,8 +446,6 @@ pub struct StorageFaults {
     /// Probability that any operation fails with a transient `EIO`
     /// before doing anything.
     pub transient_err_prob: f64,
-    /// `(probability, delay)` injected before an operation runs.
-    pub latency: Option<(f64, Duration)>,
 }
 
 impl StorageFaults {
@@ -459,10 +456,7 @@ impl StorageFaults {
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.torn_append_prob == 0.0
-            && self.bit_flip_prob == 0.0
-            && self.transient_err_prob == 0.0
-            && self.latency.is_none()
+        self.torn_append_prob == 0.0 && self.bit_flip_prob == 0.0 && self.transient_err_prob == 0.0
     }
 
     /// Builder: torn-append probability.
@@ -482,18 +476,12 @@ impl StorageFaults {
         self.transient_err_prob = prob;
         self
     }
-
-    /// Builder: with probability `prob`, delay an operation by `delay`.
-    pub fn latency(mut self, prob: f64, delay: Duration) -> Self {
-        self.latency = Some((prob, delay));
-        self
-    }
 }
 
 /// The chaos wrapper: a [`Storage`] that injects the faults of a
 /// [`StorageFaults`] plan in front of an inner backend. Reads may come
 /// back bit-flipped, appends may tear, any op may throw a transient
-/// `EIO` or stall — all seeded, so failures replay identically.
+/// `EIO` — all seeded, so failures replay identically.
 #[derive(Debug)]
 pub struct FaultyStorage {
     inner: Arc<dyn Storage>,
@@ -525,30 +513,17 @@ impl FaultyStorage {
         (f.torn, f.flipped, f.errors)
     }
 
-    /// Common per-op gate: latency, then maybe a transient error.
+    /// Common per-op gate: maybe a transient error.
     fn gate(&self, op: &str, path: &str) -> Result<()> {
-        let (delay, fail) = {
+        let fail = {
             let mut f = self.faults.lock().unwrap();
-            let delay = match f.plan.latency {
-                Some((prob, d)) => {
-                    if f.rng.bernoulli(prob) {
-                        Some(d)
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            };
             let p = f.plan.transient_err_prob;
             let fail = p > 0.0 && f.rng.bernoulli(p);
             if fail {
                 f.errors += 1;
             }
-            (delay, fail)
+            fail
         };
-        if let Some(d) = delay {
-            std::thread::sleep(d);
-        }
         if fail {
             return Err(SaError::io_transient(format!("injected EIO on {op} {path}")));
         }
@@ -655,31 +630,27 @@ pub struct StorageStats {
     pub bytes_written: AtomicU64,
     /// Torn tails repaired by truncation (at recovery or mid-run).
     pub torn_tails_repaired: AtomicU64,
-    /// Transient-error retries performed by commit paths.
-    pub io_retries: AtomicU64,
 }
 
 impl StorageStats {
-    /// `(fsyncs, bytes_written, torn_tails_repaired, io_retries)`.
-    pub fn totals(&self) -> (u64, u64, u64, u64) {
+    /// `(fsyncs, bytes_written, torn_tails_repaired)`.
+    pub fn totals(&self) -> (u64, u64, u64) {
         (
             self.fsyncs.load(Ordering::Relaxed),
             self.bytes_written.load(Ordering::Relaxed),
             self.torn_tails_repaired.load(Ordering::Relaxed),
-            self.io_retries.load(Ordering::Relaxed),
         )
     }
 
-    /// Register `storage.{fsyncs,bytes_written,torn_tails_repaired,
-    /// io_retries}` on `metrics` and add the current totals, so the
+    /// Register `storage.{fsyncs,bytes_written,torn_tails_repaired}`
+    /// on `metrics` and add the current totals, so the
     /// next [`crate::metrics::Metrics::snapshot`] (and its `to_json`)
     /// carries them. One-shot: call once per `Metrics`, at read time.
     pub fn export_metrics(&self, metrics: &crate::metrics::Metrics) {
-        let (fsyncs, bytes, torn, retries) = self.totals();
+        let (fsyncs, bytes, torn) = self.totals();
         metrics.register("storage.fsyncs").add(fsyncs);
         metrics.register("storage.bytes_written").add(bytes);
         metrics.register("storage.torn_tails_repaired").add(torn);
-        metrics.register("storage.io_retries").add(retries);
     }
 }
 
@@ -1085,7 +1056,7 @@ mod tests {
         for i in 0..50u32 {
             rec.wal.append(&i.to_le_bytes()).unwrap();
         }
-        let (fsyncs, bytes, torn, _) = stats.totals();
+        let (fsyncs, bytes, torn) = stats.totals();
         assert_eq!(fsyncs, 50, "Always policy fsyncs per append");
         assert_eq!(bytes, 50 * (FRAME_HEADER as u64 + 4));
         assert_eq!(torn, 0);

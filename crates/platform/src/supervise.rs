@@ -15,8 +15,8 @@
 //! * **Restart (Storm's supervisor / Heron's stream manager).** A
 //!   [`RestartPolicy`] grants each task a budget of restarts inside a
 //!   sliding window, with a deterministic (jitterless) exponential
-//!   backoff between attempts. Bolts declared through
-//!   `TopologyBuilder::set_bolt_builders` are *rebuilt* on restart —
+//!   backoff between attempts. Bolts declared through builders
+//!   (`BoltFactory::builders`) are *rebuilt* on restart —
 //!   a checkpointed bolt ([`crate::operator::SynopsisBolt`],
 //!   [`crate::window::WindowBolt`]) then recovers its state through the
 //!   same checkpoint + replay path it uses at topology start, mid-run.
@@ -30,7 +30,7 @@
 //!   replayed forever (the classic poison-tuple defence).
 //!
 //! [`FaultPlan`] is the one chaos harness: per-component panic
-//! probability, per-link drop/delay injection, and storage I/O faults
+//! probability, per-link drop injection, and storage I/O faults
 //! (applied through [`FaultPlan::wrap_storage`]), all seeded and
 //! deterministic.
 
@@ -187,11 +187,8 @@ pub struct FaultPlan {
     /// Per-component probability that an outgoing delivery is dropped
     /// in flight.
     link_drop: Vec<(String, f64)>,
-    /// Per-component `(probability, delay)` injected before an outgoing
-    /// batch send (network latency spikes).
-    link_delay: Vec<(String, (f64, Duration))>,
     /// Storage-level I/O faults (torn appends, bit flips, transient
-    /// errors, latency), applied via [`FaultPlan::wrap_storage`].
+    /// errors), applied via [`FaultPlan::wrap_storage`].
     storage_faults: Option<StorageFaults>,
 }
 
@@ -203,10 +200,7 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.panic_prob.is_empty()
-            && self.link_drop.is_empty()
-            && self.link_delay.is_empty()
-            && self.storage_faults.is_none()
+        self.panic_prob.is_empty() && self.link_drop.is_empty() && self.storage_faults.is_none()
     }
 
     /// Builder: panic probability per unit of work for `component`
@@ -220,13 +214,6 @@ impl FaultPlan {
     /// (`""` = every component).
     pub fn drop_on(mut self, component: &str, prob: f64) -> Self {
         self.link_drop.push((component.to_string(), prob));
-        self
-    }
-
-    /// Builder: with probability `prob`, delay a batch sent by
-    /// `component` by `delay` (`""` = every component).
-    pub fn delay_on(mut self, component: &str, prob: f64, delay: Duration) -> Self {
-        self.link_delay.push((component.to_string(), (prob, delay)));
         self
     }
 
@@ -247,7 +234,7 @@ impl FaultPlan {
     /// Wrap `storage` in a [`FaultyStorage`] chaos proxy when the plan
     /// declares storage faults; otherwise pass it through untouched.
     /// Durable stores built over the returned handle see the plan's
-    /// torn appends, bit flips, transient errors, and latency spikes.
+    /// torn appends, bit flips, and transient errors.
     pub fn wrap_storage(&self, storage: Arc<dyn Storage>) -> Arc<dyn Storage> {
         match &self.storage_faults {
             Some(f) => Arc::new(FaultyStorage::new(storage, f.clone())),
@@ -271,12 +258,6 @@ impl FaultPlan {
     /// Link drop probability for `component`, when planned.
     pub fn drop_for(&self, component: &str) -> Option<f64> {
         Self::lookup(&self.link_drop, component).copied()
-    }
-
-    /// Link `(probability, delay)` injection for `component`, when
-    /// planned.
-    pub fn delay_for(&self, component: &str) -> Option<(f64, Duration)> {
-        Self::lookup(&self.link_delay, component).copied()
     }
 }
 
@@ -339,16 +320,11 @@ mod tests {
 
     #[test]
     fn fault_plan_lookup_falls_back_to_wildcard() {
-        let plan = FaultPlan::new(7)
-            .panic_on("", 0.5)
-            .panic_on("wc", 0.25)
-            .drop_on("spout", 0.1)
-            .delay_on("wc", 1.0, Duration::from_millis(3));
+        let plan = FaultPlan::new(7).panic_on("", 0.5).panic_on("wc", 0.25).drop_on("spout", 0.1);
         assert_eq!(plan.panic_prob_for("wc"), 0.25);
         assert_eq!(plan.panic_prob_for("other"), 0.5, "wildcard fallback");
         assert_eq!(plan.drop_for("spout"), Some(0.1));
         assert_eq!(plan.drop_for("wc"), None, "no wildcard declared for drops");
-        assert_eq!(plan.delay_for("wc"), Some((1.0, Duration::from_millis(3))));
         assert!(!plan.is_empty());
         assert!(FaultPlan::new(1).is_empty());
     }

@@ -15,8 +15,6 @@
 //! clock. `u64::MAX` is the end-of-stream watermark a finished source
 //! broadcasts so every pending window fires before shutdown.
 
-use std::time::Duration;
-
 /// Watermark policy for a topology (set on
 /// [`ExecutorConfig::watermarks`](crate::executor::ExecutorConfig)).
 #[derive(Clone, Debug)]
@@ -26,19 +24,13 @@ pub struct WatermarkConfig {
     /// `bound` behind the newest one already seen is late.
     pub bound: u64,
     /// Spouts broadcast a watermark after every `emit_every` emitted
-    /// tuples (and always when they go idle or finish).
+    /// tuples (and always when they finish).
     pub emit_every: usize,
-    /// When a spout emits nothing for this long, it (a) collapses its
-    /// watermark to its max observed event time — nothing more is in
-    /// flight, so the safety margin is no longer needed — and (b)
-    /// marks itself *idle*, excluding it from downstream min-merges so
-    /// a silent source cannot freeze event time for everyone else.
-    pub idle_timeout: Option<Duration>,
 }
 
 impl Default for WatermarkConfig {
     fn default() -> Self {
-        Self { bound: 0, emit_every: 32, idle_timeout: None }
+        Self { bound: 0, emit_every: 32 }
     }
 }
 
@@ -51,12 +43,6 @@ impl WatermarkConfig {
     /// Builder: set the per-spout emission cadence.
     pub fn emit_every(mut self, n: usize) -> Self {
         self.emit_every = n.max(1);
-        self
-    }
-
-    /// Builder: set the idle-source timeout.
-    pub fn idle_timeout(mut self, d: Duration) -> Self {
-        self.idle_timeout = Some(d);
         self
     }
 }
@@ -81,11 +67,6 @@ impl WatermarkGen {
         self.max_ts = Some(self.max_ts.map_or(t, |m| m.max(t)));
     }
 
-    /// Max event time observed so far.
-    pub fn max_ts(&self) -> Option<u64> {
-        self.max_ts
-    }
-
     /// Current watermark candidate (`max - bound`), without advancing.
     pub fn current(&self) -> Option<u64> {
         self.max_ts.map(|m| m.saturating_sub(self.bound))
@@ -104,69 +85,32 @@ impl WatermarkGen {
             }
         }
     }
-
-    /// Advance ignoring the bound — used when the source goes idle or
-    /// finishes: everything it will ever emit has been emitted, so the
-    /// safety margin is no longer needed.
-    pub fn advance_to_max(&mut self) -> Option<u64> {
-        let cand = self.max_ts?;
-        match self.last {
-            Some(prev) if cand <= prev => None,
-            _ => {
-                self.last = Some(cand);
-                Some(cand)
-            }
-        }
-    }
-}
-
-/// State of one upstream input as seen by a [`WatermarkMerger`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum InputState {
-    /// No watermark received yet — blocks the merge (we cannot promise
-    /// anything about an input we have not heard from).
-    Unseen,
-    /// Actively producing; last watermark received.
-    Active(u64),
-    /// Declared idle: excluded from the min until it speaks again.
-    Idle,
 }
 
 /// Min-across-inputs watermark merge for a bolt task. The merged
 /// output is monotone even if (buggy or restarted) upstreams regress.
 #[derive(Clone, Debug)]
 pub struct WatermarkMerger {
-    inputs: Vec<(u32, InputState)>,
+    /// Last watermark per upstream task; `None` (unseen) blocks the
+    /// merge — nothing can be promised about an input not yet heard from.
+    inputs: Vec<(u32, Option<u64>)>,
     merged: Option<u64>,
 }
 
 impl WatermarkMerger {
     /// Merger expecting watermarks from exactly these upstream task ids.
     pub fn new(upstream_ids: impl IntoIterator<Item = u32>) -> Self {
-        Self {
-            inputs: upstream_ids.into_iter().map(|id| (id, InputState::Unseen)).collect(),
-            merged: None,
-        }
+        Self { inputs: upstream_ids.into_iter().map(|id| (id, None)).collect(), merged: None }
     }
 
-    /// Apply a watermark (or idle marker) from `source`. Returns
-    /// `Some(new_wm)` only when the merged watermark strictly advanced.
-    pub fn update(&mut self, source: u32, wm: u64, idle: bool) -> Option<u64> {
+    /// Apply a watermark from `source`. Returns `Some(new_wm)` only
+    /// when the merged watermark strictly advanced.
+    pub fn update(&mut self, source: u32, wm: u64) -> Option<u64> {
         let slot = self.inputs.iter_mut().find(|(id, _)| *id == source)?;
-        slot.1 = if idle { InputState::Idle } else { InputState::Active(wm) };
-
-        // Min over active inputs; any Unseen input blocks the merge,
-        // and all-idle yields no advance (there is no basis to promise
-        // new time when nobody is producing).
-        let mut min: Option<u64> = None;
-        for (_, st) in &self.inputs {
-            match st {
-                InputState::Unseen => return None,
-                InputState::Active(w) => min = Some(min.map_or(*w, |m| m.min(*w))),
-                InputState::Idle => {}
-            }
-        }
-        let cand = min?;
+        slot.1 = Some(wm);
+        // Min over all inputs; `None` orders first, so any unseen input
+        // blocks the merge.
+        let cand = self.inputs.iter().map(|&(_, w)| w).min()??;
         match self.merged {
             Some(prev) if cand <= prev => None,
             _ => {
@@ -209,55 +153,27 @@ mod tests {
     }
 
     #[test]
-    fn gen_advance_to_max_drops_bound() {
-        let mut g = WatermarkGen::new(10);
-        g.observe(100);
-        assert_eq!(g.advance(), Some(90));
-        assert_eq!(g.advance_to_max(), Some(100));
-        assert_eq!(g.advance(), None, "regular advance cannot regress below max");
-    }
-
-    #[test]
     fn merger_takes_min_and_blocks_on_unseen() {
         let mut m = WatermarkMerger::new([1, 2]);
-        assert_eq!(m.update(1, 50, false), None, "input 2 unseen: blocked");
-        assert_eq!(m.update(2, 30, false), Some(30));
-        assert_eq!(m.update(1, 60, false), None, "min still 30");
-        assert_eq!(m.update(2, 55, false), Some(55));
+        assert_eq!(m.update(1, 50), None, "input 2 unseen: blocked");
+        assert_eq!(m.update(2, 30), Some(30));
+        assert_eq!(m.update(1, 60), None, "min still 30");
+        assert_eq!(m.update(2, 55), Some(55));
     }
 
     #[test]
     fn merger_is_monotone_under_regression() {
         let mut m = WatermarkMerger::new([1, 2]);
-        m.update(1, 50, false);
-        m.update(2, 50, false);
-        assert_eq!(m.update(1, 20, false), None, "upstream regressed; output holds");
+        m.update(1, 50);
+        m.update(2, 50);
+        assert_eq!(m.update(1, 20), None, "upstream regressed; output holds");
         assert_eq!(m.current(), Some(50));
-    }
-
-    #[test]
-    fn merger_excludes_idle_inputs() {
-        let mut m = WatermarkMerger::new([1, 2]);
-        m.update(1, 10, false);
-        m.update(2, 5, false);
-        assert_eq!(m.current(), Some(5));
-        assert_eq!(m.update(2, 5, true), Some(10), "idle input no longer gates");
-        assert_eq!(m.update(2, 99, false), None, "wakes up behind: min(10,99) <= 10");
-        assert_eq!(m.update(1, 40, false), Some(40));
-    }
-
-    #[test]
-    fn merger_all_idle_does_not_advance() {
-        let mut m = WatermarkMerger::new([1]);
-        m.update(1, 10, false);
-        assert_eq!(m.update(1, 10, true), None);
-        assert_eq!(m.current(), Some(10));
     }
 
     #[test]
     fn merger_ignores_unknown_source() {
         let mut m = WatermarkMerger::new([1]);
-        assert_eq!(m.update(9, 10, false), None);
-        assert_eq!(m.update(1, 10, false), Some(10));
+        assert_eq!(m.update(9, 10), None);
+        assert_eq!(m.update(1, 10), Some(10));
     }
 }

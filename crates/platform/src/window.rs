@@ -175,6 +175,11 @@ pub struct WindowState<S, F> {
     due: u64,
     /// Local watermark (None until the first `on_watermark`).
     wm: Option<u64>,
+    /// The watermark the restored checkpoint was taken under. Only
+    /// expiry reads it: a tuple whose window expired before a crash
+    /// stays late after the restart, while restored panes still re-fire
+    /// on the first live watermark (`wm` stays `None` until then).
+    restored_wm: Option<u64>,
     /// Session-aggregate merges that failed (incompatible synopses).
     merge_errors: u64,
 }
@@ -219,6 +224,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
             sessions: HashMap::new(),
             due: u64::MAX,
             wm: None,
+            restored_wm: None,
             merge_errors: 0,
         }
     }
@@ -241,7 +247,13 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Window
     /// Whether a window is past its allowed lateness (tuples for it go
     /// to the side output).
     fn expired(&self, w: &Window) -> bool {
-        self.wm.is_some_and(|wm| w.end.saturating_add(self.cfg.allowed_lateness) <= wm)
+        self.expiry_wm().is_some_and(|wm| w.end.saturating_add(self.cfg.allowed_lateness) <= wm)
+    }
+
+    /// The newest watermark seen, live or restored (`None` orders
+    /// first, so `max` keeps whichever is known).
+    fn expiry_wm(&self) -> Option<u64> {
+        self.wm.max(self.restored_wm)
     }
 
     /// Whether a window already fired (stragglers re-fire immediately).
@@ -349,9 +361,10 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
 
     /// Encode every live group and session as the checkpoint's snapshot
     /// payload (the newest applied id travels in the standard operator
-    /// envelope so [`crate::operator::replay_offset`] can read it). Only
-    /// panes changed since the last encode are re-serialised; the rest
-    /// are copied from their cached records.
+    /// envelope so [`crate::operator::replay_offset`] can read it), then
+    /// the newest watermark, when one was seen. Only panes changed since
+    /// the last encode are re-serialised; the rest are copied from their
+    /// cached records.
     fn encode(&mut self) -> Vec<u8> {
         // Refresh stale records and size the buffer, then copy.
         let records: usize =
@@ -372,10 +385,14 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
                 w.put_u64(s.start).put_u64(s.end);
             }
         }
+        if let Some(wm) = self.expiry_wm() {
+            w.put_u64(wm);
+        }
         w.finish()
     }
 
-    /// Rebuild groups and sessions from a snapshot payload.
+    /// Rebuild groups, sessions and the expiry watermark from a
+    /// snapshot payload.
     fn restore(&mut self, bytes: &[u8]) -> Result<()> {
         let mut r = ByteReader::new(bytes);
         r.expect_tag(WINDOW_TAG, "window checkpoint")?;
@@ -390,13 +407,14 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
             self.track(&win);
         }
         let n_sessions = r.get_len(9)?;
-        let WindowSpec::Session { gap } = self.cfg.spec else {
-            if n_sessions != 0 {
+        let gap = match self.cfg.spec {
+            WindowSpec::Session { gap } => gap,
+            _ if n_sessions != 0 => {
                 return Err(sa_core::SaError::Platform(
                     "session state in a non-session window checkpoint".into(),
                 ));
             }
-            return r.finish();
+            _ => 0,
         };
         for _ in 0..n_sessions {
             let key = r.get_str()?;
@@ -415,6 +433,9 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
                 }
             }
             self.sessions.insert(key, sess);
+        }
+        if r.remaining() > 0 {
+            self.restored_wm = Some(r.get_u64()?);
         }
         r.finish()
     }
@@ -763,6 +784,69 @@ mod tests {
         b.on_idle(&mut out);
         assert_eq!(store.get("w/0").unwrap().1, golden(4, 120, CountSum { n: 3, sum: 11 }));
         assert_eq!(store.len(), 1, "nothing is written beside the caller's key");
+    }
+
+    /// A checkpoint taken after a watermark ends with it: a trailing
+    /// u64 after the sessions (one taken before any watermark, as
+    /// above, has none). A restart keeps it and writes it again.
+    #[test]
+    fn checkpoint_carries_the_watermark_as_a_trailing_field() {
+        let golden = |last_applied: u64, agg: CountSum| {
+            let mut payload = ByteWriter::new();
+            payload.tag(b'W').put_u64(1);
+            payload.put_str("a").put_u64(10).put_u64(20).put_bool(true).put_bytes(&agg.snapshot());
+            payload.put_u64(0).put_u64(15);
+            let mut w = ByteWriter::new();
+            w.tag(b'O').put_u64(last_applied).put_bytes(&payload.finish());
+            w.finish()
+        };
+        let store = CheckpointStore::new();
+        store.put("w/0", golden(2, CountSum { n: 1, sum: 2 }));
+        let mut b = bolt(&store, WindowSpec::Tumbling { size: 10 }, 0);
+        assert!(b.recovered());
+        let mut out = OutputCollector::new();
+        b.execute(&keyed("a", 100, 5, 3), &mut out);
+        assert_eq!(out.late.len(), 1, "[0,10) expired under the restored watermark 15");
+        b.execute(&keyed("a", 3, 14, 4), &mut out);
+        b.on_idle(&mut out);
+        assert!(out.emitted.is_empty());
+        assert_eq!(store.get("w/0").unwrap().1, golden(4, CountSum { n: 2, sum: 5 }));
+    }
+
+    /// A too-late tuple applied but not committed before a crash is late
+    /// again on replay: the restart must not resurrect its expired
+    /// window and fire it a second time.
+    #[test]
+    fn a_restart_does_not_resurrect_an_expired_window() {
+        let store = CheckpointStore::new();
+        let inputs = [
+            keyed("a", 1, 3, 1),
+            keyed("a", 2, 12, 2),
+            keyed("a", 3, 13, 3),
+            keyed("a", 100, 5, 4),
+        ];
+        let mut b = bolt(&store, WindowSpec::Tumbling { size: 10 }, 0);
+        let mut out = OutputCollector::new();
+        b.execute(&inputs[0], &mut out);
+        b.execute(&inputs[1], &mut out);
+        b.on_watermark(15, &mut out);
+        assert_eq!(decode_result(&out.emitted[0]), ("a".into(), 0, 10, CountSum { n: 1, sum: 1 }));
+        b.execute(&inputs[2], &mut out);
+        b.on_idle(&mut out); // commits ids 1-3
+        b.execute(&inputs[3], &mut out);
+        assert_eq!(out.late.len(), 1);
+        drop(b); // crash with id 4 uncommitted
+
+        let mut b = bolt(&store, WindowSpec::Tumbling { size: 10 }, 0);
+        let mut out = OutputCollector::new();
+        for t in &inputs {
+            b.execute(t, &mut out);
+        }
+        b.on_watermark(15, &mut out);
+        assert_eq!(b.duplicates_skipped(), 3);
+        assert!(out.emitted.is_empty(), "[0,10) fired before the crash: {:?}", out.emitted);
+        assert_eq!(out.late.len(), 1, "the replayed too-late tuple is late again");
+        assert_eq!(out.late[0].get(1).and_then(Value::as_int), Some(100));
     }
 
     #[test]

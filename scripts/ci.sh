@@ -33,6 +33,11 @@ echo "== cargo test =="
 # experiment kick-tires and the benchmark.
 cargo test --workspace -q
 
+echo "== entry points (the documented examples: a runtime panic fails CI) =="
+for example in quickstart site_audience sensor_pipeline observability; do
+    cargo run --release -q --example "$example" > /dev/null
+done
+
 echo "== event-time gate (watermarks, windows, lateness) =="
 cargo run --release -q --example windowed > /dev/null
 

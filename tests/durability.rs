@@ -143,7 +143,7 @@ fn transient_commit_faults_retry_in_place_without_replay() {
 
     // The storage counters ride the same snapshot once exported.
     let stats = store.storage_stats().expect("durable store exposes stats");
-    let (fsyncs, bytes, _torn, _retries) = stats.totals();
+    let (fsyncs, bytes, _torn) = stats.totals();
     assert!(fsyncs > 0 && bytes > 0, "durable run must have synced and written");
     stats.export_metrics(&result.metrics);
     let snap = result.metrics.snapshot();
