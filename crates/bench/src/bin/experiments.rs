@@ -1162,8 +1162,8 @@ fn t2c_recovery(r: &mut Recorder) {
     use sa_platform::topology::{Bolt, Spout};
     use sa_platform::tuple::tuple_of;
     use sa_platform::{
-        run_topology, CheckpointStore, ExecutorConfig, Log, Record, Semantics, TopologyBuilder,
-        Tuple,
+        run_topology, CheckpointStore, ExecutorConfig, FaultPlan, Log, Record, Semantics,
+        TopologyBuilder, Tuple,
     };
     use sa_sketches::cardinality::HyperLogLog;
     use sa_sketches::frequency::CountMinSketch;
@@ -1245,7 +1245,11 @@ fn t2c_recovery(r: &mut Recorder) {
         let plan = Some((Arc::new(AtomicU64::new(0)), kill_at, kill.clone()));
         let crashed = run_topology(
             build(0, plan),
-            ExecutorConfig { kill: Some(kill), seed: 5, ..Default::default() },
+            ExecutorConfig {
+                faults: FaultPlan::default().kill_switch(kill),
+                seed: 5,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(!crashed.clean_shutdown, "kill switch must interrupt the run");

@@ -9,39 +9,43 @@
 //! and the spout is acked. Tracking any tree costs 8 bytes regardless
 //! of its size, which is the celebrated trick.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
-
-/// Per-root acker state.
-#[derive(Debug)]
-struct Entry {
-    xor: u64,
-    /// Wall-clock registration time (for message timeouts).
-    born: Instant,
-}
 
 /// What the acker decided about a root after an update.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AckOutcome {
-    /// Tree still has pending edges.
+    /// Tree still has pending edges (or the ack was stale and dropped).
     Pending,
     /// Tree fully processed — spout should `ack`.
     Complete,
 }
 
-/// The acker service (one instance is enough; Storm shards by root id).
+/// The acker of one spout task: every root it sees was minted by that
+/// spout, which registers its roots in the order it minted them. The
+/// executor keeps one per spout task and reaches it through the spout
+/// id every root carries, so completions land where they are consumed.
 #[derive(Debug, Default)]
 pub struct Acker {
-    entries: HashMap<u64, Entry>,
+    /// Pending trees: root → XOR of its pending edge ids.
+    entries: HashMap<u64, u64>,
+    /// Registered roots with their registration time, in registration
+    /// order. `expire` pops from the front; a root that settled since
+    /// is popped without a clock comparison.
+    registered: VecDeque<(u64, Instant)>,
+    /// Newest registered root. Registration follows mint order, so an
+    /// unknown root at or below it settled already: its ack or fail is
+    /// stale and dropped.
+    newest: u64,
     /// Completed roots since the last drain.
     completed: Vec<u64>,
     /// Failed (explicit or timed-out) roots since the last drain.
     failed: Vec<u64>,
     /// Roots failed before their `init` arrived (a bolt can error on a
-    /// tuple while its spout still batches the registration). The init
-    /// consumes the tombstone and fails immediately; root ids are never
-    /// reused, so a stale tombstone can only be swept by `expire`.
-    failed_early: HashMap<u64, Instant>,
+    /// tuple while its spout still batches the registration). Only
+    /// roots above `newest` get one, and the init consumes it.
+    failed_early: HashSet<u64>,
 }
 
 impl Acker {
@@ -51,22 +55,25 @@ impl Acker {
     }
 
     /// Register a new spout tuple: `root` with the XOR of its initial
-    /// edge ids.
+    /// edge ids. Roots are registered in the order they were minted.
     pub fn init(&mut self, root: u64, first_edges_xor: u64) {
-        if self.failed_early.remove(&root).is_some() {
+        self.newest = self.newest.max(root);
+        // Acks that raced ahead of the registration left an entry.
+        let early = self.entries.remove(&root);
+        if self.failed_early.remove(&root) {
             // The tree already failed while this registration was in
-            // flight: fail it now (dropping any orphan ack entry) so
-            // the spout replays without waiting for the timeout.
-            self.entries.remove(&root);
+            // flight: fail it now so the spout replays without waiting
+            // for the timeout.
             self.failed.push(root);
             return;
         }
-        let e = self.entries.entry(root).or_insert(Entry { xor: 0, born: Instant::now() });
-        e.xor ^= first_edges_xor;
-        if e.xor == 0 {
+        let xor = early.unwrap_or(0) ^ first_edges_xor;
+        if xor == 0 {
             // Degenerate: a tuple tree that finished instantly.
-            self.entries.remove(&root);
             self.completed.push(root);
+        } else {
+            self.entries.insert(root, xor);
+            self.registered.push_back((root, Instant::now()));
         }
     }
 
@@ -74,63 +81,60 @@ impl Acker {
     ///
     /// Init and ack are symmetric XOR updates, so an ack racing ahead of
     /// its root's `init` simply creates the entry — exactly Storm's
-    /// design. (A random-id subset XOR-ing to zero prematurely has
-    /// probability ≈ 2⁻⁶⁴ per tree, the protocol's accepted risk.)
+    /// design. An ack for a root that already settled is dropped. (A
+    /// random-id subset XOR-ing to zero prematurely has probability
+    /// ≈ 2⁻⁶⁴ per tree, the protocol's accepted risk.)
     pub fn ack(&mut self, root: u64, ack_val: u64) -> AckOutcome {
-        let e = self.entries.entry(root).or_insert(Entry { xor: 0, born: Instant::now() });
-        e.xor ^= ack_val;
-        if e.xor == 0 {
-            self.entries.remove(&root);
-            self.completed.push(root);
-            AckOutcome::Complete
-        } else {
-            AckOutcome::Pending
+        let mut entry = match self.entries.entry(root) {
+            Entry::Occupied(entry) => entry,
+            Entry::Vacant(slot) if root > self.newest => {
+                slot.insert(ack_val);
+                return AckOutcome::Pending;
+            }
+            // Unknown and not newer than the newest registration: the
+            // root settled already.
+            Entry::Vacant(_) => return AckOutcome::Pending,
+        };
+        *entry.get_mut() ^= ack_val;
+        if *entry.get() != 0 {
+            return AckOutcome::Pending;
         }
+        entry.remove();
+        self.completed.push(root);
+        AckOutcome::Complete
     }
 
     /// Explicitly fail a root (bolt error): the spout must replay.
     ///
     /// Like acks, a failure can race ahead of its root's `init` (the
     /// executor sends tuples before registering the root). Dropping it
-    /// would strand the tree until the message timeout, so an unknown
-    /// root leaves a tombstone that fails the init on arrival. A
-    /// tombstone for an already-settled root is garbage — `expire`
-    /// sweeps it, mirroring orphan ack entries.
+    /// would strand the tree until the message timeout, so a root not
+    /// yet registered leaves a tombstone that fails the init on
+    /// arrival. A fail for a root that already settled is dropped.
     pub fn fail(&mut self, root: u64) {
         if self.entries.remove(&root).is_some() {
             self.failed.push(root);
-        } else {
-            self.failed_early.entry(root).or_insert_with(Instant::now);
+        } else if root > self.newest {
+            self.failed_early.insert(root);
         }
     }
 
     /// Expire roots pending longer than `max_age` (message-timeout
-    /// replay, Storm's `topology.message.timeout`).
+    /// replay, Storm's `topology.message.timeout`). Registration order
+    /// is age order, so this visits the roots it retires plus one.
     pub fn expire(&mut self, max_age: Duration) {
         let now = Instant::now();
-        let expired: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| now.duration_since(e.born) > max_age)
-            .map(|(&r, _)| r)
-            .collect();
-        for r in expired {
-            self.entries.remove(&r);
-            self.failed.push(r);
+        while let Some(&(root, born)) = self.registered.front() {
+            let pending = self.entries.contains_key(&root);
+            if pending && now.duration_since(born) <= max_age {
+                break;
+            }
+            if pending {
+                self.entries.remove(&root);
+                self.failed.push(root);
+            }
+            self.registered.pop_front();
         }
-        // Tombstones whose init never came (the fail was stale: the
-        // root had already settled) are garbage, not failures.
-        self.failed_early.retain(|_, born| now.duration_since(*born) <= max_age);
-    }
-
-    /// Hand a drained completion back (it belonged to another spout).
-    pub fn requeue_completed(&mut self, root: u64) {
-        self.completed.push(root);
-    }
-
-    /// Hand a drained failure back (it belonged to another spout).
-    pub fn requeue_failed(&mut self, root: u64) {
-        self.failed.push(root);
     }
 
     /// Drain roots completed since the last call.
@@ -228,19 +232,16 @@ mod tests {
     }
 
     #[test]
-    fn late_acks_become_orphan_entries_that_expire() {
+    fn stale_acks_open_no_entry() {
         let mut acker = Acker::new();
         acker.init(2, 0x5);
         acker.ack(2, 0x5);
         assert_eq!(acker.take_completed(), vec![2]);
-        // A stale ack for the settled root re-opens a garbage entry…
+        // A stale ack for the settled root is dropped: roots register
+        // in mint order, so an unknown root at or below the newest
+        // registration already settled.
         assert_eq!(acker.ack(2, 0x5), AckOutcome::Pending);
         assert!(acker.take_completed().is_empty());
-        assert_eq!(acker.pending(), 1);
-        // …which the timeout sweeps away (the spout will find no
-        // matching in-flight message and ignore the failure).
-        std::thread::sleep(Duration::from_millis(10));
-        acker.expire(Duration::from_millis(1));
         assert_eq!(acker.pending(), 0);
     }
 

@@ -9,14 +9,14 @@
 
 use super::emit::EmitCtx;
 use super::task::{isolate, Supervisor, TaskCtx};
-use super::{sink_slot, BoltTask, Msg, Route, Semantics, SinkSlot};
+use super::{decode_root, sink_slot, BoltTask, Msg, Route, Semantics, SinkSlot};
 use crate::metrics::{CounterHandle, GaugeHandle, HistogramHandle, Sampler};
 use crate::time::WatermarkMerger;
 use crate::topology::{Bolt, BoltBuilder, OutputCollector};
 use crate::tuple::Tuple;
 use std::time::Instant;
 
-/// A batch's ack traffic, applied under one acker lock.
+/// One unit of ack traffic, applied by [`apply_acks`].
 enum AckOp {
     /// `ack(root, input.id ⊕ new edges)`.
     Ack(u64, u64),
@@ -164,21 +164,7 @@ impl BoltCore {
                         }
                     }
                 }
-                if !acks.is_empty() {
-                    // One lock acquisition settles the whole batch.
-                    {
-                        let mut acker = self.ctx.run.acker.lock().expect("acker lock poisoned");
-                        for op in acks {
-                            match op {
-                                AckOp::Ack(root, val) => {
-                                    acker.ack(root, val);
-                                }
-                                AckOp::Fail(root) => acker.fail(root),
-                            }
-                        }
-                    }
-                    (self.ctx.on_ack)();
-                }
+                apply_acks(&self.ctx, acks);
                 self.emit.flush_if_lingering();
             }
             Msg::Watermark { source, wm } => {
@@ -367,21 +353,33 @@ impl BoltCore {
     }
 }
 
-/// Settle every held ack under one acker lock: ack them (a durable
-/// commit covered them) or fail them (the inputs will be replayed).
+/// Settle every held ack: ack them (a durable commit covered them) or
+/// fail them (the inputs will be replayed).
 fn settle_held(held: &mut Vec<(u64, u64)>, ctx: &TaskCtx, ack: bool) {
-    if held.is_empty() {
-        return;
-    }
-    {
-        let mut acker = ctx.run.acker.lock().expect("acker lock poisoned");
-        for (root, val) in held.drain(..) {
-            if ack {
-                acker.ack(root, val);
-            } else {
-                acker.fail(root);
+    let op = |(root, val)| if ack { AckOp::Ack(root, val) } else { AckOp::Fail(root) };
+    apply_acks(ctx, held.drain(..).map(op));
+}
+
+/// The one path ack traffic takes: each run of ops for the same spout
+/// is applied under one lock of that spout's acker (never two held at
+/// once), then that spout alone is woken.
+fn apply_acks(ctx: &TaskCtx, ops: impl IntoIterator<Item = AckOp>) {
+    let spout_of = |op: &AckOp| match *op {
+        AckOp::Ack(root, _) | AckOp::Fail(root) => decode_root(root).0,
+    };
+    let mut ops = ops.into_iter().peekable();
+    while let Some(spout) = ops.peek().map(spout_of) {
+        {
+            let mut acker = ctx.run.acks(spout).acker.lock().expect("acker lock poisoned");
+            while let Some(op) = ops.next_if(|op| spout_of(op) == spout) {
+                match op {
+                    AckOp::Ack(root, val) => {
+                        acker.ack(root, val);
+                    }
+                    AckOp::Fail(root) => acker.fail(root),
+                }
             }
         }
+        (ctx.on_ack)(spout);
     }
-    (ctx.on_ack)();
 }

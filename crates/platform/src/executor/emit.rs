@@ -253,13 +253,13 @@ mod tests {
             ..Default::default()
         };
         TaskCtx {
-            run: Arc::new(Run::new(config, Metrics::new())),
+            run: Arc::new(Run::new(config, Metrics::new(), &[])),
             name: name.into(),
             task: 0,
             id: 0,
             seed: 1,
             restart: RestartPolicy::default(),
-            on_ack: Arc::new(|| {}),
+            on_ack: Arc::new(|_| {}),
         }
     }
 

@@ -24,9 +24,9 @@
 //! between two components is a channel hop and every task is acked and
 //! watermarked by the same code (`BoltCore` / `SpoutCore`). Both kinds
 //! see the run through one `TaskCtx` (a per-task view of the shared
-//! `Run`: config, metrics, sink, acker, stop flags) and run their user
-//! code under one `Supervisor` (chaos injection, panic isolation,
-//! restart budget, escalation; `task.rs`).
+//! `Run`: config, metrics, sink, one acker per spout task, stop flags)
+//! and run their user code under one `Supervisor` (chaos injection,
+//! panic isolation, restart budget, escalation; `task.rs`).
 //!
 //! # The fast path
 //!
@@ -138,12 +138,6 @@ pub struct ExecutorConfig {
     pub watermarks: Option<WatermarkConfig>,
     /// RNG seed (edge ids, drop injection).
     pub seed: u64,
-    /// Crash injection: when this flag flips to `true`, spouts stop
-    /// emitting immediately and shutdown skips the flush phase — bolts
-    /// never see `flush()`, exactly as if the process died. Recovery
-    /// tests flip it mid-stream and then restart the topology from
-    /// checkpoints + log replay.
-    pub kill: Option<Arc<AtomicBool>>,
     /// Default restart policy for every task; components override it
     /// with `SpoutHandle::restart` / `BoltHandle::restart`. The default
     /// grants a generous budget — [`RestartPolicy::none`] restores the
@@ -153,9 +147,10 @@ pub struct ExecutorConfig {
     /// the `"{spout}.dlq"` dead-letter output instead of being replayed
     /// again. `None` (default) replays forever.
     pub max_replays: Option<u32>,
-    /// Chaos plan: injected panics, per-component link drops/delays.
-    /// (Storage faults apply separately, through
-    /// [`FaultPlan::wrap_storage`].) Empty by default.
+    /// Chaos plan: injected panics, per-component link drops and the
+    /// crash switch ([`FaultPlan::kill_switch`]). (Storage faults apply
+    /// separately, through [`FaultPlan::wrap_storage`].) Empty by
+    /// default.
     pub faults: FaultPlan,
     /// Live-rescaling controller. When set, `Fields` routes into
     /// components with a registered [`crate::rescale::ShardTable`]
@@ -180,7 +175,6 @@ impl Default for ExecutorConfig {
             latency_sample_every: 32,
             watermarks: None,
             seed: 0xD15C0,
-            kill: None,
             restart: RestartPolicy::default(),
             max_replays: None,
             faults: FaultPlan::default(),
@@ -290,13 +284,26 @@ pub(crate) struct BoltTask {
     pub(crate) factory: Option<BoltBuilder>,
 }
 
+/// One spout task's acker and its ack-progress sequence.
+#[derive(Default)]
+pub(crate) struct SpoutAcks {
+    pub(crate) acker: Mutex<Acker>,
+    /// Bumped after acks/fails for this spout's roots are applied, so
+    /// the spout about to go dormant can tell that progress landed
+    /// since it last settled.
+    pub(crate) seq: AtomicU64,
+}
+
 /// What the whole run owns, shared by every task through its
 /// [`task::TaskCtx`]. Built once.
 pub(crate) struct Run {
     pub(crate) config: ExecutorConfig,
     pub(crate) metrics: Metrics,
     pub(crate) sink: Sink,
-    pub(crate) acker: Mutex<Acker>,
+    /// One acker per spout task, indexed by global task id (`None` for
+    /// a bolt task): the spout id in every root names the acker it
+    /// settles in.
+    ackers: Vec<Option<SpoutAcks>>,
     pub(crate) unclean: AtomicBool,
     /// Escalation: the first task to exhaust its restart budget records
     /// why in `failure` and flips `abort`; spouts then stop (like
@@ -305,30 +312,32 @@ pub(crate) struct Run {
     pub(crate) failure: Mutex<Option<String>>,
     /// Run epoch: the clock restart windows are counted on.
     pub(crate) start: Instant,
-    /// Ack progress sequence: bumped after acks/fails are applied
-    /// anywhere, so a spout about to go dormant can tell that progress
-    /// landed since it last settled.
-    pub(crate) ack_seq: AtomicU64,
 }
 
 impl Run {
-    pub(crate) fn new(config: ExecutorConfig, metrics: Metrics) -> Self {
+    /// `spout_tasks[id]` says whether global task `id` is a spout task.
+    pub(crate) fn new(config: ExecutorConfig, metrics: Metrics, spout_tasks: &[bool]) -> Self {
         Self {
             config,
             metrics,
             sink: Mutex::new(HashMap::new()),
-            acker: Mutex::new(Acker::new()),
+            ackers: spout_tasks.iter().map(|&spout| spout.then(SpoutAcks::default)).collect(),
             unclean: AtomicBool::new(false),
             abort: AtomicBool::new(false),
             failure: Mutex::new(None),
             start: Instant::now(),
-            ack_seq: AtomicU64::new(0),
         }
     }
 
-    /// Whether the crash-injection flag ([`ExecutorConfig::kill`]) fired.
+    /// The acker of spout task `spout` (a global task id).
+    pub(crate) fn acks(&self, spout: u32) -> &SpoutAcks {
+        self.ackers[spout as usize].as_ref().expect("roots are minted by spout tasks")
+    }
+
+    /// Whether the plan's crash switch ([`FaultPlan::kill_switch`])
+    /// fired.
     pub(crate) fn killed(&self) -> bool {
-        self.config.kill.as_ref().is_some_and(|k| k.load(Ordering::Relaxed))
+        self.config.faults.kill.as_ref().is_some_and(|k| k.load(Ordering::Relaxed))
     }
 }
 
@@ -404,13 +413,12 @@ pub fn run_topology_with(
     //     each bolt pre-seeds its merger with every upstream task id
     //     (an input it has never heard from must block the merge). ---
     let mut task_ids: HashMap<String, Vec<u32>> = HashMap::new();
-    let mut next_task_id = 0u32;
+    let mut spout_tasks: Vec<bool> = Vec::new();
     for c in &builder.components {
         let ids = (0..c.parallelism)
             .map(|_| {
-                let id = next_task_id;
-                next_task_id += 1;
-                id
+                spout_tasks.push(!c.is_bolt());
+                spout_tasks.len() as u32 - 1
             })
             .collect();
         task_ids.insert(c.name.clone(), ids);
@@ -458,7 +466,7 @@ pub fn run_topology_with(
     }
 
     let core = RunCore {
-        run: Arc::new(Run::new(config, metrics)),
+        run: Arc::new(Run::new(config, metrics, &spout_tasks)),
         decls,
         built,
         spouts,

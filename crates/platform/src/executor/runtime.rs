@@ -494,10 +494,10 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
                     sched.enqueue_global(s);
                 }
                 SpoutStep::Idle { seen } => {
-                    let run = core.ctx.run.clone();
+                    let (run, id) = (core.ctx.run.clone(), core.ctx.id);
                     drop(guard);
                     slot.scheduled.store(false, Ordering::Release);
-                    if run.ack_seq.load(Ordering::Acquire) != seen {
+                    if run.acks(id).seq.load(Ordering::Acquire) != seen {
                         // An ack landed between the settle and here:
                         // re-claim rather than sleep on a stale snapshot.
                         if !slot.scheduled.swap(true, Ordering::AcqRel) {
@@ -561,18 +561,16 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     // state alive after the run.
     let weak: Weak<Sched> = Arc::downgrade(&sched);
 
-    // Ack progress re-activates dormant spouts immediately (and bumps
-    // the run-wide sequence for the `Idle { seen }` re-check).
-    let on_ack: Arc<dyn Fn() + Send + Sync> = {
+    // Ack progress re-activates the dormant spout whose roots changed
+    // immediately (and bumps its sequence for the `Idle { seen }`
+    // re-check). Slots are laid out in global task id order.
+    let on_ack: Arc<dyn Fn(u32) + Send + Sync> = {
         let run = run.clone();
         let sched = weak.clone();
-        let spout_slots = spout_slots.clone();
-        Arc::new(move || {
-            run.ack_seq.fetch_add(1, Ordering::Release);
+        Arc::new(move |spout| {
+            run.acks(spout).seq.fetch_add(1, Ordering::Release);
             if let Some(sched) = sched.upgrade() {
-                for &s in &spout_slots {
-                    sched.schedule(s);
-                }
+                sched.schedule(spout as usize);
             }
         })
     };
@@ -646,11 +644,13 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     for (slot_idx, &(ci, task)) in specs.iter().enumerate() {
         task_seed = sa_core::hash::mix64(task_seed);
         let c = &core.decls[ci];
+        let id = core.task_ids[&c.name][task];
+        assert_eq!(id as usize, slot_idx, "slots are laid out in global task id order");
         let ctx = TaskCtx {
             run: run.clone(),
             name: c.name.clone(),
             task,
-            id: core.task_ids[&c.name][task],
+            id,
             seed: task_seed,
             restart: core.restart_for(c),
             on_ack: on_ack.clone(),

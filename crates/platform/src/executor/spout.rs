@@ -9,7 +9,7 @@
 
 use super::emit::EmitCtx;
 use super::task::{Supervisor, TaskCtx};
-use super::{decode_root, encode_root, Route, Semantics};
+use super::{encode_root, Route, Semantics};
 use crate::metrics::{CounterHandle, HistogramHandle, Sampler};
 use crate::time::{WatermarkConfig, WatermarkGen};
 use crate::topology::Spout;
@@ -51,10 +51,10 @@ struct SpoutObs {
 pub(crate) enum SpoutStep {
     /// Produced a tuple (or recovered from a panic): call again soon.
     Progress,
-    /// Source exhausted for now. `seen` is the ack-progress sequence
-    /// snapshotted *before* the final settle — a runner that re-checks
-    /// it before going dormant cannot miss an ack that landed in
-    /// between.
+    /// Source exhausted for now. `seen` is this spout's ack-progress
+    /// sequence snapshotted *before* the final settle — a runner that
+    /// re-checks it before going dormant cannot miss an ack that landed
+    /// in between.
     Idle { seen: u64 },
     /// Terminal: clean finish, shutdown timeout, kill, or escalation.
     Done,
@@ -79,9 +79,9 @@ pub(crate) struct SpoutCore {
     // emission timestamp for sampled roots (ack-latency tracking).
     root_counter: u64,
     in_flight: HashMap<u64, (u64, Option<Instant>)>,
-    // Root registrations accumulated since the last acker visit;
-    // applied in one lock acquisition per batch rather than one per
-    // tuple.
+    // Root registrations accumulated since the last acker visit, in
+    // mint order; applied in one lock acquisition per batch rather than
+    // one per tuple.
     pending_inits: Vec<(u64, u64)>,
     since_settle: usize,
     // Stall clock: time since the spout last made progress (an
@@ -251,7 +251,7 @@ impl SpoutCore {
         // this point bumps the sequence, and the runner's re-check of
         // `seen` re-activates the slot instead of sleeping on missed
         // progress.
-        let seen = self.ctx.run.ack_seq.load(Ordering::Acquire);
+        let seen = self.ctx.run.acks(self.ctx.id).seq.load(Ordering::Acquire);
         // Idle: ship partial batches and settle before deciding.
         self.emit.flush_all();
         let mut progressed = 0;
@@ -296,15 +296,16 @@ impl SpoutCore {
         }
     }
 
-    /// One acker visit: register accumulated roots, expire stale trees,
-    /// and route completions/failures back into the spout. Returns the
-    /// number of this spout's roots that settled (acked, failed, or
-    /// quarantined) — the shutdown loop's progress signal.
+    /// One visit to this spout's acker: register accumulated roots,
+    /// expire stale trees, and route completions/failures back into the
+    /// spout. Returns the number of roots that settled (acked, failed,
+    /// or quarantined) — the shutdown loop's progress signal.
     fn settle(&mut self) -> u64 {
         let obs = self.obs.as_ref();
         let visit_start = obs.map(|_| Instant::now());
         let (completed, failed) = {
-            let mut acker = self.ctx.run.acker.lock().expect("acker lock poisoned");
+            let acks = self.ctx.run.acks(self.ctx.id);
+            let mut acker = acks.acker.lock().expect("acker lock poisoned");
             for (root, xor) in self.pending_inits.drain(..) {
                 acker.init(root, xor);
             }
@@ -312,76 +313,47 @@ impl SpoutCore {
             (acker.take_completed(), acker.take_failed())
         };
         let mut settled = 0u64;
-        let mut requeue_completed = Vec::new();
-        let mut requeue_failed = Vec::new();
         for root in completed {
-            let (task, _) = decode_root(root);
-            if task == self.ctx.id {
-                if let Some((local, born)) = self.in_flight.remove(&root) {
-                    self.spout.ack(local);
-                    self.quarantine.counts.remove(&local);
-                    self.ctx.run.metrics.root_acked();
-                    settled += 1;
-                    if let (Some(obs), Some(born)) = (obs, born) {
-                        obs.ack_us.record(born.elapsed().as_secs_f64() * 1e6);
-                    }
+            if let Some((local, born)) = self.in_flight.remove(&root) {
+                self.spout.ack(local);
+                self.quarantine.counts.remove(&local);
+                self.ctx.run.metrics.root_acked();
+                settled += 1;
+                if let (Some(obs), Some(born)) = (obs, born) {
+                    obs.ack_us.record(born.elapsed().as_secs_f64() * 1e6);
                 }
-            } else {
-                // Not ours: hand it back for the owning spout.
-                requeue_completed.push(root);
             }
         }
         for root in failed {
-            let (task, _) = decode_root(root);
-            if task == self.ctx.id {
-                if let Some((local, _)) = self.in_flight.remove(&root) {
-                    self.ctx.run.metrics.root_failed();
-                    let replays = self.quarantine.counts.entry(local).or_insert(0);
-                    *replays += 1;
-                    if self.quarantine.max_replays.is_some_and(|max| *replays > max) {
-                        // Poison: its replay budget is spent. Retire the
-                        // message from the spout and divert it (or an
-                        // id-only stub) to the dead-letter output.
-                        self.quarantine.counts.remove(&local);
-                        let mut t = self
-                            .spout
-                            .quarantine(local)
-                            .unwrap_or_else(|| tuple_of([local as i64]));
-                        t.lineage = local;
-                        t.root = 0;
-                        self.ctx.run.metrics.root_quarantined();
-                        self.quarantine.dlq.add(1);
-                        super::sink_slot(&self.ctx.run.sink, &self.quarantine.key)
-                            .lock()
-                            .unwrap()
-                            .push(t);
-                    } else if self.spout.fail(local) {
-                        // Replay is the spout's decision: only count one
-                        // when the spout actually requeued the message.
-                        self.ctx.run.metrics.root_replayed();
-                    }
-                    settled += 1;
+            if let Some((local, _)) = self.in_flight.remove(&root) {
+                self.ctx.run.metrics.root_failed();
+                let replays = self.quarantine.counts.entry(local).or_insert(0);
+                *replays += 1;
+                if self.quarantine.max_replays.is_some_and(|max| *replays > max) {
+                    // Poison: its replay budget is spent. Retire the
+                    // message from the spout and divert it (or an
+                    // id-only stub) to the dead-letter output.
+                    self.quarantine.counts.remove(&local);
+                    let mut t =
+                        self.spout.quarantine(local).unwrap_or_else(|| tuple_of([local as i64]));
+                    t.lineage = local;
+                    t.root = 0;
+                    self.ctx.run.metrics.root_quarantined();
+                    self.quarantine.dlq.add(1);
+                    super::sink_slot(&self.ctx.run.sink, &self.quarantine.key)
+                        .lock()
+                        .unwrap()
+                        .push(t);
+                } else if self.spout.fail(local) {
+                    // Replay is the spout's decision: only count one
+                    // when the spout actually requeued the message.
+                    self.ctx.run.metrics.root_replayed();
                 }
-            } else {
-                requeue_failed.push(root);
-            }
-        }
-        let requeued = !requeue_completed.is_empty() || !requeue_failed.is_empty();
-        if requeued {
-            let mut acker = self.ctx.run.acker.lock().expect("acker lock poisoned");
-            for root in requeue_completed {
-                acker.requeue_completed(root);
-            }
-            for root in requeue_failed {
-                acker.requeue_failed(root);
+                settled += 1;
             }
         }
         if let (Some(obs), Some(visit_start)) = (obs, visit_start) {
             obs.settle_us.record(visit_start.elapsed().as_secs_f64() * 1e6);
-        }
-        if requeued {
-            // Roots for sibling spouts landed: wake them.
-            (self.ctx.on_ack)();
         }
         settled
     }

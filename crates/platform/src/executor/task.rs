@@ -34,10 +34,10 @@ pub(crate) struct TaskCtx {
     pub(crate) seed: u64,
     /// Supervision policy for this component's tasks.
     pub(crate) restart: RestartPolicy,
-    /// Run after this task applies acks/fails/releases or requeues
-    /// another spout's roots: bumps the run's ack sequence and wakes
-    /// the spouts.
-    pub(crate) on_ack: Arc<dyn Fn() + Send + Sync>,
+    /// Run after this task applies acks/fails/releases for the roots
+    /// of spout task `spout` (a global id): bumps that spout's ack
+    /// sequence and wakes it.
+    pub(crate) on_ack: Arc<dyn Fn(u32) + Send + Sync>,
 }
 
 /// Run `f` under `catch_unwind`, turning a panic into its message.

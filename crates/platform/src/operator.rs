@@ -833,31 +833,25 @@ impl<F: FnMut(&Record) -> Tuple + Send> LogSpout<F> {
         self.frontier.as_ref().map_or(0, |fc| fc.put_failures)
     }
 
-    /// The oldest offset not yet settled (== `next_offset` when nothing
-    /// is pending). Every offset below it has been acked — durable
-    /// everywhere — and never needs replay.
-    fn settled_frontier(&self) -> u64 {
-        self.in_flight
-            .iter()
-            .chain(self.requeue.iter())
-            .min()
-            .map_or(self.next_offset, |&id| id - self.id_base - 1)
-    }
-
-    /// Count one settled record; persist the frontier on cadence.
+    /// Count one settled record; on cadence, persist the settled
+    /// frontier: the oldest offset not yet settled (`next_offset` when
+    /// nothing is pending). Every offset below it has been acked —
+    /// durable everywhere — and never needs replay. It is a min over
+    /// every pending id, so only the settle that persists it pays it.
     fn on_settle(&mut self) {
-        let frontier = self.settled_frontier();
-        if let Some(fc) = self.frontier.as_mut() {
-            fc.settles += 1;
-            if fc.settles % fc.every == 0 {
-                // The frontier is pure optimization: a rejected put only
-                // means a deeper replay after the next crash, so a flaky
-                // durable store must not panic the spout — the next
-                // cadence hit retries with a fresher frontier.
-                if fc.store.try_put(&fc.key, encode_checkpoint(frontier, &[])).is_err() {
-                    fc.put_failures += 1;
-                }
-            }
+        let Some(fc) = self.frontier.as_mut() else { return };
+        fc.settles += 1;
+        if fc.settles % fc.every != 0 {
+            return;
+        }
+        let oldest = self.in_flight.iter().chain(&self.requeue).min();
+        let frontier = oldest.map_or(self.next_offset, |&id| id - self.id_base - 1);
+        // The frontier is pure optimization: a rejected put only means a
+        // deeper replay after the next crash, so a flaky durable store
+        // must not panic the spout — the next cadence hit retries with a
+        // fresher frontier.
+        if fc.store.try_put(&fc.key, encode_checkpoint(frontier, &[])).is_err() {
+            fc.put_failures += 1;
         }
     }
 
@@ -1324,6 +1318,46 @@ mod tests {
         assert_eq!(frontier_offset(&store, "f"), 4);
         // A key never committed reads as "replay everything".
         assert_eq!(frontier_offset(&store, "missing"), 0);
+    }
+
+    /// With a cadence above one, the frontier is persisted on every
+    /// `every`-th settle only — and then it is the oldest unsettled
+    /// offset, however acks and a failed (requeued) record interleave.
+    #[test]
+    fn log_spout_frontier_is_persisted_on_its_cadence() {
+        let log = Log::new(1).unwrap();
+        for i in 0..8u8 {
+            log.append("k", vec![i]);
+        }
+        let store = CheckpointStore::new();
+        let mut spout =
+            LogSpout::new(&log, 0, 0, 0, |r: &Record| tuple_of([i64::from(r.value[0])]))
+                .with_frontier(&store, "f", 3);
+        for _ in 0..8 {
+            spout.next_tuple().unwrap();
+        }
+        // Record id = offset + 1. Offset 1 fails and waits in the
+        // requeue, so it pins the frontier until its replay is acked.
+        assert!(spout.fail(2));
+        let stored = |store: &CheckpointStore| store.get("f").map(|_| frontier_offset(store, "f"));
+        // Only the 3rd and 6th settles persist, each the oldest
+        // unsettled offset at that moment; the settles in between leave
+        // the stored value alone even when the true frontier moves.
+        spout.ack(4);
+        spout.ack(1);
+        assert_eq!(stored(&store), None);
+        spout.ack(3); // 3rd: pending 2 (requeued), 5..=8
+        assert_eq!(stored(&store), Some(1));
+        assert_eq!(spout.next_tuple().unwrap().root, 2, "the failed record replays first");
+        spout.ack(2); // the true frontier moves to offset 4 …
+        spout.ack(6);
+        assert_eq!(stored(&store), Some(1), "… but is not persisted between hits");
+        spout.ack(5); // 6th: pending 7, 8
+        assert_eq!(stored(&store), Some(6));
+        spout.ack(8);
+        spout.ack(7);
+        assert_eq!(stored(&store), Some(6));
+        assert_eq!(spout.pending(), 0);
     }
 
     /// A frontier put the durable store rejects is counted and deferred

@@ -30,13 +30,14 @@
 //!   replayed forever (the classic poison-tuple defence).
 //!
 //! [`FaultPlan`] is the one chaos harness: per-component panic
-//! probability, per-link drop injection, and storage I/O faults
-//! (applied through [`FaultPlan::wrap_storage`]), all seeded and
-//! deterministic.
+//! probability, per-link drop injection, a crash switch, and storage
+//! I/O faults (applied through [`FaultPlan::wrap_storage`]); every
+//! random draw is seeded and deterministic.
 
 use crate::storage::{FaultyStorage, Storage, StorageFaults};
 use std::any::Any;
 use std::collections::VecDeque;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -170,8 +171,8 @@ impl RestartTracker {
 }
 
 /// A declarative chaos plan: which faults to inject where, under one
-/// seed. The executor applies the panic and link faults
-/// (`ExecutorConfig::faults`); storage faults wrap a storage handle
+/// seed. The executor applies the panic and link faults and the crash
+/// switch (`ExecutorConfig::faults`); storage faults wrap a storage handle
 /// explicitly with [`FaultPlan::wrap_storage`], since stores live
 /// outside the executor.
 ///
@@ -190,6 +191,8 @@ pub struct FaultPlan {
     /// Storage-level I/O faults (torn appends, bit flips, transient
     /// errors), applied via [`FaultPlan::wrap_storage`].
     storage_faults: Option<StorageFaults>,
+    /// Crash switch ([`FaultPlan::kill_switch`]).
+    pub(crate) kill: Option<Arc<AtomicBool>>,
 }
 
 impl FaultPlan {
@@ -200,7 +203,10 @@ impl FaultPlan {
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.panic_prob.is_empty() && self.link_drop.is_empty() && self.storage_faults.is_none()
+        self.panic_prob.is_empty()
+            && self.link_drop.is_empty()
+            && self.storage_faults.is_none()
+            && self.kill.is_none()
     }
 
     /// Builder: panic probability per unit of work for `component`
@@ -214,6 +220,14 @@ impl FaultPlan {
     /// (`""` = every component).
     pub fn drop_on(mut self, component: &str, prob: f64) -> Self {
         self.link_drop.push((component.to_string(), prob));
+        self
+    }
+
+    /// Builder: crash injection. Once `flag` reads `true`, spouts stop
+    /// emitting and shutdown skips the flush phase, as if the process
+    /// died (recovery tests then restart from checkpoints + replay).
+    pub fn kill_switch(mut self, flag: Arc<AtomicBool>) -> Self {
+        self.kill = Some(flag);
         self
     }
 

@@ -63,6 +63,17 @@ echo "== experiment kick-tires (event time, serving, scheduler, rescale, durabil
 # and drained are recorded in out/, never gated.
 cargo run --release -q -p sa-bench --bin experiments t2.e t2.g t2.h t2.j t2.k
 
+echo "== benchmark package (layers builds, the package's unit tests pass) =="
+# run.sh tolerates a failed `layers` build so end-to-end rows still come
+# out, which would leave every per-layer row `skipped` with CI green.
+# `layers` reaches below the front door (`Acker`, `channel`, `Frame`),
+# so build it explicitly. The package's tests check the catalog against
+# BENCHMARK.json, the checker's negative self-tests and generator
+# determinism.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark --bin layers
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+
 echo "== benchmark smoke (repo benchmark builds, runs, matches its reference) =="
 # Two quick workloads, untraced and traced; run.sh exits non-zero on a
 # reference mismatch. drain_mem is the saturated path; paced_mem is the

@@ -4,7 +4,8 @@
 //! answers under exactly-once — while `RestartPolicy::none()` restores
 //! the pre-supervision "first panic fails the topology" behaviour.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -71,8 +72,10 @@ fn chaos_config(
         shutdown_timeout: Duration::from_secs(30),
         seed: 11,
         restart: lenient(),
-        faults,
-        kill,
+        faults: match kill {
+            Some(kill) => faults.kill_switch(kill),
+            None => faults,
+        },
         ..Default::default()
     }
 }
@@ -334,5 +337,103 @@ fn spout_escalation_names_the_spout_and_its_task() {
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("b.panics"), 1, "{scheduling:?}");
         assert_eq!(snap.counter("a.panics"), 0, "{scheduling:?}: b's panic blamed on a");
+    }
+}
+
+/// A reliable spout over a fixed set of message ids that records every
+/// failure it is told of and replays the failed message.
+struct RecordingSpout {
+    queue: VecDeque<u64>,
+    unsettled: HashSet<u64>,
+    fails: Arc<Mutex<Vec<u64>>>,
+}
+
+impl RecordingSpout {
+    fn new(ids: RangeInclusive<u64>, fails: Arc<Mutex<Vec<u64>>>) -> Self {
+        Self { queue: ids.clone().collect(), unsettled: ids.collect(), fails }
+    }
+}
+
+impl Spout for RecordingSpout {
+    fn next_tuple(&mut self) -> Option<Tuple> {
+        let id = self.queue.pop_front()?;
+        let mut t = tuple_of([id as i64]);
+        t.root = id; // the spout's message id
+        Some(t)
+    }
+
+    fn ack(&mut self, id: u64) {
+        self.unsettled.remove(&id);
+    }
+
+    fn fail(&mut self, id: u64) -> bool {
+        self.fails.lock().unwrap().push(id);
+        self.queue.push_back(id);
+        true
+    }
+
+    fn pending(&self) -> usize {
+        self.unsettled.len()
+    }
+}
+
+/// Fails the first attempt of every message, except the ids in `hold`,
+/// whose first attempt it holds and never releases (the tree can only
+/// time out); every second attempt is acked.
+struct FirstAttemptFails {
+    seen: HashSet<i64>,
+    hold: Vec<i64>,
+}
+
+impl Bolt for FirstAttemptFails {
+    fn execute(&mut self, t: &Tuple, out: &mut OutputCollector) {
+        let id = t.get(0).and_then(|v| v.as_int()).unwrap();
+        if !self.seen.insert(id) {
+            return;
+        }
+        if self.hold.contains(&id) {
+            out.hold_ack();
+        } else {
+            out.fail();
+        }
+    }
+}
+
+/// Two spout tasks feed one bolt. Every explicit failure and every
+/// timeout must reach the spout task that minted the root, and only it:
+/// each spout is told of the failure of each of its own messages, once,
+/// and replays each once, and the run shuts down cleanly.
+#[test]
+fn failures_and_timeouts_reach_the_spout_that_minted_the_root() {
+    const N: u64 = 40;
+    for scheduling in schedulings() {
+        let own: [RangeInclusive<u64>; 2] = [1..=N, 1001..=1000 + N];
+        let fails = [Arc::new(Mutex::new(Vec::new())), Arc::new(Mutex::new(Vec::new()))];
+        let mut tb = TopologyBuilder::new();
+        tb.set_spout(
+            "src",
+            (0..2)
+                .map(|s| {
+                    Box::new(RecordingSpout::new(own[s].clone(), fails[s].clone()))
+                        as Box<dyn Spout>
+                })
+                .collect(),
+        );
+        // One held-and-never-released input per spout: its tree expires.
+        let judge = FirstAttemptFails { seen: Default::default(), hold: vec![7, 1007] };
+        tb.set_bolt("judge", vec![Box::new(judge) as Box<dyn Bolt>]).shuffle("src");
+
+        let config = chaos_config(FaultPlan::default(), None, scheduling);
+        let result = run_topology(tb, config).unwrap();
+        assert!(result.clean_shutdown, "{scheduling:?}: run did not settle");
+        for s in 0..2 {
+            let mut seen = fails[s].lock().unwrap().clone();
+            seen.sort_unstable();
+            let want: Vec<u64> = own[s].clone().collect();
+            assert_eq!(seen, want, "{scheduling:?}: spout task {s} was failed other ids");
+        }
+        let snap = result.metrics.snapshot();
+        assert_eq!(snap.replayed_roots, 2 * N, "{scheduling:?}: every message replays once");
+        assert_eq!(snap.acked_roots, 2 * N, "{scheduling:?}");
     }
 }

@@ -104,7 +104,11 @@ fn config(
     kill: Option<Arc<AtomicBool>>,
     scheduling: Scheduling,
 ) -> ExecutorConfig {
-    ExecutorConfig { scheduling, semantics, kill, seed: 7, ..Default::default() }
+    let faults = match kill {
+        Some(kill) => FaultPlan::default().kill_switch(kill),
+        None => FaultPlan::default(),
+    };
+    ExecutorConfig { scheduling, semantics, faults, seed: 7, ..Default::default() }
 }
 
 #[test]
