@@ -1158,7 +1158,7 @@ fn t2_batch_ablation(r: &mut Recorder) {
 // ---------------------------------------------------------------- T2.C
 fn t2c_recovery(r: &mut Recorder) {
     use sa_core::Synopsis;
-    use sa_platform::operator::{replay_offset, LogSpout, OperatorConfig, SynopsisBolt};
+    use sa_platform::operator::{frontier_offset, LogSpout, OperatorConfig, SynopsisBolt};
     use sa_platform::topology::{Bolt, Spout};
     use sa_platform::tuple::tuple_of;
     use sa_platform::{
@@ -1204,7 +1204,8 @@ fn t2c_recovery(r: &mut Recorder) {
     };
 
     /// Crash a `SynopsisBolt<S>` topology at `kill_at` emissions, then
-    /// restart it from checkpoint + log replay. Returns (recovery wall
+    /// restart it from checkpoint + log replay from the spout's settled
+    /// frontier (persisted every 256 settles). Returns (recovery wall
     /// time, records replayed, final snapshot).
     fn run_pair<S, F>(
         log: &Log,
@@ -1227,7 +1228,8 @@ fn t2c_recovery(r: &mut Recorder) {
                     }
                 }
                 tuple_of([rec.key.as_str()])
-            });
+            })
+            .with_frontier(&store, "log.frontier", 256);
             tb.set_spout("log", vec![Box::new(spout) as Box<dyn Spout>]);
             let u = update.clone();
             let bolt = SynopsisBolt::with_config(
@@ -1253,7 +1255,7 @@ fn t2c_recovery(r: &mut Recorder) {
         )
         .unwrap();
         assert!(!crashed.clean_shutdown, "kill switch must interrupt the run");
-        let from = replay_offset(&store, &["op/0"]);
+        let from = frontier_offset(&store, "log.frontier");
         let replayed = log.end_offset(0) - from;
         let (res, secs) = timed(|| {
             run_topology(
@@ -1276,6 +1278,7 @@ fn t2c_recovery(r: &mut Recorder) {
         );
         let mut hll = HyperLogLog::new(12).unwrap();
         hll.restore(&snap).unwrap();
+        assert_eq!(hll.estimate(), hll_direct.estimate(), "HLL ckpt={every}: recovery diverged");
         r.row(
             &format!("HLL p=12, ckpt={every}"),
             &[
@@ -1294,6 +1297,7 @@ fn t2c_recovery(r: &mut Recorder) {
         );
         let mut cms = CountMinSketch::new(2048, 4).unwrap();
         cms.restore(&snap).unwrap();
+        assert_eq!(cms.snapshot(), cms_direct.snapshot(), "CMS ckpt={every}: recovery diverged");
         r.row(
             &format!("CMS 2048x4, ckpt={every}"),
             &[

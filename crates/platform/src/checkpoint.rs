@@ -26,7 +26,6 @@
 
 use crate::storage::{decode_frames, encode_frame, Storage, StorageStats, SyncPolicy, Wal};
 use sa_core::codec::{ByteReader, ByteWriter};
-use sa_core::rng::SplitMix64;
 use sa_core::{Result, SaError};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -45,13 +44,6 @@ const SNAP_TAG: u8 = b'S';
 #[derive(Clone, Debug, Default)]
 pub struct CheckpointStore {
     inner: Arc<Mutex<Inner>>,
-}
-
-/// Injected write-failure policy (chaos harness).
-#[derive(Debug)]
-struct CommitFaults {
-    prob: f64,
-    rng: SplitMix64,
 }
 
 /// Tuning for a durable store: fsync discipline, segment size, and how
@@ -100,7 +92,7 @@ struct Inner {
     watermarks: HashMap<String, u64>,
     commits: u64,
     duplicates: u64,
-    faults: Option<CommitFaults>,
+    /// Commits whose WAL append failed (nothing was applied).
     failed_commits: u64,
     /// Present iff the store writes through a WAL.
     durable: Option<Durable>,
@@ -427,23 +419,14 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Fails on a storage-backend write error (durable stores — a
-    /// transient [`SaError::Io`] is safe to retry) or when
-    /// [`CheckpointStore::inject_commit_failures`] is armed (the chaos
-    /// harness's in-memory stand-in for one). On `Err` nothing was
-    /// mutated: no id entered the dedup set, the stored value and
-    /// version are untouched — callers must keep their pending state
-    /// and retry a later commit.
+    /// Fails on a storage-backend write error of a durable store (a
+    /// transient [`SaError::Io`] is safe to retry; tests inject one with
+    /// [`crate::storage::FaultyStorage`]). On `Err` nothing was mutated:
+    /// no id entered the dedup set, the stored value and version are
+    /// untouched — callers must keep their pending state and retry a
+    /// later commit.
     pub fn commit_batch(&self, key: &str, record_ids: &[u64], value: Vec<u8>) -> Result<usize> {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(f) = inner.faults.as_mut() {
-            if f.prob > 0.0 && f.rng.bernoulli(f.prob) {
-                inner.failed_commits += 1;
-                return Err(SaError::io_transient(format!(
-                    "injected checkpoint write failure for key '{key}'"
-                )));
-            }
-        }
         // A pure replay touches no state, so it writes no WAL record.
         let any_fresh = record_ids.iter().any(|&id| !inner.is_duplicate(key, id));
         if any_fresh && inner.durable.is_some() {
@@ -465,15 +448,8 @@ impl CheckpointStore {
         Ok(applied)
     }
 
-    /// Arm injected write failures: every later
-    /// [`CheckpointStore::commit_batch`] call fails with probability
-    /// `prob` (deterministically under `seed`). `prob <= 0` disarms.
-    pub fn inject_commit_failures(&self, prob: f64, seed: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.faults = (prob > 0.0).then(|| CommitFaults { prob, rng: SplitMix64::new(seed) });
-    }
-
-    /// Commits rejected by injected write failures.
+    /// Commits [`CheckpointStore::commit_batch`] rejected because the
+    /// storage backend failed the WAL append.
     pub fn failed_commits(&self) -> u64 {
         self.inner.lock().unwrap().failed_commits
     }
@@ -641,27 +617,6 @@ mod tests {
         assert_eq!((commits, dups), (2, 4));
     }
 
-    /// A failed commit must mutate nothing: no dedup token, no value,
-    /// no version bump — the atomicity half of the MillWheel contract
-    /// under storage faults.
-    #[test]
-    fn injected_commit_failure_leaves_store_untouched() {
-        let store = CheckpointStore::new();
-        store.commit_batch("k", &[1, 2], vec![10]).unwrap();
-        store.inject_commit_failures(1.0, 42);
-        let err = store.commit_batch("k", &[3, 4], vec![20]).unwrap_err();
-        assert!(format!("{err}").contains("checkpoint write failure"), "got: {err}");
-        assert_eq!(store.failed_commits(), 1);
-        assert_eq!(store.get("k").unwrap(), (1, vec![10]), "failed commit mutated state");
-        assert!(!store.is_seen("k", 3), "failed commit leaked a dedup token");
-        // Disarm: the retry commits everything, including the ids the
-        // failed attempt carried.
-        store.inject_commit_failures(0.0, 42);
-        assert_eq!(store.commit_batch("k", &[3, 4], vec![20]).unwrap(), 2);
-        assert_eq!(store.get("k").unwrap(), (2, vec![20]));
-        assert_eq!(store.failed_commits(), 1, "disarmed store fails nothing");
-    }
-
     #[test]
     fn gc_raises_watermark_and_frees_tokens() {
         let store = CheckpointStore::new();
@@ -691,6 +646,7 @@ mod tests {
     // -- durability --
 
     use crate::storage::{FaultyStorage, MemStorage, Storage, StorageFaults};
+    use sa_core::rng::SplitMix64;
     use std::collections::HashSet;
 
     fn mem() -> Arc<dyn Storage> {
@@ -810,8 +766,10 @@ mod tests {
         assert!(matches!(err, SaError::Corrupt(_)), "got {err}");
     }
 
-    /// A torn append through `FaultyStorage` fails the commit cleanly:
-    /// nothing applied, tail repaired, and the retry both succeeds and
+    /// A torn append through `FaultyStorage` fails the commit cleanly —
+    /// no dedup token, no value, no version bump (the atomicity half of
+    /// the MillWheel contract under storage faults) and the failure
+    /// counted — the tail is repaired, and the retry both succeeds and
     /// recovers.
     #[test]
     fn durable_store_survives_torn_appends_with_retry() {
@@ -821,11 +779,12 @@ mod tests {
             StorageFaults::new(77).torn_appends(0.5),
         ));
         let store = CheckpointStore::durable(faulty, "f", fast_cfg()).unwrap();
-        let mut failures = 0u32;
+        let mut failures = 0u64;
         for i in 0..50u64 {
             // Bounded retry: transient torn appends eventually land.
             let mut tries = 0;
             loop {
+                let before = store.get("k");
                 match store.commit_batch("k", &[i], vec![i as u8]) {
                     Ok(n) => {
                         assert_eq!(n, 1, "id {i}: failed attempt must not leak a dedup token");
@@ -834,6 +793,9 @@ mod tests {
                     Err(e) if e.is_transient() && tries < 64 => {
                         tries += 1;
                         failures += 1;
+                        assert_eq!(store.get("k"), before, "id {i}: failed commit mutated state");
+                        assert!(!store.is_seen("k", i), "id {i}: failed commit leaked a token");
+                        assert_eq!(store.failed_commits(), failures, "failure not counted");
                     }
                     Err(e) => panic!("id {i}: {e}"),
                 }

@@ -69,8 +69,8 @@ pub use metrics::{
     MetricsSnapshot, Sampler, SchedCounters,
 };
 pub use operator::{
-    decode_checkpoint, frontier_offset, replay_offset, Checkpointed, LogSpout, MergeBolt,
-    OperatorConfig, OperatorState, SynopsisBolt, SynopsisState,
+    decode_checkpoint, frontier_offset, Checkpointed, LogSpout, MergeBolt, OperatorConfig,
+    OperatorState, SynopsisBolt, SynopsisState,
 };
 pub use query::{
     session, sliding, tumbling, CompiledQuery, ContinuousQuery, Parallelism, Query, ViewEntry,

@@ -30,31 +30,20 @@
 //!
 //! On restart the bolt's constructor finds the latest checkpoint and
 //! resumes from it; [`LogSpout`] replays the durable [`Log`] from
-//! [`replay_offset`] — the oldest record any partition might be missing
-//! — and the dedup tokens absorb everything the checkpoints already
-//! cover. [`MergeBolt`] closes the loop for distributed queries: it
+//! [`frontier_offset`] — the settled frontier a
+//! [`LogSpout::with_frontier`] spout persists (the Samza committed-offset
+//! pattern) — and the dedup tokens absorb everything the checkpoints
+//! already cover. The frontier only advances past acked records, and
+//! checkpointed bolts hold acks until their commit is durable, so the
+//! replay never skips live state, however tuples settle (supervised
+//! restarts, injected panics and link drops reorder them). One residual
+//! caveat: `OperatorConfig::gc_horizon` must exceed how far the spout
+//! can run ahead of its oldest unsettled record (or be `None`), so a
+//! deep replay is never mistaken for a duplicate by the dedup-token low
+//! watermark. [`MergeBolt`] closes the loop for distributed queries: it
 //! collects the partition-local snapshots (fields-grouped upstream) and
 //! merges them into one global synopsis, the "merge" half of the
 //! sketch contract the paper's §4 algorithms are chosen for.
-//!
-//! ## Correctness envelope
-//!
-//! Replay-from-minimum ([`replay_offset`]) is exact when in-run
-//! delivery is FIFO and lossless (no [`crate::FaultPlan`] drops or
-//! panics — the default): each task's committed `last applied id` then
-//! implies every lower id routed to it was applied. When tuples can
-//! settle *out of order* — supervised restarts, injected panics, link
-//! drops — a failed tuple awaiting replay can fall below another
-//! task's checkpoint frontier and be skipped on recovery. For those
-//! runs, [`LogSpout::with_frontier`] persists the spout's settled
-//! frontier (the Samza committed-offset pattern) and
-//! [`frontier_offset`] recovers from it: the frontier only advances
-//! past acked records, and checkpointed bolts hold acks until their
-//! commit is durable, so replay-from-frontier never skips live state.
-//! One residual envelope: `OperatorConfig::gc_horizon` must exceed how
-//! far the spout can run ahead of its oldest unsettled record (or be
-//! `None`), so a deep replay is never mistaken for a duplicate by the
-//! dedup-token low watermark.
 
 use crate::checkpoint::CheckpointStore;
 use crate::log::{Log, Record};
@@ -131,33 +120,13 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<(u64, Vec<u8>)> {
     Ok((last_applied, snapshot))
 }
 
-/// The log offset a restarted topology must replay from so that no
-/// task misses a record: the minimum `last applied id` committed under
-/// the given checkpoint keys (0 — replay everything — when any key has
-/// no checkpoint yet). With [`LogSpout`]'s id scheme
-/// (`id = id_base + offset + 1`) and `id_base = 0`, the returned value
-/// is directly the `from_offset` to restart the spout at; tasks whose
-/// checkpoints are ahead of it drop the overlap as duplicates.
-pub fn replay_offset(store: &CheckpointStore, keys: &[&str]) -> u64 {
-    let mut min_applied = u64::MAX;
-    for key in keys {
-        let Some((_, value)) = store.get(key) else { return 0 };
-        let Ok((last_applied, _)) = decode_checkpoint(&value) else { return 0 };
-        min_applied = min_applied.min(last_applied);
-    }
-    if min_applied == u64::MAX {
-        0
-    } else {
-        min_applied
-    }
-}
-
 /// The settled-frontier offset persisted by a
 /// [`LogSpout::with_frontier`] spout (0 — replay everything — when no
-/// frontier was ever committed). Unlike [`replay_offset`], this is safe
-/// when tuples settle *out of order* — under supervised restarts, link
-/// drops, or replays — because the frontier only advances past records
-/// that were acked, and an ack implies durability everywhere.
+/// frontier was ever committed): the offset a restarted topology
+/// replays from. It is safe however tuples settle — under supervised
+/// restarts, link drops or replays — because the frontier only advances
+/// past records that were acked, and an ack implies durability
+/// everywhere.
 pub fn frontier_offset(store: &CheckpointStore, key: &str) -> u64 {
     store
         .get(key)
@@ -210,8 +179,9 @@ struct Slot<St> {
     state: St,
     /// Fresh ids applied since the last commit, in arrival order.
     pending: Vec<u64>,
-    pending_set: HashSet<u64>,
-    /// Newest id ever folded into the state (committed or pending).
+    /// Newest id ever folded into the state (committed or pending;
+    /// restored from the checkpoint envelope). No id above it was ever
+    /// applied.
     last_applied: u64,
 }
 
@@ -317,17 +287,7 @@ impl<St: OperatorState> Checkpointed<St> {
             last_applied = applied;
         }
         let at = self.slots.partition_point(|s| s.group < group);
-        self.slots.insert(
-            at,
-            Slot {
-                group,
-                key,
-                state,
-                pending: Vec::new(),
-                pending_set: HashSet::new(),
-                last_applied,
-            },
-        );
+        self.slots.insert(at, Slot { group, key, state, pending: Vec::new(), last_applied });
         Ok(at)
     }
 
@@ -411,11 +371,16 @@ impl<St: OperatorState> Checkpointed<St> {
     /// Exactly-once dedup of `id` against slot `i`: `Some(durable)` for
     /// a replay. A durable duplicate acks immediately; one whose commit
     /// is still pending must be held like its original attempt — acking
-    /// now would settle a record that a crash could still lose.
+    /// now would settle a record that a crash could still lose. An id
+    /// above the slot's `last_applied` was never applied, so only an
+    /// out-of-order id probes the pending ledger and the store's tokens.
     fn duplicate(&mut self, i: usize, id: u64) -> Option<bool> {
         let slot = &self.slots[i];
-        let pending = id != 0 && slot.pending_set.contains(&id);
-        if !pending && (id == 0 || !self.store.is_seen(&slot.key, id)) {
+        if id == 0 || id > slot.last_applied {
+            return None;
+        }
+        let pending = slot.pending.contains(&id);
+        if !pending && !self.store.is_seen(&slot.key, id) {
             return None;
         }
         self.duplicates_skipped += 1;
@@ -426,10 +391,10 @@ impl<St: OperatorState> Checkpointed<St> {
     /// atomically. Returns whether the batch is now durable (trivially
     /// true when it was empty). On a failed write the checkpoint is
     /// *skipped, state intact*: the pending ids stay pending (so the
-    /// stored `last applied` — and with it [`replay_offset`] — never
-    /// advances past unpersisted state) and the next commit retries
-    /// them together with anything newer. A successful commit emits the
-    /// [`OperatorConfig::emit_on_commit`] partial into `partial_to`.
+    /// stored `last applied` never advances past unpersisted state) and
+    /// the next commit retries them together with anything newer. A
+    /// successful commit emits the [`OperatorConfig::emit_on_commit`]
+    /// partial into `partial_to`.
     fn commit(&mut self, i: usize, partial_to: Option<&mut OutputCollector>) -> bool {
         let slot = &mut self.slots[i];
         if slot.pending.is_empty() {
@@ -460,7 +425,6 @@ impl<St: OperatorState> Checkpointed<St> {
             }
         }
         slot.pending.clear();
-        slot.pending_set.clear();
         if let Some(horizon) = self.cfg.gc_horizon {
             self.store.gc(&slot.key, slot.last_applied.saturating_sub(horizon));
         }
@@ -533,7 +497,6 @@ impl<St: OperatorState> Bolt for Checkpointed<St> {
         }
         let slot = &mut self.slots[i];
         slot.pending.push(id);
-        slot.pending_set.insert(id);
         slot.last_applied = slot.last_applied.max(id);
         // Commit when the slot's cadence is due and release the task's
         // acks if that left every slot durable; otherwise hold this
@@ -783,11 +746,9 @@ pub struct LogSpout<F> {
 
 impl<F: FnMut(&Record) -> Tuple + Send> LogSpout<F> {
     /// A spout reading `partition` of `log` from `from_offset`, turning
-    /// each record into a tuple via `decode`. On recovery, pass
-    /// [`replay_offset`] as `from_offset` (with the same `id_base` used
-    /// before the crash) — or, when tuples can settle out of order (see
-    /// [`frontier_offset`]), enable [`LogSpout::with_frontier`] and pass
-    /// [`frontier_offset`] instead.
+    /// each record into a tuple via `decode`. On recovery, enable
+    /// [`LogSpout::with_frontier`] and pass [`frontier_offset`] as
+    /// `from_offset` (with the same `id_base` used before the crash).
     pub fn new(log: &Log, partition: usize, from_offset: u64, id_base: u64, decode: F) -> Self {
         Self {
             log: log.clone(),
@@ -812,9 +773,7 @@ impl<F: FnMut(&Record) -> Tuple + Send> LogSpout<F> {
     /// durable everywhere (checkpointed bolts hold acks until their
     /// commit succeeds), so every offset below the frontier is fully
     /// recovered state: a restart may replay from [`frontier_offset`]
-    /// regardless of how far individual tasks' checkpoints ran ahead,
-    /// closing the replay-from-minimum gap described in the module
-    /// docs' correctness envelope.
+    /// regardless of how far individual tasks' checkpoints ran ahead.
     pub fn with_frontier(mut self, store: &CheckpointStore, key: &str, every: u64) -> Self {
         self.frontier = Some(FrontierCheckpoint {
             store: store.clone(),
@@ -1023,35 +982,48 @@ mod tests {
         assert_eq!(from_emit, *bolt.summary());
     }
 
+    /// Commits that fail on the storage backend (torn WAL appends, no
+    /// in-place retry) hold the acks and never advance the stored
+    /// checkpoint past what was released; the pending ids ride along
+    /// into the next commit, and the state stays intact throughout.
     #[test]
     fn failed_commit_keeps_pending_and_never_advances_offset() {
-        let store = CheckpointStore::new();
-        store.inject_commit_failures(1.0, 7);
-        let cfg = OperatorConfig { checkpoint_every: 2, ..Default::default() };
+        use crate::checkpoint::DurableConfig;
+        use crate::storage::{FaultyStorage, MemStorage, StorageFaults};
+        let torn = StorageFaults::new(3).torn_appends(0.5);
+        let storage = Arc::new(FaultyStorage::new(Arc::new(MemStorage::new()), torn));
+        let store = CheckpointStore::durable(storage, "ckpt", DurableConfig::default()).unwrap();
+        let cfg = OperatorConfig { checkpoint_every: 2, commit_retry: None, ..Default::default() };
         let mut bolt =
             SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg).unwrap();
         let mut out = OutputCollector::new();
-        bolt.execute(&int_tuple(1, 1), &mut out);
-        assert!(out.hold && !out.release, "below cadence: ack must be held");
-        bolt.execute(&int_tuple(1, 2), &mut out);
-        // The commit failed: acks stay held, nothing is persisted, and
-        // the replay offset must NOT advance past the unpersisted ids.
-        assert!(out.hold && !out.release, "failed commit must not release acks");
-        assert_eq!(bolt.commit_failures(), 1);
-        assert!(store.get("k").is_none());
-        assert_eq!(replay_offset(&store, &["k"]), 0);
-        // State stays intact; the next interval retries and commits
-        // the whole backlog.
-        store.inject_commit_failures(0.0, 0);
-        out.hold = false;
-        bolt.execute(&int_tuple(1, 3), &mut out);
-        assert!(out.release, "successful commit releases the held acks");
-        let (applied, snap) = decode_checkpoint(&store.get("k").unwrap().1).unwrap();
-        assert_eq!(applied, 3);
-        let mut cp = CountSum::default();
-        cp.restore(&snap).unwrap();
-        assert_eq!(cp, CountSum { n: 3, sum: 3 });
-        assert_eq!(replay_offset(&store, &["k"]), 3);
+        let mut released = 0u64;
+        for id in 1..=40u64 {
+            let failures = bolt.commit_failures();
+            (out.hold, out.release) = (false, false);
+            bolt.execute(&int_tuple(1, id), &mut out);
+            if bolt.commit_failures() > failures {
+                assert!(out.hold && !out.release, "id {id}: failed commit must hold the acks");
+            }
+            if out.release {
+                released = id;
+            }
+            // The stored checkpoint is exactly what the last release
+            // covered: never ahead of it, never behind it.
+            match store.get("k") {
+                None => assert_eq!(released, 0, "id {id}: released acks without a checkpoint"),
+                Some((_, value)) => {
+                    let (applied, snap) = decode_checkpoint(&value).unwrap();
+                    let mut cp = CountSum::default();
+                    cp.restore(&snap).unwrap();
+                    assert_eq!(applied, released, "id {id}: stored last applied");
+                    assert_eq!(cp, CountSum { n: released, sum: released as i64 }, "id {id}");
+                }
+            }
+        }
+        assert!(bolt.commit_failures() > 0, "the fault plan must have fired");
+        assert_eq!(store.failed_commits(), bolt.commit_failures());
+        assert_eq!(bolt.summary(), &CountSum { n: 40, sum: 40 }, "state intact");
     }
 
     #[test]
@@ -1067,7 +1039,7 @@ mod tests {
         assert!(out.hold && store.get("k").is_none());
         bolt.on_idle(&mut out);
         assert!(out.release);
-        assert_eq!(replay_offset(&store, &["k"]), 3);
+        assert_eq!(decode_checkpoint(&store.get("k").unwrap().1).unwrap().0, 3);
         // Idle with nothing pending is a no-op.
         out.release = false;
         bolt.on_idle(&mut out);
@@ -1122,6 +1094,42 @@ mod tests {
         assert_eq!(bolt.duplicates_skipped(), 10);
         bolt.execute(&int_tuple(100, 11), &mut out);
         assert_eq!(bolt.summary(), &CountSum { n: 11, sum: 155 });
+    }
+
+    /// An id below `last_applied` that was never applied — the only
+    /// kind the in-order path sends to the pending ledger — is applied
+    /// once: a replay is held while its commit is pending, acked at once
+    /// after it, and still rejected by a bolt reopened on the store.
+    #[test]
+    fn out_of_order_fresh_ids_apply_once() {
+        let store = CheckpointStore::new();
+        let cfg = OperatorConfig { checkpoint_every: 100, ..Default::default() };
+        let open = || {
+            SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg.clone()).unwrap()
+        };
+        let mut bolt = open();
+        let mut out = OutputCollector::new();
+        for id in [1, 2, 4, 3] {
+            bolt.execute(&int_tuple(id as i64, id), &mut out);
+        }
+        assert_eq!(bolt.duplicates_skipped(), 0, "3 is fresh though below last applied");
+        assert_eq!(bolt.summary(), &CountSum { n: 4, sum: 10 });
+        out.hold = false;
+        bolt.execute(&int_tuple(3, 3), &mut out);
+        assert!(out.hold, "a replay of a pending id is held");
+        bolt.on_idle(&mut out);
+        assert!(out.release, "the idle commit releases the held acks");
+        out.hold = false;
+        bolt.execute(&int_tuple(3, 3), &mut out);
+        assert!(!out.hold, "a replay of a durable id acks at once");
+        assert_eq!(bolt.duplicates_skipped(), 2);
+        assert_eq!(bolt.summary(), &CountSum { n: 4, sum: 10 });
+        drop(bolt);
+        let mut bolt = open();
+        bolt.execute(&int_tuple(3, 3), &mut out);
+        bolt.execute(&int_tuple(5, 5), &mut out);
+        assert_eq!(bolt.duplicates_skipped(), 1, "the reopened bolt rejects 3");
+        assert_eq!(bolt.summary(), &CountSum { n: 5, sum: 15 });
     }
 
     #[test]
@@ -1383,17 +1391,5 @@ mod tests {
         }
         assert_eq!(spout.frontier_put_failures(), 4);
         assert_eq!(frontier_offset(&store, "f"), 0);
-    }
-
-    #[test]
-    fn replay_offset_is_min_over_keys() {
-        let store = CheckpointStore::new();
-        let snap = CountSum::default().snapshot();
-        store.put("a", encode_checkpoint(42, &snap));
-        store.put("b", encode_checkpoint(17, &snap));
-        assert_eq!(replay_offset(&store, &["a", "b"]), 17);
-        // A task with no checkpoint forces a full replay.
-        assert_eq!(replay_offset(&store, &["a", "b", "c"]), 0);
-        assert_eq!(replay_offset(&store, &[]), 0);
     }
 }

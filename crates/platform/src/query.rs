@@ -29,10 +29,15 @@
 //!   one slot per owned group under `"{view}.agg@g{group}"`.
 //! * **Serving.** A single serve bolt (named after the view) collects
 //!   the partitions' durable partials — `emit_on_commit` streams each
-//!   successful checkpoint downstream, so the view only ever reflects
-//!   state a crash cannot roll back — merges them ([`sa_core`]'s
+//!   successful checkpoint downstream, so a whole-stream view only ever
+//!   reflects state a crash cannot roll back, and `checkpoint_every`
+//!   sets its freshness — merges them ([`sa_core`]'s
 //!   [`sa_core::Merge`] contract), and publishes epochs into the
-//!   [`ServingView`]. Readers hold a [`ViewHandle`] and query while
+//!   [`ServingView`]. A windowed view serves fired windows instead: they
+//!   leave the task on the watermark, before the commit that covers
+//!   their inputs, so the watermark sets its freshness. That is safe
+//!   because a restart re-fires identical windows from the checkpoint
+//!   plus the replay. Readers hold a [`ViewHandle`] and query while
 //!   the topology runs; `{view}.query_us` / `{view}.epoch` land in the
 //!   run's [`crate::MetricsSnapshot`] via [`run_topology_with`].
 //! * **Validation.** Compiled components declare output schemas, so
@@ -178,7 +183,8 @@ impl Query {
     }
 
     /// Checkpoint (and publish a durable partial) every this many
-    /// freshly applied tuples per task — the freshness/overhead knob.
+    /// freshly applied tuples per task — the freshness/overhead knob of
+    /// a whole-stream plan (a windowed plan publishes on the watermark).
     pub fn checkpoint_every(mut self, every: u64) -> Self {
         self.checkpoint_every = every.max(1);
         self

@@ -361,7 +361,7 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
 
     /// Encode every live group and session as the checkpoint's snapshot
     /// payload (the newest applied id travels in the standard operator
-    /// envelope so [`crate::operator::replay_offset`] can read it), then
+    /// envelope, see [`crate::operator::decode_checkpoint`]), then
     /// the newest watermark, when one was seen. Only panes changed since
     /// the last encode are re-serialised; the rest are copied from their
     /// cached records.

@@ -53,15 +53,17 @@ echo "== scheduler gate (driver equivalence, chaos, idle CPU) =="
 # and that the pool's per-worker steal/run/park counters are live).
 cargo run --release -q --example scheduled_wordcount | grep -q "identical counts"
 
-echo "== experiment kick-tires (event time, serving, scheduler, rescale, durability) =="
-# T2.E watermark bound × lateness through real topologies (asserts
+echo "== experiment kick-tires (recovery, event time, serving, scheduler, rescale, durability) =="
+# T2.C crash + restart from the spout's settled frontier at three
+# checkpoint intervals (asserts every recovered sketch equals the
+# uninterrupted one); T2.E watermark bound × lateness through real topologies (asserts
 # which cells drop nothing and which amend fired windows); T2.G reader sweep; T2.H driver sweep (asserts clean runs and full
 # delivery); T2.J autoscaler vs a Zipf hot-key storm through a
 # Parallelism::Auto query (asserts exact counts through every live
 # migration); T2.K fsync discipline and a kill -9 round-trip (asserts
 # bit-identical recovery). Wall-clock ratios and whether T2.J scaled up
 # and drained are recorded in out/, never gated.
-cargo run --release -q -p sa-bench --bin experiments t2.e t2.g t2.h t2.j t2.k
+cargo run --release -q -p sa-bench --bin experiments t2.c t2.e t2.g t2.h t2.j t2.k
 
 echo "== benchmark package (layers builds, the package's unit tests pass) =="
 # run.sh tolerates a failed `layers` build so end-to-end rows still come

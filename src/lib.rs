@@ -67,18 +67,18 @@ pub mod prelude {
         QuantileSketch,
     };
     pub use sa_platform::{
-        decode_checkpoint, frontier_offset, group_key, group_of_hash, key_group, replay_offset,
-        run_topology, run_topology_with, session, sliding, task_of_group, tumbling, tuple_of,
-        vec_spout, AutoPolicy, AutoTick, Autoscaler, Batch, Bolt, BoltBuilder, BoltFactory,
-        BoltHandle, CheckpointStore, Checkpointed, CompiledQuery, ContinuousQuery, CounterHandle,
-        DiskStorage, DurableConfig, EpochData, ExecutorConfig, FaultPlan, FaultyStorage,
-        GaugeHandle, Grouping, HistogramSummary, IntoBoltFactory, Layer, LinkSnapshot, LinkStats,
-        Log, LogSpout, MemStorage, MergeBolt, Metrics, MetricsSnapshot, OperatorConfig,
-        OperatorState, OutputCollector, Parallelism, Query, QueryHandle, QueryResult, Record,
-        RescaleController, RestartDecision, RestartPolicy, RestartTracker, RunResult,
-        SchedCounters, Scheduling, Semantics, ServingView, Shard, ShardTable, Spout, SpoutHandle,
-        Staleness, Storage, StorageFaults, StorageStats, SyncPolicy, SynopsisBolt, TopologyBuilder,
-        Tuple, Value, VecSpout, ViewEntry, ViewHandle, ViewRead, WatermarkConfig, WatermarkGen,
-        WatermarkMerger, WindowBolt, WindowConfig, WindowSpec, KEY_GROUPS,
+        decode_checkpoint, frontier_offset, group_key, group_of_hash, key_group, run_topology,
+        run_topology_with, session, sliding, task_of_group, tumbling, tuple_of, vec_spout,
+        AutoPolicy, AutoTick, Autoscaler, Batch, Bolt, BoltBuilder, BoltFactory, BoltHandle,
+        CheckpointStore, Checkpointed, CompiledQuery, ContinuousQuery, CounterHandle, DiskStorage,
+        DurableConfig, EpochData, ExecutorConfig, FaultPlan, FaultyStorage, GaugeHandle, Grouping,
+        HistogramSummary, IntoBoltFactory, Layer, LinkSnapshot, LinkStats, Log, LogSpout,
+        MemStorage, MergeBolt, Metrics, MetricsSnapshot, OperatorConfig, OperatorState,
+        OutputCollector, Parallelism, Query, QueryHandle, QueryResult, Record, RescaleController,
+        RestartDecision, RestartPolicy, RestartTracker, RunResult, SchedCounters, Scheduling,
+        Semantics, ServingView, Shard, ShardTable, Spout, SpoutHandle, Staleness, Storage,
+        StorageFaults, StorageStats, SyncPolicy, SynopsisBolt, TopologyBuilder, Tuple, Value,
+        VecSpout, ViewEntry, ViewHandle, ViewRead, WatermarkConfig, WatermarkGen, WatermarkMerger,
+        WindowBolt, WindowConfig, WindowSpec, KEY_GROUPS,
     };
 }

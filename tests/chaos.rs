@@ -89,9 +89,8 @@ fn eo_wordcount(
     kill_plan: KillPlan,
 ) -> TopologyBuilder {
     let mut tb = TopologyBuilder::new();
-    // Chaos makes tuples settle out of order, so recovery must replay
-    // from the spout's persisted settled frontier, not from the minimum
-    // bolt checkpoint (see the operator module's correctness envelope).
+    // Recovery replays from the spout's persisted settled frontier,
+    // which stays safe when chaos makes tuples settle out of order.
     let spout = LogSpout::new(log, 0, from_offset, 0, killing_decoder(kill_plan)).with_frontier(
         store,
         "log.frontier",

@@ -1,7 +1,8 @@
 //! Crash/recovery integration: a topology is killed mid-stream, then
-//! restarted from its checkpoints plus log replay, and must produce
-//! exactly the answer of an uninterrupted run — the MillWheel + Samza
-//! exactly-once story, end to end through the operator layer.
+//! restarted from its checkpoints plus a log replay from the spout's
+//! settled frontier, and must produce exactly the answer of an
+//! uninterrupted run — the MillWheel + Samza exactly-once story, end to
+//! end through the operator layer.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -13,6 +14,9 @@ use streaming_analytics::sketches::cardinality::HyperLogLog;
 use streaming_analytics::sketches::heavy_hitters::SpaceSaving;
 
 const WC_TASKS: usize = 2;
+/// Key of the spout's persisted settled frontier, the offset every
+/// restart below replays from.
+const FRONTIER: &str = "log.frontier";
 
 /// A skewed word stream appended to a 1-partition log; returns the
 /// exact counts.
@@ -46,6 +50,18 @@ fn killing_decoder(plan: KillPlan) -> impl FnMut(&Record) -> Tuple + Send {
     }
 }
 
+/// The crash tests' source: a `LogSpout` persisting its settled
+/// frontier every 32 settles.
+fn log_spout(
+    log: &Log,
+    store: &CheckpointStore,
+    from_offset: u64,
+    kill_plan: KillPlan,
+) -> Box<dyn Spout> {
+    let spout = LogSpout::new(log, 0, from_offset, 0, killing_decoder(kill_plan));
+    Box::new(spout.with_frontier(store, FRONTIER, 32))
+}
+
 /// spout(log) → fields-grouped `SynopsisBolt<SpaceSaving<String>>` × 2.
 /// The bolt component is terminal, so its flush snapshots land in
 /// `outputs["wc"]`.
@@ -56,8 +72,7 @@ fn wordcount_topology(
     kill_plan: KillPlan,
 ) -> TopologyBuilder {
     let mut tb = TopologyBuilder::new();
-    let spout = LogSpout::new(log, 0, from_offset, 0, killing_decoder(kill_plan));
-    tb.set_spout("log", vec![Box::new(spout) as Box<dyn Spout>]);
+    tb.set_spout("log", vec![log_spout(log, store, from_offset, kill_plan)]);
     let mut bolts: Vec<Box<dyn Bolt>> = Vec::new();
     for task in 0..WC_TASKS {
         let update = |t: &Tuple, s: &mut SpaceSaving<String>| {
@@ -147,21 +162,20 @@ fn wordcount_crash_case(scheduling: Scheduling, semantics: Semantics) {
         assert!(!crashed.clean_shutdown, "{semantics:?}: kill switch must mark unclean");
 
         // Run 2: fresh bolts recover their checkpoints; the spout
-        // replays the log from the oldest unapplied record.
-        let keys: Vec<String> = (0..WC_TASKS).map(|t| format!("wc/{t}")).collect();
-        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        let offset = replay_offset(&store, &key_refs);
-        assert!(offset > 0, "{semantics:?}: crash landed before the first checkpoint");
+        // replays the log from its settled frontier (always 0 under
+        // at-most-once, where nothing is acked).
+        let offset = frontier_offset(&store, FRONTIER);
+        let applied: Vec<u64> = (0..WC_TASKS)
+            .filter_map(|t| store.get(&format!("wc/{t}")))
+            .map(|(_, value)| decode_checkpoint(&value).unwrap().0)
+            .collect();
+        assert!(!applied.is_empty(), "{semantics:?}: crash landed before the first checkpoint");
         assert!(offset < log.end_offset(0), "{semantics:?}: crash after full stream");
-        // Replay starts at the *minimum* checkpointed frontier; the task
-        // that was further ahead at the crash must deduplicate the
-        // overlap for the final counts to come out exact.
-        let max_applied = key_refs
-            .iter()
-            .map(|k| decode_checkpoint(&store.get(k).unwrap().1).unwrap().0)
-            .max()
-            .unwrap();
-        assert!(max_applied > offset, "{semantics:?}: replay should overlap the checkpoints");
+        // The frontier never passes a durable checkpoint; every task
+        // whose checkpoint runs ahead of it must deduplicate the overlap
+        // for the final counts to come out exact.
+        let max_applied = applied.into_iter().max().unwrap();
+        assert!(max_applied >= offset, "{semantics:?}: frontier passed every checkpoint");
         let recovered = run_topology(
             wordcount_topology(&log, &store, offset, None),
             config(semantics, None, scheduling),
@@ -212,10 +226,9 @@ fn wordcount_survives_crash_on_disk_storage() {
         let log = open_log().unwrap();
         assert_eq!(log.end_offset(0), 2_000, "durable log must replay every record");
         let store = open_store().unwrap();
-        let keys: Vec<String> = (0..WC_TASKS).map(|t| format!("wc/{t}")).collect();
-        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        let offset = replay_offset(&store, &key_refs);
-        assert!(offset > 0, "{scheduling:?}: crash landed before the first checkpoint");
+        let offset = frontier_offset(&store, FRONTIER);
+        let checkpointed = (0..WC_TASKS).any(|t| store.get(&format!("wc/{t}")).is_some());
+        assert!(checkpointed, "{scheduling:?}: crash landed before the first checkpoint");
         assert!(offset < log.end_offset(0), "{scheduling:?}: crash after full stream");
         let recovered = run_topology(
             wordcount_topology(&log, &store, offset, None),
@@ -257,8 +270,7 @@ fn windowed_topology(
     kill_plan: KillPlan,
 ) -> TopologyBuilder {
     let mut tb = TopologyBuilder::new();
-    let spout = LogSpout::new(log, 0, from_offset, 0, killing_decoder(kill_plan));
-    tb.set_spout("log", vec![Box::new(spout) as Box<dyn Spout>]);
+    tb.set_spout("log", vec![log_spout(log, store, from_offset, kill_plan)]);
     let mut bolts: Vec<Box<dyn Bolt>> = Vec::new();
     for task in 0..WC_TASKS {
         let update = |t: &Tuple, s: &mut SpaceSaving<String>| {
@@ -338,14 +350,12 @@ fn windowed_aggregation_identical_after_crash_recovery() {
         assert!(!crashed.clean_shutdown);
 
         // Run 2: fresh window bolts recover every live window, session,
-        // and dedup id; the spout replays the log from the oldest
-        // unapplied record, and replayed tuples carry their original
-        // event-time stamps — so they re-enter exactly the windows they
-        // were in.
-        let keys: Vec<String> = (0..WC_TASKS).map(|t| format!("win/{t}")).collect();
-        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-        let offset = replay_offset(&store, &key_refs);
-        assert!(offset > 0, "{scheduling:?}: crash landed before the first checkpoint");
+        // and dedup id; the spout replays the log from its settled
+        // frontier, and replayed tuples carry their original event-time
+        // stamps — so they re-enter exactly the windows they were in.
+        let offset = frontier_offset(&store, FRONTIER);
+        let checkpointed = (0..WC_TASKS).any(|t| store.get(&format!("win/{t}")).is_some());
+        assert!(checkpointed, "{scheduling:?}: crash landed before the first checkpoint");
         assert!(offset < log.end_offset(0), "{scheduling:?}: crash after full stream");
         let recovered = run_topology(
             windowed_topology(&log, &store, offset, None),
@@ -373,8 +383,7 @@ fn hyperloglog_estimate_identical_after_crash_recovery() {
 
     let hll_topology = |store: &CheckpointStore, from_offset: u64, kill_plan: KillPlan| {
         let mut tb = TopologyBuilder::new();
-        let spout = LogSpout::new(&log, 0, from_offset, 0, killing_decoder(kill_plan));
-        tb.set_spout("log", vec![Box::new(spout) as Box<dyn Spout>]);
+        tb.set_spout("log", vec![log_spout(&log, store, from_offset, kill_plan)]);
         let update = |t: &Tuple, s: &mut HyperLogLog| s.insert(t.get(0).unwrap().as_str().unwrap());
         let cfg = OperatorConfig { checkpoint_every: 100, ..Default::default() };
         let bolt =
@@ -395,8 +404,8 @@ fn hyperloglog_estimate_identical_after_crash_recovery() {
         .unwrap();
         assert!(!crashed.clean_shutdown);
 
-        let offset = replay_offset(&store, &["hll/0"]);
-        assert!(offset > 0 && offset < log.end_offset(0));
+        let offset = frontier_offset(&store, FRONTIER);
+        assert!(store.get("hll/0").is_some() && offset < log.end_offset(0));
         let recovered = run_topology(
             hll_topology(&store, offset, None),
             config(Semantics::AtLeastOnce, None, scheduling),
@@ -474,7 +483,6 @@ fn merge_bolt_global_view_matches_single_instance() {
 #[test]
 fn shuffled_replay_after_restart_is_applied_once() {
     use streaming_analytics::sketches::frequency::CountMinSketch;
-    const FRONTIER: &str = "log.frontier";
     let template = || CountMinSketch::new(256, 4).unwrap();
 
     // 2 050 records: not a multiple of the frontier cadence (100), so
