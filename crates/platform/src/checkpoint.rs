@@ -812,6 +812,35 @@ mod tests {
         assert_eq!(commits, 50);
     }
 
+    /// A failed commit must mutate nothing: no dedup token, no value,
+    /// no version bump — the atomicity half of the MillWheel contract
+    /// under storage faults — and a reopen over healthy storage sees the
+    /// pre-failure state, so the retry commits the ids the failed attempt
+    /// carried.
+    #[test]
+    fn injected_commit_failure_leaves_store_untouched() {
+        let storage = mem();
+        let store = CheckpointStore::durable(storage.clone(), "u", fast_cfg()).unwrap();
+        store.commit_batch("k", &[1, 2], vec![10]).unwrap();
+        drop(store);
+        // Reopen behind a plan under which every append tears.
+        let faulty =
+            Arc::new(FaultyStorage::new(storage.clone(), StorageFaults::new(42).torn_appends(1.0)));
+        let store = CheckpointStore::durable(faulty, "u", fast_cfg()).unwrap();
+        let err = store.commit_batch("k", &[3, 4], vec![20]).unwrap_err();
+        assert!(err.is_transient() && format!("{err}").contains("torn append"), "got: {err}");
+        assert_eq!(store.failed_commits(), 1);
+        assert_eq!(store.get("k").unwrap(), (1, vec![10]), "failed commit mutated state");
+        assert!(!store.is_seen("k", 3), "failed commit leaked a dedup token");
+        drop(store);
+        let store = CheckpointStore::durable(storage, "u", fast_cfg()).unwrap();
+        assert_eq!(store.get("k").unwrap(), (1, vec![10]), "torn append survived recovery");
+        assert!(!store.is_seen("k", 3), "torn append leaked a token into recovery");
+        assert_eq!(store.commit_batch("k", &[3, 4], vec![20]).unwrap(), 2);
+        assert_eq!(store.get("k").unwrap(), (2, vec![20]));
+        assert_eq!(store.failed_commits(), 0, "healthy store fails nothing");
+    }
+
     /// Ids committed out of order — fresh runs, replays below the GC
     /// watermark and replays above it — then GC'd: every `gc` frees
     /// exactly the tokens below the new watermark and returns that count,
