@@ -216,9 +216,9 @@ impl BoltCore {
     }
 
     /// The idle hook: when the task saw data since the last call (or
-    /// still holds acks from a failed commit), let the bolt commit and
-    /// release, then ship partial batches. Supervised like every other
-    /// callback.
+    /// still holds acks from a deferred or failed commit), let the bolt
+    /// commit and release, then ship partial batches. Supervised like
+    /// every other callback.
     pub(crate) fn idle(&mut self) {
         if !self.zombie && (self.idle_dirty || !self.held.is_empty()) {
             self.idle_dirty = false;

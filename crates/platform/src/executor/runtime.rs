@@ -71,7 +71,9 @@ const DRAIN_TUPLES: usize = 2048;
 const DRAIN_MSGS: usize = 32;
 /// Spout-loop iterations per activation (same fairness bound).
 const SPOUT_SLICE: usize = 128;
-/// Held-ack commit retry cadence.
+/// How soon a bolt task holding acks is re-run with an empty inbox:
+/// the quiet tick a windowed task waits for before it commits its tail
+/// (`operator::Checkpointed`), and the retry cadence of a failed commit.
 const HELD_RETRY: Duration = Duration::from_millis(1);
 /// Idle-spout settle sweep cadence (the visit also expires stale trees).
 const SETTLE_SWEEP: Duration = Duration::from_millis(2);
@@ -477,8 +479,9 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
                     sched.enqueue_global(s);
                 }
             } else if held {
-                // A failed commit left acks held; retry the commit on a
-                // cadence — fresh input still wakes the slot instantly.
+                // Acks are held (a commit deferred until the input is
+                // quiet, or one that failed): re-run the idle hook after
+                // a tick — fresh input still wakes the slot instantly.
                 sched.timer_at(Instant::now() + HELD_RETRY, s);
             }
         }

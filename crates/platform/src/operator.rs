@@ -158,6 +158,16 @@ pub trait OperatorState: Send {
     /// The task's merged watermark advanced to `wm`.
     fn on_watermark(&mut self, _wm: u64, _out: &mut OutputCollector) {}
 
+    /// Whether this state may emit a [`OperatorState::partial`], so a
+    /// reader waits on its commits. `true` (the default) makes the
+    /// shell commit the tail on every idle. A state that emits none
+    /// (the window state: fired windows leave on the watermark) lets an
+    /// idle that follows fresh input defer the commit, which then only
+    /// releases held acks (see [`Checkpointed`]).
+    fn emits_partials(&self) -> bool {
+        true
+    }
+
     /// The partial to emit once a mid-run commit under
     /// [`OperatorConfig::emit_on_commit`] has made `snapshot` (this
     /// state's [`OperatorState::encode`]) durable under `key`, if any.
@@ -198,9 +208,19 @@ struct Sharding<St> {
 
 /// The exactly-once operator shell (see the module docs for the
 /// protocol): dedup, the pending-id ledger, atomic commit with in-place
-/// retry, token GC, held acks, commit-on-idle and commit-on-flush —
-/// written once, over any [`OperatorState`]. Use it through
-/// [`SynopsisBolt`] or [`crate::window::WindowBolt`].
+/// retry, token GC, held acks and the commit schedule — written once,
+/// over any [`OperatorState`]. Use it through [`SynopsisBolt`] or
+/// [`crate::window::WindowBolt`].
+///
+/// A slot commits when `checkpoint_every` fresh ids are pending, and
+/// every slot commits at flush. Between those, an idle commits the
+/// tail of a state that [emits partials](OperatorState::emits_partials)
+/// at once, since a reader waits on it. Any other state's tail commits
+/// on the first idle with no input since the previous one: nothing
+/// reads that commit but the held acks, and a task holding acks is
+/// re-run after a quiet tick (the runtime's `HELD_RETRY`), so the
+/// commit lands one tick after the input pauses, or at the cadence if
+/// it never does.
 pub struct Checkpointed<St> {
     store: CheckpointStore,
     cfg: OperatorConfig,
@@ -225,6 +245,8 @@ pub struct Checkpointed<St> {
     commit_us: Option<HistogramHandle>,
     /// Whether any slot was restored from a checkpoint.
     recovered: bool,
+    /// Whether input arrived since the last `on_idle`.
+    fed: bool,
 }
 
 impl<St: OperatorState> Checkpointed<St> {
@@ -248,6 +270,7 @@ impl<St: OperatorState> Checkpointed<St> {
             commit_retries_ctr: None,
             commit_us: None,
             recovered: false,
+            fed: false,
         };
         me.open_slot(0, Arc::from(key), state)?;
         Ok(me)
@@ -481,6 +504,7 @@ impl<St: OperatorState> Checkpointed<St> {
 
 impl<St: OperatorState> Bolt for Checkpointed<St> {
     fn execute(&mut self, input: &Tuple, out: &mut OutputCollector) {
+        self.fed = true;
         let Some(i) = self.route(input, out) else { return };
         let id = input.lineage;
         // Exactly-once dedup first: a replayed tuple must not be folded
@@ -519,8 +543,12 @@ impl<St: OperatorState> Bolt for Checkpointed<St> {
 
     fn on_idle(&mut self, out: &mut OutputCollector) {
         // Input queue drained: make every slot's tail durable and
-        // release the held acks so the spout can settle.
+        // release the held acks so the spout can settle — at once when
+        // a reader waits on the commit, else once the input is quiet.
         if !self.sync(out) {
+            return;
+        }
+        if std::mem::take(&mut self.fed) && !self.slots.iter().any(|s| s.state.emits_partials()) {
             return;
         }
         let mut committed = false;
@@ -634,19 +662,19 @@ impl<S: Synopsis + Send, F: FnMut(&Tuple, &mut S) + Send> SynopsisBolt<S, F> {
 
 /// Restore each partial into a clone of `template` and merge them, in
 /// key order (a deterministic merge order). A partial that fails to
-/// restore or merge is reported to `bad_part` and skipped.
+/// restore or merge is reported to `bad_part` with its key and skipped.
 pub(crate) fn merge_partials<'a, S: Synopsis + Merge + Clone>(
     template: &S,
     parts: impl IntoIterator<Item = (&'a String, &'a Vec<u8>)>,
-    mut bad_part: impl FnMut(SaError),
+    mut bad_part: impl FnMut(&'a String, SaError),
 ) -> S {
     let mut parts: Vec<_> = parts.into_iter().collect();
     parts.sort_by_key(|(key, _)| *key);
     let mut global = template.clone();
-    for (_, bytes) in parts {
+    for (key, bytes) in parts {
         let mut part = template.clone();
         if let Err(e) = part.restore(bytes).and_then(|()| global.merge(&part)) {
-            bad_part(e);
+            bad_part(key, e);
         }
     }
     global
@@ -675,7 +703,7 @@ impl<S: Synopsis + Merge + Clone + Send> MergeBolt<S> {
     /// Merge the collected partials into one synopsis.
     pub fn merged(&mut self) -> Result<S> {
         let mut first_error = None;
-        let global = merge_partials(&self.template, &self.parts, |e| {
+        let global = merge_partials(&self.template, &self.parts, |_, e| {
             first_error.get_or_insert(e);
         });
         first_error.map_or(Ok(global), Err)
@@ -1044,6 +1072,44 @@ mod tests {
         out.release = false;
         bolt.on_idle(&mut out);
         assert!(!out.release);
+    }
+
+    /// A windowed task's fed idle holds: nothing reads its commit but
+    /// the held acks, so the commit waits for an idle with no input
+    /// since the last one. A whole-stream task under `emit_on_commit`
+    /// commits and emits its partial on the first idle: a view waits
+    /// on it.
+    #[test]
+    fn a_windowed_task_commits_on_a_quiet_idle_a_partial_emitter_at_once() {
+        use crate::window::{WindowBolt, WindowConfig, WindowSpec};
+        let store = CheckpointStore::new();
+        let cfg = WindowConfig::new(WindowSpec::Tumbling { size: 10 }, vec![]);
+        let apply_fn = apply as fn(&Tuple, &mut CountSum);
+        let mut win = WindowBolt::new("w", &store, CountSum::default(), cfg, apply_fn).unwrap();
+        let mut out = OutputCollector::new();
+        for id in 1..=3u64 {
+            win.execute(&int_tuple(1, id).at(5), &mut out);
+        }
+        win.on_idle(&mut out);
+        assert!(out.hold && !out.release && store.get("w").is_none(), "a fed idle holds");
+        win.execute(&int_tuple(1, 4).at(5), &mut out);
+        win.on_idle(&mut out);
+        assert!(!out.release && store.get("w").is_none(), "fresh input defers again");
+        win.on_idle(&mut out);
+        assert!(out.release, "the quiet idle commits and releases");
+        assert_eq!(decode_checkpoint(&store.get("w").unwrap().1).unwrap().0, 4);
+
+        let cfg =
+            OperatorConfig { checkpoint_every: 100, emit_on_commit: true, ..Default::default() };
+        let mut syn =
+            SynopsisBolt::with_config("s", &store, CountSum::default(), apply, cfg).unwrap();
+        let mut out = OutputCollector::new();
+        syn.execute(&int_tuple(1, 1), &mut out);
+        syn.on_idle(&mut out);
+        assert!(out.release, "the first idle commits and releases");
+        assert_eq!(decode_checkpoint(&store.get("s").unwrap().1).unwrap().0, 1);
+        assert_eq!(out.emitted.len(), 1, "and emits the partial");
+        assert_eq!(out.emitted[0].get(2).unwrap().as_int(), Some(1));
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::executor::{run_topology_with, ExecutorConfig, RunResult};
-use crate::metrics::Metrics;
+use crate::metrics::{CounterHandle, Metrics};
 use crate::operator::{merge_partials, Checkpointed, OperatorConfig, OperatorState, SynopsisBolt};
 use crate::rescale::{AutoPolicy, Autoscaler, RescaleController, Shard};
 use crate::serving::{EpochData, QueryResult, ServingView, Staleness, ViewRead};
@@ -345,7 +345,7 @@ where
                 publish_every: plan.publish_every,
                 updates: 0,
                 dirty: false,
-                errors: 0,
+                errors: None,
             })
         } else {
             Box::new(MergeServe {
@@ -356,7 +356,7 @@ where
                 publish_every: plan.publish_every,
                 updates: 0,
                 dirty: false,
-                errors: 0,
+                errors: None,
             })
         };
         tb.set_bolt(&view, vec![serve]).global(&agg_name).output_fields(["view", "snapshot"]);
@@ -549,16 +549,32 @@ struct MergeServe<S> {
     publish_every: u64,
     updates: u64,
     dirty: bool,
-    errors: u64,
+    /// `{view}.serve_errors`, see [`count_error`].
+    errors: Option<CounterHandle>,
+}
+
+/// Count one bad serve input (a malformed tuple, or a partial or window
+/// that does not decode) into the `{view}.serve_errors` counter, once.
+fn count_error(errors: &Option<CounterHandle>) {
+    if let Some(c) = errors {
+        c.add(1);
+    }
 }
 
 impl<S: Aggregator + Sync> MergeServe<S> {
     /// Merge the collected partials and publish a new epoch. Returns
-    /// the merged aggregate for the drain-time emission.
+    /// the merged aggregate for the drain-time emission. A partial that
+    /// fails to merge is counted and dropped, so its partition stays
+    /// out of the view (and of `covers`) until a good partial arrives.
     fn publish(&mut self) -> S {
-        let covers = self.parts.values().map(|(_, applied)| *applied).max().unwrap_or(0);
+        let mut bad = Vec::new();
         let parts = self.parts.iter().map(|(key, (bytes, _))| (key, bytes));
-        let global = merge_partials(&self.template, parts, |_| self.errors += 1);
+        let global = merge_partials(&self.template, parts, |key, _| bad.push(key.clone()));
+        for key in bad {
+            count_error(&self.errors);
+            self.parts.remove(&key);
+        }
+        let covers = self.parts.values().map(|(_, applied)| *applied).max().unwrap_or(0);
         let mut table = HashMap::with_capacity(1);
         table.insert(String::new(), ViewEntry { agg: global.clone(), window: None });
         self.view.publish(table, covers);
@@ -582,7 +598,7 @@ impl<S: Aggregator + Sync> Bolt for MergeServe<S> {
                     self.publish();
                 }
             }
-            _ => self.errors += 1,
+            _ => count_error(&self.errors),
         }
     }
 
@@ -599,39 +615,34 @@ impl<S: Aggregator + Sync> Bolt for MergeServe<S> {
             Value::Bytes(global.snapshot().into()),
         ]));
     }
+
+    fn register_metrics(&mut self, metrics: &Metrics, component: &str) {
+        self.errors = Some(metrics.register(&format!("{component}.serve_errors")));
+    }
 }
 
 /// Serve bolt for windowed plans: keeps the latest fired window per
 /// group key (`[Str(key), Int(start), Int(end), Bytes(snapshot)]`,
 /// re-firings for the same window replace in place, a newer window
-/// supersedes an older one) and publishes the key → entry table.
-/// `covers` is the newest served window end — the view's event-time
-/// frontier.
+/// supersedes an older one), decoded once on arrival, and publishes a
+/// copy of the key → entry table. `covers` is the newest served window
+/// end — the view's event-time frontier.
 struct WindowServe<S> {
     view: ServingView<ViewEntry<S>>,
     template: S,
-    /// group key → (start, end, snapshot bytes) of the newest window.
-    latest: HashMap<String, (u64, u64, Vec<u8>)>,
+    /// group key → the newest fired window, decoded.
+    latest: HashMap<String, ViewEntry<S>>,
     publish_every: u64,
     updates: u64,
     dirty: bool,
-    errors: u64,
+    /// `{view}.serve_errors`, see [`count_error`].
+    errors: Option<CounterHandle>,
 }
 
 impl<S: Aggregator + Sync> WindowServe<S> {
     fn publish(&mut self) {
-        let mut table = HashMap::with_capacity(self.latest.len());
-        let mut covers = 0;
-        for (key, (start, end, bytes)) in &self.latest {
-            covers = covers.max(*end);
-            let mut agg = self.template.clone();
-            if agg.restore(bytes).is_err() {
-                self.errors += 1;
-                continue;
-            }
-            table.insert(key.clone(), ViewEntry { agg, window: Some((*start, *end)) });
-        }
-        self.view.publish(table, covers);
+        let ends = self.latest.values().filter_map(|entry| entry.window.map(|(_, end)| end));
+        self.view.publish(self.latest.clone(), ends.max().unwrap_or(0));
         self.dirty = false;
         self.updates = 0;
     }
@@ -646,20 +657,33 @@ impl<S: Aggregator + Sync> Bolt for WindowServe<S> {
             input.get(3).and_then(Value::as_bytes),
         );
         let (Some(key), Some(start), Some(end), Some(bytes)) = parsed else {
-            self.errors += 1;
+            count_error(&self.errors);
             return;
         };
         let (start, end) = (start as u64, end as u64);
-        let entry = self.latest.entry(key.to_string()).or_insert((0, 0, Vec::new()));
         // Same-window re-firings amend in place; an older window never
         // overwrites a newer one.
-        if end >= entry.1 {
-            *entry = (start, end, bytes.to_vec());
-            self.dirty = true;
-            self.updates += 1;
-            if self.updates >= self.publish_every {
-                self.publish();
-            }
+        if self
+            .latest
+            .get(key)
+            .and_then(|entry| entry.window)
+            .is_some_and(|(_, newest)| end < newest)
+        {
+            return;
+        }
+        let mut agg = self.template.clone();
+        if agg.restore(bytes).is_ok() {
+            self.latest.insert(key.to_string(), ViewEntry { agg, window: Some((start, end)) });
+        } else {
+            // The key stays absent until a good window for it arrives
+            // (an older one too: nothing newer is left to protect).
+            count_error(&self.errors);
+            self.latest.remove(key);
+        }
+        self.dirty = true;
+        self.updates += 1;
+        if self.updates >= self.publish_every {
+            self.publish();
         }
     }
 
@@ -674,6 +698,10 @@ impl<S: Aggregator + Sync> Bolt for WindowServe<S> {
             self.publish();
         }
     }
+
+    fn register_metrics(&mut self, metrics: &Metrics, component: &str) {
+        self.errors = Some(metrics.register(&format!("{component}.serve_errors")));
+    }
 }
 
 #[cfg(test)]
@@ -681,6 +709,7 @@ mod tests {
     use super::*;
     use crate::topology::vec_spout;
     use crate::tuple::tuple_of;
+    use sa_core::Synopsis;
     use sa_sketches::heavy_hitters::SpaceSaving;
 
     fn word_tuples(words: &[&str]) -> Vec<Tuple> {
@@ -760,6 +789,90 @@ mod tests {
         let b = view.get("b").expect("key b served");
         assert_eq!(b.value.window, Some((10, 20)));
         assert!(view.get("ghost").is_none());
+    }
+
+    fn counted(words: &[&str]) -> SpaceSaving<String> {
+        let mut s = SpaceSaving::new(4).unwrap();
+        words.iter().for_each(|w| s.insert(w.to_string()));
+        s
+    }
+
+    /// A malformed tuple and a window that does not decode are each
+    /// counted once into `{view}.serve_errors`, however many publishes
+    /// follow; the corrupt key is absent, and its end is not in
+    /// `covers`, until a good window for it arrives.
+    #[test]
+    fn window_serve_counts_each_bad_input_once() {
+        let (metrics, view) = (Metrics::new(), ServingView::new());
+        let mut serve = WindowServe {
+            view: view.clone(),
+            template: counted(&[]),
+            latest: HashMap::new(),
+            publish_every: 1,
+            updates: 0,
+            dirty: false,
+            errors: None,
+        };
+        serve.register_metrics(&metrics, "w");
+        let fired = |key: &str, end: i64, bytes: Vec<u8>| {
+            let (key, bytes) = (Value::Str(key.into()), Value::Bytes(bytes.into()));
+            Tuple::new(vec![key, Value::Int(end - 10), Value::Int(end), bytes])
+        };
+        let mut out = OutputCollector::new();
+        serve.execute(&tuple_of(["malformed"]), &mut out);
+        serve.execute(&fired("b", 20, counted(&["b"]).snapshot()), &mut out);
+        serve.execute(&fired("b", 30, vec![0xFF]), &mut out);
+        for _ in 0..3 {
+            serve.execute(&fired("a", 10, counted(&["a"]).snapshot()), &mut out);
+            serve.on_idle(&mut out);
+        }
+        serve.flush(&mut out);
+        assert_eq!(metrics.snapshot().counter("w.serve_errors"), 2);
+        let epoch = view.snapshot();
+        assert!(!epoch.table.contains_key("b"), "the corrupt update hides the key");
+        assert_eq!((epoch.table.len(), epoch.covers), (1, 10));
+        serve.execute(&fired("b", 30, counted(&["b", "b"]).snapshot()), &mut out);
+        let b = view.get("b").value.expect("a good window serves the key again");
+        assert_eq!((b.window, b.agg.estimate(&"b".to_string())), (Some((20, 30)), 2));
+        assert_eq!(view.snapshot().covers, 30);
+        assert_eq!(metrics.snapshot().counter("w.serve_errors"), 2);
+    }
+
+    /// The whole-stream server counts a malformed tuple and a partial
+    /// that does not restore once each, and drops that partition (and
+    /// its applied id) from the view until a good partial arrives.
+    #[test]
+    fn merge_serve_counts_each_bad_input_once() {
+        let (metrics, view) = (Metrics::new(), ServingView::new());
+        let mut serve = MergeServe {
+            name: "m".into(),
+            view: view.clone(),
+            template: counted(&[]),
+            parts: HashMap::new(),
+            publish_every: 1,
+            updates: 0,
+            dirty: false,
+            errors: None,
+        };
+        serve.register_metrics(&metrics, "m");
+        let partial = |part: &str, bytes: Vec<u8>, applied: i64| {
+            let (part, bytes) = (Value::Str(part.into()), Value::Bytes(bytes.into()));
+            Tuple::new(vec![part, bytes, Value::Int(applied)])
+        };
+        let mut out = OutputCollector::new();
+        serve.execute(&tuple_of(["malformed"]), &mut out);
+        serve.execute(&partial("p1", vec![0xFF], 99), &mut out);
+        for applied in 1..=3 {
+            serve.execute(&partial("p0", counted(&["a"]).snapshot(), applied), &mut out);
+            serve.on_idle(&mut out);
+        }
+        assert_eq!(metrics.snapshot().counter("m.serve_errors"), 2);
+        assert_eq!(view.snapshot().covers, 3, "the bad partial's applied id is not served");
+        serve.execute(&partial("p1", counted(&["a"]).snapshot(), 100), &mut out);
+        serve.flush(&mut out);
+        let global = view.get("").value.expect("published").agg;
+        assert_eq!((global.estimate(&"a".to_string()), view.snapshot().covers), (2, 100));
+        assert_eq!(metrics.snapshot().counter("m.serve_errors"), 2);
     }
 
     #[test]

@@ -820,7 +820,9 @@ mod tests {
         }
         let mut out = OutputCollector::new();
         t0.on_idle(&mut out);
-        assert!(out.release, "the window state is durable");
+        assert!(!out.release && store.is_empty(), "an idle after input defers the commit");
+        t0.on_idle(&mut out);
+        assert!(out.release, "the quiet idle made the window state durable");
 
         let gen = table.begin_quiesce();
         t0.on_idle(&mut OutputCollector::new());

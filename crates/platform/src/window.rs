@@ -440,6 +440,12 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
         r.finish()
     }
 
+    /// None: fired windows leave on the watermark, so a commit only
+    /// releases held acks.
+    fn emits_partials(&self) -> bool {
+        false
+    }
+
     fn on_watermark(&mut self, wm: u64, out: &mut OutputCollector) {
         // The executor's merger is monotone; max() guards unit tests
         // driving this directly.
@@ -782,6 +788,9 @@ mod tests {
         let mut out = OutputCollector::new();
         b.execute(&keyed("a", 8, 110, 4), &mut out);
         b.on_idle(&mut out);
+        assert!(!out.release, "an idle after input defers the commit");
+        assert_eq!(store.get("w/0").unwrap().1, golden(2, 115, CountSum { n: 2, sum: 3 }));
+        b.on_idle(&mut out);
         assert_eq!(store.get("w/0").unwrap().1, golden(4, 120, CountSum { n: 3, sum: 11 }));
         assert_eq!(store.len(), 1, "nothing is written beside the caller's key");
     }
@@ -809,6 +818,9 @@ mod tests {
         assert_eq!(out.late.len(), 1, "[0,10) expired under the restored watermark 15");
         b.execute(&keyed("a", 3, 14, 4), &mut out);
         b.on_idle(&mut out);
+        assert!(!out.release, "an idle after input defers the commit");
+        assert_eq!(store.get("w/0").unwrap().1, golden(2, CountSum { n: 1, sum: 2 }));
+        b.on_idle(&mut out);
         assert!(out.emitted.is_empty());
         assert_eq!(store.get("w/0").unwrap().1, golden(4, CountSum { n: 2, sum: 5 }));
     }
@@ -832,7 +844,10 @@ mod tests {
         b.on_watermark(15, &mut out);
         assert_eq!(decode_result(&out.emitted[0]), ("a".into(), 0, 10, CountSum { n: 1, sum: 1 }));
         b.execute(&inputs[2], &mut out);
-        b.on_idle(&mut out); // commits ids 1-3
+        b.on_idle(&mut out);
+        assert!(!out.release && store.get("w/0").is_none(), "an idle after input defers");
+        b.on_idle(&mut out); // the quiet idle commits ids 1-3
+        assert!(out.release);
         b.execute(&inputs[3], &mut out);
         assert_eq!(out.late.len(), 1);
         drop(b); // crash with id 4 uncommitted
@@ -973,7 +988,7 @@ mod tests {
         let taken = || snapshots.swap(0, Ordering::Relaxed);
         let store = CheckpointStore::new();
         let mut cfg = WindowConfig::new(WindowSpec::Tumbling { size: 10 }, vec![0]).lateness(100);
-        cfg.checkpoint.checkpoint_every = u64::MAX; // commit on idle only
+        cfg.checkpoint.checkpoint_every = u64::MAX; // commit on a quiet idle only
         let template = Counting { n: 0, snapshots: snapshots.clone() };
         let mut b =
             WindowBolt::new("w/0", &store, template, cfg, count as fn(&Tuple, &mut Counting))
@@ -987,23 +1002,32 @@ mod tests {
             touch(&mut b, &format!("k{k}"), 55);
         }
         touch(&mut b, "early", 5);
-        let mut out = OutputCollector::new();
-        b.on_idle(&mut out);
+        // An idle after input defers the commit; the quiet one after it
+        // commits and releases.
+        let idle_twice = |b: &mut WindowBolt<_, _>| {
+            let (before, mut out) = (store.get("w/0"), OutputCollector::new());
+            b.on_idle(&mut out);
+            assert!(!out.release && store.get("w/0") == before, "the fed idle defers");
+            b.on_idle(&mut out);
+            assert!(out.release, "the quiet idle commits");
+        };
+        idle_twice(&mut b);
         assert_eq!(taken(), 1_001, "the first commit encodes every pane");
 
         for k in ["k1", "k2", "k3"] {
             touch(&mut b, k, 55);
         }
-        b.on_idle(&mut out);
+        idle_twice(&mut b);
         assert_eq!(taken(), 3, "the second commit encodes only the touched panes");
 
+        let mut out = OutputCollector::new();
         b.on_watermark(10, &mut out);
         assert_eq!((out.emitted.len(), taken()), (1, 1), "only 'early' fired");
         touch(&mut b, "k4", 55);
-        b.on_idle(&mut out);
+        idle_twice(&mut b);
         assert_eq!(taken(), 2, "the touched pane and the fired one, whose dirty bit flipped");
         touch(&mut b, "k5", 55);
-        b.on_idle(&mut out);
+        idle_twice(&mut b);
         assert_eq!(taken(), 1, "the fired pane is not re-encoded again");
 
         let (_, payload) = decode_checkpoint(&store.get("w/0").unwrap().1).unwrap();

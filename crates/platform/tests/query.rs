@@ -8,14 +8,14 @@ use sa_core::rng::SplitMix64;
 use sa_core::Synopsis;
 use sa_platform::{
     tumbling, tuple_of, vec_spout, CheckpointStore, ExecutorConfig, FaultPlan, Layer, Log,
-    LogSpout, Parallelism, Query, Record, RestartPolicy, Semantics, Spout, Tuple,
+    LogSpout, Parallelism, Query, Record, RestartPolicy, Scheduling, Semantics, Spout, Tuple,
 };
 use sa_sketches::heavy_hitters::SpaceSaving;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Append a skewed word stream to the log's single partition.
 fn fill_log(log: &Log, n: usize, seed: u64) {
@@ -70,6 +70,121 @@ fn fixed_and_auto_plans_serve_identical_per_key_results() {
     let fixed = serve(Parallelism::Fixed(2));
     assert_eq!(fixed.len(), 30, "every key served");
     assert_eq!(fixed, serve(Parallelism::Auto { min: 2, max: 2 }));
+}
+
+/// A reliable source of `(key, event time)` records that emits the
+/// first `first`, then stays unfinished and silent for `pause`, then
+/// emits the rest. Failed records are re-emitted.
+struct PausedSource {
+    records: Vec<(String, u64)>,
+    next: usize,
+    first: usize,
+    pause: Duration,
+    resume_at: Option<Instant>,
+    in_flight: HashSet<u64>,
+    requeue: VecDeque<u64>,
+}
+
+impl Spout for PausedSource {
+    fn next_tuple(&mut self) -> Option<Tuple> {
+        let i = match self.requeue.pop_front() {
+            Some(id) => id as usize - 1,
+            None => {
+                if self.next == self.first {
+                    let resume = *self.resume_at.get_or_insert_with(|| Instant::now() + self.pause);
+                    if Instant::now() < resume {
+                        return None;
+                    }
+                }
+                if self.next == self.records.len() {
+                    return None;
+                }
+                self.next += 1;
+                self.next - 1
+            }
+        };
+        let (key, et) = &self.records[i];
+        let mut t = tuple_of([key.as_str()]).at(*et);
+        t.root = i as u64 + 1;
+        self.in_flight.insert(t.root);
+        Some(t)
+    }
+
+    fn ack(&mut self, id: u64) {
+        self.in_flight.remove(&id);
+    }
+
+    fn fail(&mut self, id: u64) -> bool {
+        self.requeue.push_back(id);
+        true
+    }
+
+    fn pending(&self) -> usize {
+        self.in_flight.len() + self.records.len() - self.next
+    }
+}
+
+/// A windowed task defers its idle commit until the input is quiet for
+/// one tick. A source that pauses for 1 s, far past the 200 ms ack
+/// timeout, must still see every held ack of the tail before the pause
+/// released within that tick: nothing is failed or replayed, and the
+/// served windows equal a clean reference, under both drivers.
+#[test]
+fn a_paused_source_tail_is_committed_and_acked_without_replay() {
+    let mut rng = SplitMix64::new(2_024);
+    let records: Vec<(String, u64)> =
+        (0..4_000u64).map(|et| (format!("k{:02}", rng.next_below(13)), et)).collect();
+    // The newest window per key and how many records it holds.
+    let mut newest: BTreeMap<String, ((u64, u64), u64)> = BTreeMap::new();
+    for (key, et) in &records {
+        let window = (et / 100 * 100, et / 100 * 100 + 100);
+        let entry = newest.entry(key.clone()).or_insert((window, 0));
+        if entry.0 != window {
+            *entry = (window, 0);
+        }
+        entry.1 += 1;
+    }
+    for scheduling in [Scheduling::ThreadPerTask, Scheduling::WorkStealing { workers: 2 }] {
+        let source = PausedSource {
+            records: records.clone(),
+            next: 0,
+            first: 2_000,
+            pause: Duration::from_secs(1),
+            resume_at: None,
+            in_flight: HashSet::new(),
+            requeue: VecDeque::new(),
+        };
+        let compiled = Query::from("events")
+            .key_by(vec![0])
+            .window(tumbling(100))
+            .parallelism(2)
+            .aggregate(SpaceSaving::<String>::new(4).unwrap(), |t: &Tuple, s| {
+                s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
+            })
+            .serve("paused")
+            .compile(vec![Box::new(source) as Box<dyn Spout>])
+            .unwrap();
+        let view = compiled.view();
+        let config = ExecutorConfig {
+            semantics: Semantics::AtLeastOnce,
+            ack_timeout: Duration::from_millis(200),
+            shutdown_timeout: Duration::from_secs(30),
+            scheduling,
+            ..Default::default()
+        };
+        let result = compiled.run(config).unwrap();
+        assert!(result.clean_shutdown, "{scheduling:?}");
+        let snap = result.metrics.snapshot();
+        assert_eq!((snap.failed_roots, snap.replayed_roots), (0, 0), "{scheduling:?}");
+        assert_eq!(snap.acked_roots, 4_000, "{scheduling:?}");
+        let served: BTreeMap<String, ((u64, u64), u64)> = view
+            .snapshot()
+            .table
+            .iter()
+            .map(|(key, e)| (key.clone(), (e.window.unwrap(), e.agg.estimate(key))))
+            .collect();
+        assert_eq!(served, newest, "{scheduling:?}");
+    }
 }
 
 /// A compiled query under the chaos harness (1% task panics + 1% link

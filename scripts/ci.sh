@@ -29,9 +29,11 @@ echo "== cargo test =="
 # checkpoint::, log:: among them), crates/platform/tests (observability,
 # regressions, event_time, query, serving, scheduler, idle_cpu,
 # dataplane) and the façade's tests/ (recovery, chaos, rescale,
-# durability). The gates below run what tests do not: examples,
-# experiment kick-tires and the benchmark.
-cargo test --workspace -q
+# durability). --no-fail-fast runs every suite even after one fails, so
+# the log shows all failing suites; any failure still fails the gate.
+# The gates below run what tests do not: examples, experiment
+# kick-tires and the benchmark.
+cargo test --workspace -q --no-fail-fast
 
 echo "== entry points (the documented examples: a runtime panic fails CI) =="
 for example in quickstart site_audience sensor_pipeline observability; do
@@ -79,7 +81,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 echo "== benchmark smoke (repo benchmark builds, runs, matches its reference) =="
 # Two quick workloads, untraced and traced; run.sh exits non-zero on a
 # reference mismatch. drain_mem is the saturated path; paced_mem is the
-# open-loop one, where the aggregation tasks commit on every idle.
+# open-loop one, where the windowed tasks go idle between small batches
+# and commit once their input has been quiet for a tick.
 bash benchmark/run.sh --quick --workload drain_mem > /dev/null
 bash benchmark/run.sh --quick --workload paced_mem > /dev/null
 
