@@ -1796,18 +1796,23 @@ fn t2g_query_serving(r: &mut Recorder) {
 ///
 /// * **wide64** — one bolt component with 64 latency-bound tasks
 ///   (20 µs simulated I/O per tuple, at-most-once). Thread-per-task
-///   overlaps all 64 sleeps with 64 dedicated threads; the
-///   work-stealing pool must recover that overlap with a handful of
-///   workers. The 1 → 4 worker throughput ratio is reported.
+///   overlaps all 64 sleeps with 64 dedicated threads; the pool
+///   (`Scheduling::WorkStealing`, workers sharing one run queue) must
+///   recover that overlap with a handful of workers. The 1 → 4 worker
+///   throughput ratio is reported.
 /// * **chain3** — a CPU-light three-stage pipeline at parallelism 1,
 ///   where per-tuple cost is dominated by the channel hop: a single
 ///   pool worker against thread-per-task (four threads).
+///
+/// Both workloads assert a clean shutdown and full delivery under
+/// every driver: wide64 counts its outputs, chain3 its sink's
+/// `executed` counter.
 fn t2h_scheduler(r: &mut Recorder) {
     use sa_platform::topology::{vec_spout, Bolt};
     use sa_platform::tuple::tuple_of;
     use sa_platform::*;
     use std::time::Duration;
-    r.section("T2.H", "Scheduler — work-stealing worker sweep & channel-bound chain");
+    r.section("T2.H", "Scheduler — pool worker sweep & channel-bound chain");
 
     let wide_n = 4_000usize;
     let run_wide = |scheduling: Scheduling| -> f64 {
@@ -1894,6 +1899,7 @@ fn t2h_scheduler(r: &mut Recorder) {
             .unwrap()
         });
         assert!(res.clean_shutdown);
+        assert_eq!(res.metrics.snapshot().counter("sink.executed"), chain_n as u64);
         chain_n as f64 / secs / 1e3
     };
     let chain_ws1 = run_chain(Scheduling::WorkStealing { workers: 1 });

@@ -1,4 +1,4 @@
-//! Executor links and the pool's scheduling primitives.
+//! Executor links and the pool's run queue.
 //!
 //! There is **one queue**: a mutex-protected FIFO with an optional
 //! capacity. [`channel`] hands out its two halves; a task inbox is the
@@ -19,12 +19,11 @@
 //! downstream is saturated" event surfaced as a metric. All accounting
 //! is relaxed atomics, paid once per *batch* on executor links.
 //!
-//! Beside the queue: `WsDeque` (a fixed-capacity Chase–Lev
-//! work-stealing deque over atomic cells, no `unsafe`) and `Injector`
-//! (the global overflow/handoff queue pool workers park on).
+//! Beside the links: `RunQueue`, the pool's one FIFO of runnable
+//! slot ids, which its idle workers park on.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -341,197 +340,69 @@ pub(crate) fn link<T>(
     (Sender { chan: chan.clone(), stats: stats.clone(), wake }, Receiver { chan, stats })
 }
 
-/// A fixed-capacity Chase–Lev work-stealing deque specialised to
-/// `u64` task ids, built **without `unsafe`**: the ring is a slab of
-/// `AtomicU64` cells, so a stealer that loses the CAS race on `top`
-/// merely read (and discards) a stale-but-well-defined value — there
-/// is no uninitialised memory and no torn read to defend against.
-///
-/// * The owner pushes and pops at `bottom` (LIFO — hot batches stay
-///   cache-warm).
-/// * Stealers CAS `top` upward (FIFO — the oldest work migrates).
-/// * `push` refuses when the ring is full (the caller overflows to the
-///   [`Injector`]) — which is also the load-bearing safety fact: a
-///   slot observed by a stealer at index `t` can only be overwritten
-///   after `top` has advanced past `t`, and any such advance makes the
-///   stealer's `compare_exchange` from `t` fail, so a stale read is
-///   never *returned*.
-pub(crate) struct WsDeque {
-    top: AtomicU64,
-    bottom: AtomicU64,
-    buf: Box<[AtomicU64]>,
-    mask: u64,
-}
-
-impl WsDeque {
-    /// A deque holding up to `capacity` (rounded up to a power of two)
-    /// queued ids.
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(2);
-        let buf: Vec<AtomicU64> = (0..cap).map(|_| AtomicU64::new(0)).collect();
-        Self {
-            top: AtomicU64::new(0),
-            bottom: AtomicU64::new(0),
-            buf: buf.into_boxed_slice(),
-            mask: cap as u64 - 1,
-        }
-    }
-
-    /// Owner-only: push onto the bottom. `Err(v)` when the ring is
-    /// full — the caller must overflow to the global injector (never
-    /// drop: a lost task id is a hung topology).
-    pub fn push(&self, v: u64) -> Result<(), u64> {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        if b.wrapping_sub(t) > self.mask {
-            return Err(v);
-        }
-        self.buf[(b & self.mask) as usize].store(v, Ordering::Relaxed);
-        self.bottom.store(b.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Owner-only: pop the most recently pushed id (LIFO).
-    pub fn pop(&self) -> Option<u64> {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
-        if t == b {
-            return None;
-        }
-        let b = b.wrapping_sub(1);
-        self.bottom.store(b, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::SeqCst);
-        if after(t, b) {
-            // A stealer emptied the deque under us: restore bottom.
-            self.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
-            return None;
-        }
-        let v = self.buf[(b & self.mask) as usize].load(Ordering::Relaxed);
-        if t == b {
-            // Last element: race the stealers for it via `top`.
-            let won = self
-                .top
-                .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            self.bottom.store(b.wrapping_add(1), Ordering::Relaxed);
-            return won.then_some(v);
-        }
-        Some(v)
-    }
-
-    /// Approximate queued-item count (relaxed loads; exact only when
-    /// quiescent). Used to decide whether a push left *stealable
-    /// surplus* worth waking a parked sibling for.
-    pub fn len(&self) -> u64 {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
-        b.wrapping_sub(t)
-    }
-
-    /// Any thread: steal the oldest id (FIFO). Returns `None` when the
-    /// deque is (momentarily) empty.
-    pub fn steal(&self) -> Option<u64> {
-        loop {
-            let t = self.top.load(Ordering::Acquire);
-            fence(Ordering::SeqCst);
-            let b = self.bottom.load(Ordering::Acquire);
-            if t == b || after(t, b) {
-                return None;
-            }
-            let v = self.buf[(t & self.mask) as usize].load(Ordering::Relaxed);
-            // The CAS validates the read: if the cell was recycled,
-            // `top` moved and the exchange fails (see type docs).
-            if self
-                .top
-                .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(v);
-            }
-        }
-    }
-}
-
-/// Wrap-safe "a is logically after b" for the deque's monotone indices.
-fn after(a: u64, b: u64) -> bool {
-    a.wrapping_sub(b).wrapping_sub(1) < u64::MAX / 2
-}
-
-/// The global injector: a mutex-protected FIFO that takes (a) work
-/// submitted from outside the pool (spout activations, the
-/// coordinator's flush/terminate pushes, timer firings), and (b)
-/// overflow from full worker deques. Idle workers park on its condvar
-/// after a spin→steal sweep comes up empty, so an idle pool burns ~0
-/// CPU instead of sleep-polling.
-pub(crate) struct Injector {
-    q: Mutex<VecDeque<u64>>,
+/// The pool's run queue: a mutex-protected FIFO of slot ids that every
+/// enqueue goes to (spout and bolt activations, self-requeues, timer
+/// firings, the coordinator's flush/terminate wakes). Idle workers park
+/// on its condvar, so an idle pool burns ~0 CPU instead of
+/// sleep-polling. The parked count and the closed flag live under the
+/// queue's mutex, so a `push` (or `close`) and a `park` meet under one
+/// lock and a wakeup cannot be lost.
+pub(crate) struct RunQueue {
+    q: Mutex<RunQueueState>,
     cv: Condvar,
-    parked: AtomicUsize,
 }
 
-impl Injector {
-    /// An empty injector.
+struct RunQueueState {
+    ids: VecDeque<usize>,
+    /// Workers waiting in [`RunQueue::park`] (gates the notify syscall).
+    parked: usize,
+    /// The pool is shutting down: `park` no longer waits.
+    closed: bool,
+}
+
+impl RunQueue {
+    /// An empty queue.
     pub fn new() -> Self {
-        Self { q: Mutex::new(VecDeque::new()), cv: Condvar::new(), parked: AtomicUsize::new(0) }
+        Self {
+            q: Mutex::new(RunQueueState { ids: VecDeque::new(), parked: 0, closed: false }),
+            cv: Condvar::new(),
+        }
     }
 
-    /// Enqueue an id and wake one parked worker (if any).
-    pub fn push(&self, v: u64) {
-        let mut g = self.q.lock().unwrap();
-        g.push_back(v);
-        if self.parked.load(Ordering::SeqCst) > 0 {
+    fn lock(&self) -> MutexGuard<'_, RunQueueState> {
+        self.q.lock().expect("run queue lock poisoned")
+    }
+
+    /// Enqueue a slot id and wake one parked worker (if any).
+    pub fn push(&self, s: usize) {
+        let mut g = self.lock();
+        g.ids.push_back(s);
+        if g.parked > 0 {
             self.cv.notify_one();
         }
     }
 
-    /// Wake one parked worker without enqueueing (used when local-deque
-    /// pushes leave stealable surplus behind).
-    pub fn wake_one(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _g = self.q.lock().unwrap();
-            self.cv.notify_one();
-        }
-    }
-
-    /// Wake every parked worker (shutdown).
-    pub fn wake_all(&self) {
-        let _g = self.q.lock().unwrap();
+    /// Wake every parked worker, and keep later parks from waiting
+    /// (shutdown).
+    pub fn close(&self) {
+        self.lock().closed = true;
         self.cv.notify_all();
     }
 
     /// Dequeue the oldest id, if any.
-    pub fn try_pop(&self) -> Option<u64> {
-        self.q.lock().unwrap().pop_front()
+    pub fn try_pop(&self) -> Option<usize> {
+        self.lock().ids.pop_front()
     }
 
-    /// Announce intent to park. The caller must re-check its local
-    /// work sources *after* this call and before [`Injector::park`]:
-    /// any producer that enqueues after `prepare_park` sees the parked
-    /// count and notifies, so the re-check + park pair cannot lose a
-    /// wakeup.
-    pub fn prepare_park(&self) {
-        self.parked.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Abort a prepared park (the re-check found work).
-    pub fn cancel_park(&self) {
-        self.parked.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Park for up to `timeout` (after [`Injector::prepare_park`]),
-    /// returning a queued id when one arrives.
-    pub fn park(&self, timeout: Duration) -> Option<u64> {
-        let mut g = self.q.lock().unwrap();
-        let v = match g.pop_front() {
-            Some(v) => Some(v),
-            None => {
-                let (mut g, _) = self.cv.wait_timeout(g, timeout).unwrap();
-                g.pop_front()
-            }
-        };
-        self.parked.fetch_sub(1, Ordering::SeqCst);
-        v
+    /// Dequeue the oldest id, waiting up to `timeout` for one to arrive.
+    pub fn park(&self, timeout: Duration) -> Option<usize> {
+        let mut g = self.lock();
+        if g.ids.is_empty() && !g.closed {
+            g.parked += 1;
+            g = self.cv.wait_timeout(g, timeout).expect("run queue lock poisoned").0;
+            g.parked -= 1;
+        }
+        g.ids.pop_front()
     }
 }
 
@@ -690,96 +561,24 @@ mod tests {
         assert_eq!(rx.drain(4, &mut got), 0);
     }
 
-    #[test]
-    fn ws_deque_lifo_owner_fifo_stealer() {
-        let d = WsDeque::new(8);
-        for v in 1..=3 {
-            d.push(v).unwrap();
-        }
-        assert_eq!(d.steal(), Some(1), "stealers take the oldest");
-        assert_eq!(d.pop(), Some(3), "the owner takes the newest");
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), None);
-        assert_eq!(d.steal(), None);
-    }
-
-    #[test]
-    fn ws_deque_rejects_overflow_instead_of_dropping() {
-        let d = WsDeque::new(4);
-        for v in 0..4 {
-            d.push(v).unwrap();
-        }
-        assert_eq!(d.push(99), Err(99), "a full ring must hand the id back");
-        assert_eq!(d.steal(), Some(0));
-        d.push(99).unwrap();
-    }
-
-    #[test]
-    fn ws_deque_concurrent_steal_loses_nothing() {
-        // 4 stealer threads race the owner (pushing and popping) over
-        // 20k ids; every id must be claimed exactly once.
-        let d = Arc::new(WsDeque::new(64));
-        let stolen = Arc::new(Mutex::new(Vec::new()));
-        let done = Arc::new(AtomicU64::new(0));
-        let stealers: Vec<_> = (0..4)
-            .map(|_| {
-                let d = d.clone();
-                let stolen = stolen.clone();
-                let done = done.clone();
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while done.load(Ordering::Acquire) == 0 {
-                        if let Some(v) = d.steal() {
-                            got.push(v);
-                        }
-                    }
-                    while let Some(v) = d.steal() {
-                        got.push(v);
-                    }
-                    stolen.lock().unwrap().extend(got);
-                })
-            })
-            .collect();
-        let total: u64 = 20_000;
-        let mut popped = Vec::new();
-        let mut next = 0u64;
-        while next < total {
-            if d.push(next).is_ok() {
-                next += 1;
-            } else if let Some(v) = d.pop() {
-                popped.push(v);
-            }
-        }
-        while let Some(v) = d.pop() {
-            popped.push(v);
-        }
-        done.store(1, Ordering::Release);
-        for s in stealers {
-            s.join().unwrap();
-        }
-        let mut all = popped;
-        all.extend(stolen.lock().unwrap().iter().copied());
-        all.sort_unstable();
-        let expect: Vec<u64> = (0..total).collect();
-        assert_eq!(all, expect, "every pushed id claimed exactly once");
-    }
-
+    /// The run queue is the pool's injector: every enqueue goes to it.
     #[test]
     fn injector_park_wakes_on_push() {
-        let inj = Arc::new(Injector::new());
-        inj.push(7);
-        assert_eq!(inj.try_pop(), Some(7));
+        let q = Arc::new(RunQueue::new());
+        q.push(7);
+        assert_eq!(q.park(Duration::from_secs(5)), Some(7), "a queued id returns at once");
         let waiter = {
-            let inj = inj.clone();
-            std::thread::spawn(move || {
-                inj.prepare_park();
-                inj.park(Duration::from_secs(5))
-            })
+            let q = q.clone();
+            std::thread::spawn(move || q.park(Duration::from_secs(5)))
         };
-        std::thread::sleep(Duration::from_millis(10));
-        inj.push(42);
+        // Push only once the waiter is parked: the push must find the
+        // parked count under the queue's lock and notify.
+        while q.lock().parked == 0 {
+            std::thread::yield_now();
+        }
+        q.push(42);
         assert_eq!(waiter.join().unwrap(), Some(42));
-        inj.prepare_park();
-        assert_eq!(inj.park(Duration::from_millis(2)), None, "empty park times out");
+        assert_eq!(q.lock().parked, 0, "a woken worker leaves the parked count");
+        assert_eq!(q.park(Duration::from_millis(2)), None, "empty park times out");
     }
 }

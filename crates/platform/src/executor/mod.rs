@@ -14,9 +14,8 @@
 //!   **bounded** by [`ExecutorConfig::channel_capacity`], so a full
 //!   inbox blocks its producers — natural backpressure.
 //! * [`Scheduling::WorkStealing`]: a fixed pool of N workers (Samza /
-//!   Flink style) with per-worker Chase–Lev deques and a global
-//!   injector. Idle workers spin → steal → park on a condvar. Inboxes
-//!   are **unbounded**; with fewer workers than tasks this is Storm's
+//!   Flink style) sharing one FIFO run queue, on whose condvar idle
+//!   workers park. Inboxes are **unbounded**; with fewer workers than tasks this is Storm's
 //!   "tasks multiplexed over shared workers and a complex set of
 //!   queues" configuration that motivated Heron.
 //!
@@ -56,8 +55,8 @@
 //! every bolt's input queues share a [`crate::channel::LinkStats`]
 //! gauge (`{component}.input`): live depth, high-water mark, and
 //! backpressure stalls (count + blocked nanoseconds in bounded
-//! `send`). The work-stealing pool adds per-worker scheduler counters
-//! (`sched.worker{i}.{runs,steals,parks}`). Set
+//! `send`). The pool adds per-worker scheduler counters
+//! (`sched.worker{i}.{runs,parks}`). Set
 //! `latency_sample_every = 0` to disable the latency layer and run
 //! bare.
 
@@ -98,8 +97,8 @@ pub enum Semantics {
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
     /// Task→thread driver: a dedicated thread per task over bounded
-    /// inboxes (default), or a fixed work-stealing pool over unbounded
-    /// ones.
+    /// inboxes (default), or a fixed pool of workers sharing one run
+    /// queue over unbounded ones.
     pub scheduling: Scheduling,
     /// Delivery guarantee.
     pub semantics: Semantics,

@@ -13,13 +13,12 @@
 //!   owns an OS thread that loops `run_slot` and sleeps on the slot's
 //!   `WakeCell` in between. Inboxes are bounded, so a slow consumer
 //!   blocks its producers (Heron-style backpressure).
-//! * **Pool** ([`crate::Scheduling::WorkStealing`]): N workers, each
-//!   with a Chase–Lev [`WsDeque`] (owner LIFO / stealer FIFO); a global
-//!   [`Injector`] for out-of-pool submissions and deque overflow, on
-//!   whose condvar idle workers park after a spin → steal sweep; a
-//!   timer heap for the two delayed re-activations (a spout's
-//!   ack-settle sweep, a bolt's held-ack commit retry). Inboxes are
-//!   unbounded — a worker must never block in `send`.
+//! * **Pool** ([`crate::Scheduling::WorkStealing`]; the name is
+//!   historical): N workers sharing one FIFO [`RunQueue`] that every
+//!   enqueue goes to, on whose condvar idle workers park; a timer heap
+//!   for the two delayed re-activations (a spout's ack-settle sweep, a
+//!   bolt's held-ack commit retry). Inboxes are unbounded — a worker
+//!   must never block in `send`.
 //!
 //! Under both, a slot is one spout task or one bolt task: every hop
 //! between two components is a channel hop.
@@ -35,27 +34,27 @@
 //! message that raced in either (a) arrived before the clear — the
 //! runner's re-check sees it, re-claims, re-enqueues — or (b) arrived
 //! after — the sender's own `schedule` sees `scheduled == false` and
-//! enqueues. Enqueueing is lost-wakeup-free per driver: the pool parks
-//! through [`Injector::prepare_park`]'s parked-count handshake; a
-//! dedicated thread re-checks its cell's `pending` bit under the
-//! cell's mutex before every wait. (A dedicated thread also runs its
-//! slot unclaimed when a deadline or the park ceiling expires: no other
-//! thread ever runs that slot, so the claim guards nothing there, and
-//! every path that leaves `scheduled` set also sets `pending`.)
+//! enqueues. Enqueueing is lost-wakeup-free per driver: a pool worker
+//! parks with its parked count under the run queue's lock, the lock
+//! every push takes; a dedicated thread re-checks its cell's `pending`
+//! bit under the cell's mutex before every wait. (A dedicated thread
+//! also runs its slot unclaimed when a deadline or the park ceiling
+//! expires: no other thread ever runs that slot, so the claim guards
+//! nothing there, and every path that leaves `scheduled` set also sets
+//! `pending`.)
 
 use super::bolt::BoltCore;
 use super::spout::{SpoutCore, SpoutStep};
 use super::task::TaskCtx;
 use super::{Msg, Route, RunCore, RunResult, Sender};
-use crate::channel::{link, Injector, Receiver, WsDeque};
+use crate::channel::{link, Receiver, RunQueue};
 use crate::metrics::SchedCounters;
 use crate::supervise::panic_message;
 use sa_core::{Result, SaError};
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,7 +63,7 @@ use std::time::{Duration, Instant};
 /// a backlogged task from monopolizing a pool worker). Budgeting in tuples
 /// rather than messages makes the fairness slice batch-size-agnostic:
 /// an activation amortizes its fixed costs (unit lock, claim hand-off,
-/// injector requeue) over ~2k tuples whether they arrive as 64-tuple
+/// run-queue requeue) over ~2k tuples whether they arrive as 64-tuple
 /// batches or singletons.
 const DRAIN_TUPLES: usize = 2048;
 /// Messages pulled from the inbox per lock acquisition (bulk drain).
@@ -80,16 +79,6 @@ const SETTLE_SWEEP: Duration = Duration::from_millis(2);
 /// Park ceiling: a pool worker re-checks shutdown, and a dedicated
 /// thread re-runs its slot, at least this often.
 const PARK_MAX: Duration = Duration::from_millis(100);
-
-/// Distinguishes pool workers of *this* run from foreign threads (and
-/// from workers of a nested run) in the thread-local below.
-static SCHED_IDS: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(scheduler id, worker index)` of the current thread, if it is
-    /// a pool worker — `enqueue` targets the worker's own deque.
-    static WORKER: Cell<(u64, usize)> = const { Cell::new((0, usize::MAX)) };
-}
 
 /// One schedulable unit: a spout task, or a bolt task with its inbox.
 /// The activation
@@ -157,11 +146,9 @@ impl WakeCell {
     }
 }
 
-/// The shared pool's queues.
+/// The shared pool's run queue and timers.
 struct Pool {
-    injector: Injector,
-    /// One per worker.
-    deques: Vec<WsDeque>,
+    queue: RunQueue,
     /// Delayed re-activations: `(deadline, slot)` min-heap.
     timers: Mutex<BinaryHeap<Reverse<(Instant, usize)>>>,
 }
@@ -176,7 +163,6 @@ enum Driver {
 /// Shared scheduler state. Slots are filled once (before any thread
 /// starts) and immutable thereafter.
 struct Sched {
-    id: u64,
     driver: Driver,
     slots: OnceLock<Vec<Slot>>,
     shutdown: AtomicBool,
@@ -188,7 +174,6 @@ struct Sched {
 impl Sched {
     fn new(driver: Driver) -> Self {
         Self {
-            id: SCHED_IDS.fetch_add(1, Ordering::Relaxed),
             driver,
             slots: OnceLock::new(),
             shutdown: AtomicBool::new(false),
@@ -216,41 +201,12 @@ impl Sched {
         self.enqueue(s);
     }
 
-    /// Enqueue an already-claimed slot: its own thread wakes (dedicated),
-    /// or a pool worker keeps it local (LIFO, cache-warm) and signals
-    /// stealable surplus while everyone else goes through the injector.
+    /// Enqueue an already-claimed slot: its own thread wakes
+    /// (dedicated), or it joins the back of the pool's run queue.
     fn enqueue(&self, s: usize) {
-        let pool = match &self.driver {
-            Driver::Dedicated(cells) => return cells[s].update(|st| st.pending = true),
-            Driver::Pool(pool) => pool,
-        };
-        let (owner, wi) = WORKER.with(|w| w.get());
-        if owner == self.id {
-            match pool.deques[wi].push(s as u64) {
-                Ok(()) => {
-                    // Wake a parked sibling only when the push left
-                    // stealable *surplus*: a lone item is popped by
-                    // this worker right after its current activation,
-                    // and waking someone to lose that race is a
-                    // park/unpark round-trip per batch send.
-                    if pool.deques[wi].len() > 1 {
-                        pool.injector.wake_one();
-                    }
-                }
-                Err(v) => pool.injector.push(v),
-            }
-        } else {
-            pool.injector.push(s as u64);
-        }
-    }
-
-    /// Enqueue an already-claimed slot at the pool's global FIFO — used
-    /// for self-requeues (a spout's next slice, a backlogged bolt's next
-    /// drain) so local LIFO order cannot starve sibling slots.
-    fn enqueue_global(&self, s: usize) {
         match &self.driver {
             Driver::Dedicated(cells) => cells[s].update(|st| st.pending = true),
-            Driver::Pool(pool) => pool.injector.push(s as u64),
+            Driver::Pool(pool) => pool.queue.push(s),
         }
     }
 
@@ -318,7 +274,7 @@ impl Sched {
         }
         match &self.driver {
             Driver::Dedicated(cells) => cells.iter().for_each(|c| c.update(|st| st.pending = true)),
-            Driver::Pool(pool) => pool.injector.wake_all(),
+            Driver::Pool(pool) => pool.queue.close(),
         }
         let _g = self.done_mx.lock().expect("done lock poisoned");
         self.done_cv.notify_all();
@@ -348,56 +304,28 @@ fn run_dedicated(sched: &Arc<Sched>, s: usize) {
     }
 }
 
-/// The pool driver's worker loop: own deque (LIFO) → injector → steal
-/// (FIFO, oldest first) → fire timers → park. `prepare_park` + a steal
-/// re-check + `park`'s internal queue re-check make the descent
-/// lost-wakeup-free.
-fn worker(sched: &Arc<Sched>, wi: usize, counters: SchedCounters) {
+/// The pool driver's worker loop: run queue → fire due timers → park
+/// on the run queue until a push or the next timer.
+fn worker(sched: &Arc<Sched>, counters: SchedCounters) {
     let Driver::Pool(pool) = &sched.driver else {
         unreachable!("pool workers are spawned by the pool driver")
     };
-    WORKER.with(|w| w.set((sched.id, wi)));
-    loop {
-        if sched.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let found = pool.deques[wi].pop().or_else(|| pool.injector.try_pop()).or_else(|| {
-            let got = pool.steal(wi);
-            if got.is_some() {
-                counters.steals.add(1);
+    while !sched.shutdown.load(Ordering::Acquire) {
+        let mut found = pool.queue.try_pop();
+        if found.is_none() {
+            if sched.fire_timers(pool, Instant::now()) {
+                continue;
             }
-            got
-        });
+            let timeout = pool
+                .next_timer()
+                .map(|at| at.saturating_duration_since(Instant::now()))
+                .map_or(PARK_MAX, |d| d.min(PARK_MAX));
+            counters.parks.add(1);
+            found = pool.queue.park(timeout);
+        }
         if let Some(s) = found {
             counters.runs.add(1);
-            run_slot(sched, s as usize);
-            continue;
-        }
-        if sched.fire_timers(pool, Instant::now()) {
-            continue;
-        }
-        // Announce the park *before* the final re-check: any producer
-        // that enqueues after this sees parked > 0 and notifies.
-        pool.injector.prepare_park();
-        if let Some(s) = pool.steal(wi) {
-            pool.injector.cancel_park();
-            counters.steals.add(1);
-            counters.runs.add(1);
-            run_slot(sched, s as usize);
-            continue;
-        }
-        if sched.shutdown.load(Ordering::Acquire) {
-            pool.injector.cancel_park();
-            break;
-        }
-        let timeout = pool
-            .next_timer()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-            .map_or(PARK_MAX, |d| d.min(PARK_MAX));
-        counters.parks.add(1);
-        if let Some(s) = pool.injector.park(timeout) {
-            counters.runs.add(1);
-            run_slot(sched, s as usize);
+            run_slot(sched, s);
         }
     }
 }
@@ -405,12 +333,6 @@ fn worker(sched: &Arc<Sched>, wi: usize, counters: SchedCounters) {
 impl Pool {
     fn next_timer(&self) -> Option<Instant> {
         self.timers.lock().expect("timer heap lock poisoned").peek().map(|&Reverse((at, _))| at)
-    }
-
-    /// One sweep over the sibling deques, oldest work first.
-    fn steal(&self, wi: usize) -> Option<u64> {
-        let n = self.deques.len();
-        (1..n).find_map(|k| self.deques[(wi + k) % n].steal())
     }
 }
 
@@ -437,7 +359,7 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
             // Chunked drain: one inbox lock per DRAIN_MSGS messages,
             // processed inline until the tuple budget runs out — the
             // run-inline-after-drain loop keeps a steady producer from
-            // forcing an injector round-trip per handful of messages.
+            // forcing a run-queue round-trip per handful of messages.
             let mut budget = DRAIN_TUPLES as i64;
             let mut chunk: Vec<Msg> = Vec::with_capacity(DRAIN_MSGS);
             while budget > 0 {
@@ -474,9 +396,9 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
             slot.scheduled.store(false, Ordering::Release);
             if !rx.is_empty() {
                 // Backlog (budget exhausted, or a racing send): re-claim
-                // and requeue globally so siblings get the worker first.
+                // and requeue at the back, so siblings get a worker first.
                 if !slot.scheduled.swap(true, Ordering::AcqRel) {
-                    sched.enqueue_global(s);
+                    sched.enqueue(s);
                 }
             } else if held {
                 // Acks are held (a commit deferred until the input is
@@ -494,7 +416,7 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
                 SpoutStep::Progress => {
                     drop(guard);
                     // Keep the claim; yield the worker between slices.
-                    sched.enqueue_global(s);
+                    sched.enqueue(s);
                 }
                 SpoutStep::Idle { seen } => {
                     let (run, id) = (core.ctx.run.clone(), core.ctx.id);
@@ -504,7 +426,7 @@ fn run_slot(sched: &Arc<Sched>, s: usize) {
                         // An ack landed between the settle and here:
                         // re-claim rather than sleep on a stale snapshot.
                         if !slot.scheduled.swap(true, Ordering::AcqRel) {
-                            sched.enqueue_global(s);
+                            sched.enqueue(s);
                         }
                     } else {
                         // Dormant until ack progress (`on_ack` schedules
@@ -552,11 +474,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     let sched = Arc::new(Sched::new(if dedicated {
         Driver::Dedicated(specs.iter().map(|_| WakeCell::default()).collect())
     } else {
-        Driver::Pool(Pool {
-            injector: Injector::new(),
-            deques: (0..workers).map(|_| WsDeque::new(256)).collect(),
-            timers: Mutex::new(BinaryHeap::new()),
-        })
+        Driver::Pool(Pool { queue: RunQueue::new(), timers: Mutex::new(BinaryHeap::new()) })
     }));
     // The hooks below end up inside the slots (a task's routes own
     // senders, a sender owns its wake hook), which the scheduler owns:
@@ -689,7 +607,7 @@ pub(crate) fn run(mut core: RunCore) -> Result<RunResult> {
     } else {
         for wi in 0..workers {
             let counters = run.metrics.register_sched_worker(wi);
-            joins.push(spawn(&sched, move |sched| worker(sched, wi, counters)));
+            joins.push(spawn(&sched, move |sched| worker(sched, counters)));
         }
     }
     for &s in &spout_slots {

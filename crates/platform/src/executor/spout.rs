@@ -1,6 +1,6 @@
 //! Re-entrant spout core: one `step()` = one iteration of the classic
 //! spout loop, so the same code drives a dedicated thread
-//! (`Scheduling::ThreadPerTask`) or a work-stealing activation that
+//! (`Scheduling::ThreadPerTask`) or a pool activation that
 //! must yield between steps (`Scheduling::WorkStealing`). Every
 //! produced tuple is routed straight to the downstream inboxes; the
 //! spout supervises only its own `next_tuple`, through the shared

@@ -65,8 +65,7 @@ pub use executor::{run_topology, run_topology_with, ExecutorConfig, RunResult, S
 pub use frame::Frame;
 pub use log::{Log, Record};
 pub use metrics::{
-    CounterHandle, GaugeHandle, HistogramHandle, HistogramSummary, LinkSnapshot, Metrics,
-    MetricsSnapshot, Sampler, SchedCounters,
+    CounterHandle, GaugeHandle, HistogramSummary, LinkSnapshot, Metrics, MetricsSnapshot,
 };
 pub use operator::{
     decode_checkpoint, frontier_offset, Checkpointed, LogSpout, MergeBolt, OperatorConfig,

@@ -16,15 +16,17 @@
 //! # Observability: dogfooding the paper's synopses
 //!
 //! Latency distributions are the platform observing itself with its own
-//! Section-2 machinery: a [`HistogramHandle`] wraps the in-tree
+//! Section-2 machinery: a `HistogramHandle` wraps the in-tree
 //! Greenwald–Khanna quantile sketch (`sa_sketches::quantiles::GkSketch`)
 //! — the same summary MillWheel-style latency tracking is built on — so
 //! p50/p90/p99 cost `O((1/ε)·log εn)` space no matter how many samples
-//! flow in. Recording is *sampled* (see [`Sampler`] and
+//! flow in. Recording is *sampled* (see `Sampler` and
 //! `ExecutorConfig::latency_sample_every`): the hot loop pays one
 //! branch per tuple and a clock read + sketch insert only every Nth
 //! tuple, keeping measured overhead within a few percent (experiment
-//! T2.D).
+//! T2.D). Histogram handles, samplers and the pool's per-worker
+//! `SchedCounters` are engine-internal (`pub(crate)`): outside the
+//! crate, every reading goes through the snapshot.
 //!
 //! Queue health comes from [`crate::channel::LinkStats`] gauges
 //! registered through [`Metrics::register_link`]: live depth (in
@@ -102,7 +104,7 @@ impl CounterHandle {
 /// path by gating with a [`Sampler`] (every-Nth recording), so the lock
 /// is touched orders of magnitude less often than tuples flow.
 #[derive(Clone, Debug)]
-pub struct HistogramHandle {
+pub(crate) struct HistogramHandle {
     sketch: Arc<Mutex<GkSketch>>,
 }
 
@@ -110,16 +112,6 @@ impl HistogramHandle {
     /// Fold one observation (typically microseconds) into the sketch.
     pub fn record(&self, value: f64) {
         self.sketch.lock().unwrap().insert(value);
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.sketch.lock().unwrap().count()
-    }
-
-    /// ε-approximate quantile (`None` until something was recorded).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.sketch.lock().unwrap().query(q)
     }
 
     fn summary(&self) -> HistogramSummary {
@@ -154,16 +146,14 @@ impl GaugeHandle {
     }
 }
 
-/// Per-worker scheduler counters of the work-stealing pool, bumped on
-/// the worker loop's hot path (one relaxed atomic add each). Named
-/// `sched.worker{i}.runs` / `.steals` / `.parks` in the snapshot.
+/// Per-worker scheduler counters of the pool, bumped on the worker
+/// loop's hot path (one relaxed atomic add each). Named
+/// `sched.worker{i}.runs` / `.parks` in the snapshot.
 #[derive(Clone)]
-pub struct SchedCounters {
+pub(crate) struct SchedCounters {
     /// Activations this worker executed.
     pub runs: CounterHandle,
-    /// Activations this worker stole from a sibling's deque.
-    pub steals: CounterHandle,
-    /// Times this worker parked on the injector condvar.
+    /// Times this worker parked on the run queue's condvar.
     pub parks: CounterHandle,
 }
 
@@ -174,7 +164,7 @@ pub struct SchedCounters {
 /// instrumentation off. The first call after construction hits, so even
 /// short runs produce at least one observation per site.
 #[derive(Clone, Debug)]
-pub struct Sampler {
+pub(crate) struct Sampler {
     every: u32,
     tick: u32,
 }
@@ -210,11 +200,6 @@ impl Sampler {
         } else {
             false
         }
-    }
-
-    /// Whether this sampler can ever hit.
-    pub fn enabled(&self) -> bool {
-        self.every != 0
     }
 }
 
@@ -270,7 +255,7 @@ impl Metrics {
     /// Intern a histogram; same-name registrations share one sketch, so
     /// a component's tasks aggregate into one distribution. Build-time
     /// only.
-    pub fn register_histogram(&self, name: &str) -> HistogramHandle {
+    pub(crate) fn register_histogram(&self, name: &str) -> HistogramHandle {
         self.inner
             .histograms
             .lock()
@@ -297,13 +282,12 @@ impl Metrics {
         self.inner.gauges.lock().unwrap().entry(name.to_string()).or_default().clone()
     }
 
-    /// Intern the per-worker counters of the work-stealing pool
-    /// (`sched.worker{i}.{runs,steals,parks}`); they land in the
-    /// snapshot's counter map like any other metric. Build-time only.
-    pub fn register_sched_worker(&self, worker: usize) -> SchedCounters {
+    /// Intern the per-worker counters of the pool
+    /// (`sched.worker{i}.{runs,parks}`); they land in the snapshot's
+    /// counter map like any other metric. Build-time only.
+    pub(crate) fn register_sched_worker(&self, worker: usize) -> SchedCounters {
         SchedCounters {
             runs: self.register(&format!("sched.worker{worker}.runs")),
-            steals: self.register(&format!("sched.worker{worker}.steals")),
             parks: self.register(&format!("sched.worker{worker}.parks")),
         }
     }
@@ -683,7 +667,6 @@ mod tests {
             a.record(i as f64);
         }
         b.record(100_000.0); // one outlier from another task
-        assert_eq!(a.count(), 1_001);
         let s = m.snapshot();
         let h = s.histogram("comp.execute_us").unwrap();
         assert_eq!(h.count, 1_001);
@@ -741,11 +724,9 @@ mod tests {
     #[test]
     fn sampler_gates_every_nth() {
         let mut s = Sampler::new(4);
-        assert!(s.enabled());
         let hits: Vec<bool> = (0..9).map(|_| s.hit()).collect();
         assert_eq!(hits, [true, false, false, false, true, false, false, false, true]);
         let mut off = Sampler::new(0);
-        assert!(!off.enabled());
         assert!((0..100).all(|_| !off.hit()));
     }
 }

@@ -753,8 +753,9 @@ struct FrontierCheckpoint {
 
 /// A reliable spout over one [`Log`] partition. Record ids are stable
 /// across replays and restarts: `id = id_base + offset + 1` (`id_base`
-/// keeps multi-partition topologies in disjoint id spaces; offsets are
-/// shifted by one so id 0 never occurs). Failed tuples are re-read
+/// gives each partition its own id space, with the limit that
+/// [`LogSpout::new`] states; offsets are shifted by one so id 0 never
+/// occurs). Failed tuples are re-read
 /// from the log — the log *is* the replay buffer, as in Samza/Kafka.
 pub struct LogSpout<F> {
     log: Log,
@@ -777,6 +778,17 @@ impl<F: FnMut(&Record) -> Tuple + Send> LogSpout<F> {
     /// each record into a tuple via `decode`. On recovery, enable
     /// [`LogSpout::with_frontier`] and pass [`frontier_offset`] as
     /// `from_offset` (with the same `id_base` used before the crash).
+    ///
+    /// Disjoint `id_base`s do **not** make two partitions safe to feed
+    /// one exactly-once task. After each commit the task's dedup GC
+    /// treats every id more than `OperatorConfig::gc_horizon` below the
+    /// newest id it applied as already seen, so from the first commit
+    /// after an id of the higher space, every id of the lower one is
+    /// acked and dropped as a duplicate. With bases 0
+    /// and `1 << 40`, 2 000 records each interleaved into one
+    /// `SynopsisBolt` at `checkpoint_every` 10, 2 005 of 4 000 were
+    /// applied. Until the GC follows each source's settled frontier,
+    /// give each partition its own exactly-once task.
     pub fn new(log: &Log, partition: usize, from_offset: u64, id_base: u64, decode: F) -> Self {
         Self {
             log: log.clone(),

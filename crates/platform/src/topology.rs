@@ -37,13 +37,14 @@ pub enum Scheduling {
     /// (DESIGN.md §9 records the numbers).
     #[default]
     ThreadPerTask,
-    /// A fixed pool of workers with per-worker Chase–Lev deques and a
-    /// global injector; the schedulable unit is "run this operator
-    /// task on its pending input". Idle workers spin → steal → park on
-    /// a condvar. Inboxes are unbounded (a pool worker must never
-    /// block in `send`), so with fewer workers than tasks this is also
-    /// the Storm-style "tasks multiplexed over shared workers and
-    /// unbounded queues" arm of the paper's Table 2.
+    /// A fixed pool of workers sharing one FIFO run queue; the
+    /// schedulable unit is "run this operator task on its pending
+    /// input". Idle workers park on the queue's condvar. Inboxes are
+    /// unbounded (a pool worker must never block in `send`), so with
+    /// fewer workers than tasks this is also the Storm-style "tasks
+    /// multiplexed over shared workers and unbounded queues" arm of
+    /// the paper's Table 2. The name is historical: the pool once gave
+    /// each worker a deque and let idle workers steal (DESIGN.md §9).
     WorkStealing {
         /// Worker threads in the pool. `0` = `available_parallelism`.
         workers: usize,

@@ -1,6 +1,6 @@
 //! Pin: an idle-but-running topology must not busy-wait. Both
 //! drivers block on condvars (per-slot wake cells under
-//! thread-per-task, injector parking under work-stealing) instead of
+//! thread-per-task, run-queue parking under the pool) instead of
 //! sleep-polling, so a topology whose spout has gone quiet should
 //! accumulate almost no CPU time while it waits out the shutdown
 //! timeout.

@@ -130,8 +130,8 @@ fn schedulers_agree_across_64_seeds() {
 }
 
 /// Wide fan-out (shuffle + fields grouping, parallelism > 1) under a
-/// multi-worker pool: exact word counts, every root acked — stealing
-/// and inbox hand-off lose nothing and duplicate nothing.
+/// multi-worker pool: exact word counts, every root acked — the shared
+/// run queue and inbox hand-off lose nothing and duplicate nothing.
 #[test]
 fn multiworker_fanout_is_exact() {
     let mut rng = SplitMix64::new(0xFA0);
@@ -407,7 +407,7 @@ fn work_stealing_survives_panics_and_drops() {
 
 // --- Scheduler self-metrics ------------------------------------------
 
-/// The pool exports per-worker `runs`/`steals`/`parks` counters, and
+/// The pool exports per-worker `runs`/`parks` counters, and
 /// they survive into the JSON snapshot (satellite of the CI gate).
 /// Every bolt is its own slot there too: each registers its
 /// `{comp}.input` link gauge and its own `executed` / `emitted`.
@@ -427,7 +427,7 @@ fn per_worker_counters_reach_the_snapshot() {
     let runs: u64 = (0..2).map(|w| snap.counter(&format!("sched.worker{w}.runs"))).sum();
     assert!(runs > 0, "no activations recorded: {:?}", snap.counters);
     for w in 0..2 {
-        for which in ["runs", "steals", "parks"] {
+        for which in ["runs", "parks"] {
             let name = format!("sched.worker{w}.{which}");
             assert!(snap.counters.contains_key(&name), "missing {name}");
         }
@@ -435,4 +435,54 @@ fn per_worker_counters_reach_the_snapshot() {
     let json = snap.to_json();
     assert!(json.contains("\"sched.worker0.runs\""), "counters missing from JSON");
     assert!(json.contains("\"sched.worker1.parks\""));
+}
+
+// --- Fairness --------------------------------------------------------
+
+/// One pool worker runs the run queue in FIFO order: a spout slice (128
+/// tuples, two 64-tuple batches) ends with the spout's self-requeue at
+/// the back, behind the bolt its sends scheduled, so the bolt drains
+/// each slice before the next one runs and its inbox never holds more
+/// than one slice. A self-requeue that jumped the queue would let the
+/// spout run slice after slice and pile the whole stream into the
+/// inbox.
+///
+/// The inbox gauge counts messages, so two things that are not
+/// fairness stay out of the reading: no batch ships on linger (a
+/// preempted slice would otherwise ship a partial batch and three
+/// sends), and the stream is a whole number of slices (otherwise the
+/// last, one-batch slice finishes the spout at once, and the
+/// coordinator's `Flush` and `Terminate` can join that batch before
+/// the worker drains it).
+#[test]
+fn one_worker_pool_drains_each_spout_slice_before_the_next() {
+    const BATCH: usize = 64;
+    const SLICE_TUPLES: u64 = 128; // the runtime's `SPOUT_SLICE`
+    let n = 1_563 * SLICE_TUPLES as usize; // ~200k tuples
+    let tuples: Vec<Tuple> = (0..n).map(|i| tuple_of([i as i64])).collect();
+    let mut tb = TopologyBuilder::new();
+    tb.set_spout("src", vec![vec_spout(tuples)]);
+    let sink = |t: &Tuple, _out: &mut OutputCollector| {
+        std::hint::black_box(t.get(0));
+    };
+    tb.set_bolt("sink", vec![Box::new(sink) as Box<dyn Bolt>]).shuffle("src");
+    let result = run_topology(
+        tb,
+        ExecutorConfig {
+            scheduling: Scheduling::WorkStealing { workers: 1 },
+            semantics: Semantics::AtMostOnce,
+            batch_size: BATCH,
+            batch_linger: Duration::from_secs(60),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(result.clean_shutdown);
+    let snap = result.metrics.snapshot();
+    assert_eq!(snap.counter("sink.executed"), n as u64);
+    let high_water = snap.link("sink.input").expect("sink inbox gauge").high_water;
+    assert!(
+        high_water <= SLICE_TUPLES / BATCH as u64,
+        "sink inbox reached {high_water} batches: a spout slice ran before the last was drained"
+    );
 }

@@ -1,5 +1,6 @@
 //! The same word-count topology under both drivers: the classic
-//! thread-per-task executor and the work-stealing pool — identical
+//! thread-per-task executor and a pool of workers sharing one run
+//! queue (`Scheduling::WorkStealing`, a historical name) — identical
 //! answers, very different thread bills.
 //!
 //! ```sh
@@ -52,7 +53,7 @@ fn main() {
     for (label, scheduling) in [
         ("thread-per-task (7 task threads)", Scheduling::ThreadPerTask),
         // workers: 0 means "one per core" (std::thread::available_parallelism).
-        ("work-stealing   (4 pool workers)", Scheduling::WorkStealing { workers: 4 }),
+        ("shared pool     (4 pool workers)", Scheduling::WorkStealing { workers: 4 }),
     ] {
         let counts: Counts = Arc::new(Mutex::new(HashMap::new()));
         let t0 = Instant::now();
@@ -72,9 +73,8 @@ fn main() {
         if let Scheduling::WorkStealing { .. } = scheduling {
             for w in 0..4 {
                 println!(
-                    "  worker {w}: {} activations, {} steals, {} parks",
+                    "  worker {w}: {} activations, {} parks",
                     snap.counter(&format!("sched.worker{w}.runs")),
-                    snap.counter(&format!("sched.worker{w}.steals")),
                     snap.counter(&format!("sched.worker{w}.parks"))
                 );
             }

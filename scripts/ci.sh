@@ -52,7 +52,7 @@ cargo run --release -q --example lambda_wordcount > /dev/null
 
 echo "== scheduler gate (driver equivalence, chaos, idle CPU) =="
 # One example under both drivers (the example asserts identical counts
-# and that the pool's per-worker steal/run/park counters are live).
+# and prints the pool's per-worker run/park counters).
 cargo run --release -q --example scheduled_wordcount | grep -q "identical counts"
 
 echo "== experiment kick-tires (recovery, event time, serving, scheduler, rescale, durability) =="

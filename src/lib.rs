@@ -44,7 +44,7 @@ pub use sa_windows as windows;
 /// the platform's public surface. The platform has one runtime;
 /// `ExecutorConfig::scheduling` ([`prelude::Scheduling`]) picks the
 /// driver that maps its tasks onto threads — a thread per task over
-/// bounded inboxes (default), or a work-stealing pool.
+/// bounded inboxes (default), or a fixed pool sharing one run queue.
 ///
 /// ```
 /// use streaming_analytics::prelude::*;
@@ -75,10 +75,10 @@ pub mod prelude {
         HistogramSummary, IntoBoltFactory, Layer, LinkSnapshot, LinkStats, Log, LogSpout,
         MemStorage, MergeBolt, Metrics, MetricsSnapshot, OperatorConfig, OperatorState,
         OutputCollector, Parallelism, Query, QueryHandle, QueryResult, Record, RescaleController,
-        RestartDecision, RestartPolicy, RestartTracker, RunResult, SchedCounters, Scheduling,
-        Semantics, ServingView, Shard, ShardTable, Spout, SpoutHandle, Staleness, Storage,
-        StorageFaults, StorageStats, SyncPolicy, SynopsisBolt, TopologyBuilder, Tuple, Value,
-        VecSpout, ViewEntry, ViewHandle, ViewRead, WatermarkConfig, WatermarkGen, WatermarkMerger,
-        WindowBolt, WindowConfig, WindowSpec, KEY_GROUPS,
+        RestartDecision, RestartPolicy, RestartTracker, RunResult, Scheduling, Semantics,
+        ServingView, Shard, ShardTable, Spout, SpoutHandle, Staleness, Storage, StorageFaults,
+        StorageStats, SyncPolicy, SynopsisBolt, TopologyBuilder, Tuple, Value, VecSpout, ViewEntry,
+        ViewHandle, ViewRead, WatermarkConfig, WatermarkGen, WatermarkMerger, WindowBolt,
+        WindowConfig, WindowSpec, KEY_GROUPS,
     };
 }
