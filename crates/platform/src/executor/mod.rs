@@ -102,7 +102,8 @@ pub struct ExecutorConfig {
     pub scheduling: Scheduling,
     /// Delivery guarantee.
     pub semantics: Semantics,
-    /// Inbox capacity (in batches) under [`Scheduling::ThreadPerTask`]:
+    /// Inbox capacity (in messages: data batches and control markers
+    /// alike) under [`Scheduling::ThreadPerTask`]:
     /// a producer that finds its consumer's inbox full blocks until it
     /// drains (backpressure). Pool inboxes are unbounded.
     pub channel_capacity: usize,

@@ -71,8 +71,9 @@ const DRAIN_MSGS: usize = 32;
 /// Spout-loop iterations per activation (same fairness bound).
 const SPOUT_SLICE: usize = 128;
 /// How soon a bolt task holding acks is re-run with an empty inbox:
-/// the quiet tick a windowed task waits for before it commits its tail
-/// (`operator::Checkpointed`), and the retry cadence of a failed commit.
+/// the quiet tick a task without `emit_on_commit` (every windowed `Query`)
+/// waits for before it commits its tail (`operator::Checkpointed`), and
+/// the retry of a failed commit, which makes one attempt per call.
 const HELD_RETRY: Duration = Duration::from_millis(1);
 /// Idle-spout settle sweep cadence (the visit also expires stale trees).
 const SETTLE_SWEEP: Duration = Duration::from_millis(2);

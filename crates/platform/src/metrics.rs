@@ -29,8 +29,9 @@
 //! crate, every reading goes through the snapshot.
 //!
 //! Queue health comes from [`crate::channel::LinkStats`] gauges
-//! registered through [`Metrics::register_link`]: live depth (in
-//! batches), high-water mark, and backpressure stalls — the count of
+//! registered through [`Metrics::register_link`]: live depth (in inbox
+//! messages: data batches and control markers alike), high-water mark,
+//! and backpressure stalls — the count of
 //! bounded `send`s that found the queue full, and the total nanoseconds
 //! they spent blocked. This is Heron's backpressure signal, surfaced as
 //! a metric instead of a control-plane event.
@@ -415,9 +416,9 @@ pub struct HistogramSummary {
 /// Point-in-time view of one link gauge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkSnapshot {
-    /// Batches currently queued.
+    /// Messages currently queued (data batches and control markers).
     pub depth: u64,
-    /// Maximum queued batches ever observed (high-water mark).
+    /// Maximum queued messages ever observed (high-water mark).
     pub high_water: u64,
     /// Bounded sends that found the queue full (backpressure events).
     pub stalls: u64,

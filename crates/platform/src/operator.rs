@@ -49,7 +49,6 @@ use crate::checkpoint::CheckpointStore;
 use crate::log::{Log, Record};
 use crate::metrics::{CounterHandle, HistogramHandle, Metrics};
 use crate::rescale::{group_key, key_group, Shard, KEY_GROUPS};
-use crate::supervise::RestartPolicy;
 use crate::topology::{Bolt, OutputCollector, Spout};
 use crate::tuple::{Tuple, Value};
 use sa_core::codec::{ByteReader, ByteWriter};
@@ -76,27 +75,15 @@ pub struct OperatorConfig {
     /// This is how a compiled continuous query ([`crate::query`]) feeds
     /// its serving view *while the stream runs*, not only at drain; the
     /// emitted snapshot is exactly the durable checkpoint, so consumers
-    /// never observe state a crash could roll back.
+    /// never observe state a crash could roll back. It also sets when
+    /// the tail commits (see [`Checkpointed`]): at once on idle when a
+    /// reader waits on the partial, else once the input is quiet.
     pub emit_on_commit: bool,
-    /// In-place retry of *transient* commit failures (flaky disk, I/O
-    /// fault injection): up to `max_restarts` extra attempts, sleeping
-    /// the policy's capped exponential backoff between them (the
-    /// sliding-window fields are unused here). Retrying in place is what
-    /// prevents a replay storm — without it, every transient fault costs
-    /// a full replay-from-frontier cycle. `None` fails fast (the
-    /// pre-retry behaviour); permanent and corruption errors never
-    /// retry.
-    pub commit_retry: Option<RestartPolicy>,
 }
 
 impl Default for OperatorConfig {
     fn default() -> Self {
-        Self {
-            checkpoint_every: 256,
-            gc_horizon: Some(65_536),
-            emit_on_commit: false,
-            commit_retry: Some(RestartPolicy { max_restarts: 3, ..RestartPolicy::default() }),
-        }
+        Self { checkpoint_every: 256, gc_horizon: Some(65_536), emit_on_commit: false }
     }
 }
 
@@ -158,16 +145,6 @@ pub trait OperatorState: Send {
     /// The task's merged watermark advanced to `wm`.
     fn on_watermark(&mut self, _wm: u64, _out: &mut OutputCollector) {}
 
-    /// Whether this state may emit a [`OperatorState::partial`], so a
-    /// reader waits on its commits. `true` (the default) makes the
-    /// shell commit the tail on every idle. A state that emits none
-    /// (the window state: fired windows leave on the watermark) lets an
-    /// idle that follows fresh input defer the commit, which then only
-    /// releases held acks (see [`Checkpointed`]).
-    fn emits_partials(&self) -> bool {
-        true
-    }
-
     /// The partial to emit once a mid-run commit under
     /// [`OperatorConfig::emit_on_commit`] has made `snapshot` (this
     /// state's [`OperatorState::encode`]) durable under `key`, if any.
@@ -207,20 +184,23 @@ struct Sharding<St> {
 }
 
 /// The exactly-once operator shell (see the module docs for the
-/// protocol): dedup, the pending-id ledger, atomic commit with in-place
-/// retry, token GC, held acks and the commit schedule — written once,
-/// over any [`OperatorState`]. Use it through [`SynopsisBolt`] or
+/// protocol): dedup, the pending-id ledger, atomic commit, token GC,
+/// held acks and the commit schedule — written once, over any
+/// [`OperatorState`]. Use it through [`SynopsisBolt`] or
 /// [`crate::window::WindowBolt`].
 ///
 /// A slot commits when `checkpoint_every` fresh ids are pending, and
 /// every slot commits at flush. Between those, an idle commits the
-/// tail of a state that [emits partials](OperatorState::emits_partials)
-/// at once, since a reader waits on it. Any other state's tail commits
-/// on the first idle with no input since the previous one: nothing
-/// reads that commit but the held acks, and a task holding acks is
-/// re-run after a quiet tick (the runtime's `HELD_RETRY`), so the
-/// commit lands one tick after the input pauses, or at the cadence if
-/// it never does.
+/// tail at once under [`OperatorConfig::emit_on_commit`], since a
+/// reader waits on the partial. Otherwise the tail commits on the
+/// first idle with no input since the previous one: nothing reads that
+/// commit but the held acks, and a task holding acks is re-run after a
+/// quiet tick (the runtime's `HELD_RETRY`), so the commit lands one
+/// tick after the input pauses, or at the cadence if it never does.
+///
+/// A commit makes one attempt. A failed one keeps its pending ids and
+/// the task's acks held, so the next commit — at the cadence, on idle
+/// or on the `HELD_RETRY` re-run — retries it with anything newer.
 pub struct Checkpointed<St> {
     store: CheckpointStore,
     cfg: OperatorConfig,
@@ -228,20 +208,12 @@ pub struct Checkpointed<St> {
     slots: Vec<Slot<St>>,
     sharding: Option<Sharding<St>>,
     duplicates_skipped: u64,
-    /// Checkpoint writes rejected by the store after the in-place retry
-    /// budget (if any) was spent. The slot keeps its pending batch and
-    /// retries on a later commit.
-    commit_failures: u64,
-    /// Transient commit errors absorbed by in-place retry (each one a
-    /// replay cycle that did *not* happen).
-    commit_retries: u64,
-    /// `{component}.commit_failures` / `{component}.commit_retries`
-    /// counters and the `{component}.commit_us` histogram of commit
-    /// (encode + store write + gc) latency, wired by
+    /// The `{component}.commit_failures` counter (checkpoint writes the
+    /// store rejected) and the `{component}.commit_us` histogram of
+    /// commit (encode + store write + gc) latency, wired by
     /// [`Bolt::register_metrics`] when the bolt runs under an executor
     /// (absent when driven standalone).
-    commit_failures_ctr: Option<CounterHandle>,
-    commit_retries_ctr: Option<CounterHandle>,
+    commit_failures: Option<CounterHandle>,
     commit_us: Option<HistogramHandle>,
     /// Whether any slot was restored from a checkpoint.
     recovered: bool,
@@ -264,10 +236,7 @@ impl<St: OperatorState> Checkpointed<St> {
             slots: Vec::new(),
             sharding: None,
             duplicates_skipped: 0,
-            commit_failures: 0,
-            commit_retries: 0,
-            commit_failures_ctr: None,
-            commit_retries_ctr: None,
+            commit_failures: None,
             commit_us: None,
             recovered: false,
             fed: false,
@@ -425,27 +394,12 @@ impl<St: OperatorState> Checkpointed<St> {
         }
         let commit_start = Instant::now();
         let snapshot = slot.state.encode();
-        let mut attempt: u32 = 0;
-        loop {
-            let value = encode_checkpoint(slot.last_applied, &snapshot);
-            let Err(e) = self.store.commit_batch(&slot.key, &slot.pending, value) else { break };
-            let retry = self.cfg.commit_retry.as_ref();
-            if !e.is_transient() || attempt >= retry.map_or(0, |p| p.max_restarts) {
-                self.commit_failures += 1;
-                if let Some(c) = &self.commit_failures_ctr {
-                    c.add(1);
-                }
-                return false;
-            }
-            let backoff = retry.expect("budget > 0").backoff(attempt);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            attempt += 1;
-            self.commit_retries += 1;
-            if let Some(c) = &self.commit_retries_ctr {
+        let value = encode_checkpoint(slot.last_applied, &snapshot);
+        if self.store.commit_batch(&slot.key, &slot.pending, value).is_err() {
+            if let Some(c) = &self.commit_failures {
                 c.add(1);
             }
+            return false;
         }
         slot.pending.clear();
         if let Some(horizon) = self.cfg.gc_horizon {
@@ -481,18 +435,6 @@ impl<St: OperatorState> Checkpointed<St> {
     /// Replayed tuples dropped by deduplication.
     pub fn duplicates_skipped(&self) -> u64 {
         self.duplicates_skipped
-    }
-
-    /// Checkpoint writes the store rejected (state kept, retried later).
-    pub fn commit_failures(&self) -> u64 {
-        self.commit_failures
-    }
-
-    /// Transient commit errors absorbed by in-place retry
-    /// ([`OperatorConfig::commit_retry`]) — faults that did *not*
-    /// surface as a failed commit or a replay.
-    pub fn commit_retries(&self) -> u64 {
-        self.commit_retries
     }
 
     /// The live states, in key-group order: one for an unsharded task,
@@ -548,7 +490,7 @@ impl<St: OperatorState> Bolt for Checkpointed<St> {
         if !self.sync(out) {
             return;
         }
-        if std::mem::take(&mut self.fed) && !self.slots.iter().any(|s| s.state.emits_partials()) {
+        if std::mem::take(&mut self.fed) && !self.cfg.emit_on_commit {
             return;
         }
         let mut committed = false;
@@ -581,8 +523,7 @@ impl<St: OperatorState> Bolt for Checkpointed<St> {
     }
 
     fn register_metrics(&mut self, metrics: &Metrics, component: &str) {
-        self.commit_failures_ctr = Some(metrics.register(&format!("{component}.commit_failures")));
-        self.commit_retries_ctr = Some(metrics.register(&format!("{component}.commit_retries")));
+        self.commit_failures = Some(metrics.register(&format!("{component}.commit_failures")));
         self.commit_us = Some(metrics.register_histogram(&format!("{component}.commit_us")));
     }
 }
@@ -757,6 +698,12 @@ struct FrontierCheckpoint {
 /// [`LogSpout::new`] states; offsets are shifted by one so id 0 never
 /// occurs). Failed tuples are re-read
 /// from the log — the log *is* the replay buffer, as in Samza/Kafka.
+///
+/// Under [`crate::Semantics::AtMostOnce`] the executor never acks or
+/// fails a root, yet every emitted id still enters the in-flight set,
+/// so that set grows by one entry per record for the whole run (and
+/// the frontier never advances): a long `AtMostOnce` run holds one id
+/// per record it read.
 pub struct LogSpout<F> {
     log: Log,
     partition: usize,
@@ -1022,10 +969,10 @@ mod tests {
         assert_eq!(from_emit, *bolt.summary());
     }
 
-    /// Commits that fail on the storage backend (torn WAL appends, no
-    /// in-place retry) hold the acks and never advance the stored
-    /// checkpoint past what was released; the pending ids ride along
-    /// into the next commit, and the state stays intact throughout.
+    /// Commits that fail on the storage backend (torn WAL appends) hold
+    /// the acks and never advance the stored checkpoint past what was
+    /// released; the pending ids ride along into the next commit, and
+    /// the state stays intact throughout.
     #[test]
     fn failed_commit_keeps_pending_and_never_advances_offset() {
         use crate::checkpoint::DurableConfig;
@@ -1033,16 +980,16 @@ mod tests {
         let torn = StorageFaults::new(3).torn_appends(0.5);
         let storage = Arc::new(FaultyStorage::new(Arc::new(MemStorage::new()), torn));
         let store = CheckpointStore::durable(storage, "ckpt", DurableConfig::default()).unwrap();
-        let cfg = OperatorConfig { checkpoint_every: 2, commit_retry: None, ..Default::default() };
+        let cfg = OperatorConfig { checkpoint_every: 2, ..Default::default() };
         let mut bolt =
             SynopsisBolt::with_config("k", &store, CountSum::default(), apply, cfg).unwrap();
         let mut out = OutputCollector::new();
         let mut released = 0u64;
         for id in 1..=40u64 {
-            let failures = bolt.commit_failures();
+            let failures = store.failed_commits();
             (out.hold, out.release) = (false, false);
             bolt.execute(&int_tuple(1, id), &mut out);
-            if bolt.commit_failures() > failures {
+            if store.failed_commits() > failures {
                 assert!(out.hold && !out.release, "id {id}: failed commit must hold the acks");
             }
             if out.release {
@@ -1061,8 +1008,7 @@ mod tests {
                 }
             }
         }
-        assert!(bolt.commit_failures() > 0, "the fault plan must have fired");
-        assert_eq!(store.failed_commits(), bolt.commit_failures());
+        assert!(store.failed_commits() > 0, "the fault plan must have fired");
         assert_eq!(bolt.summary(), &CountSum { n: 40, sum: 40 }, "state intact");
     }
 
@@ -1078,6 +1024,7 @@ mod tests {
         }
         assert!(out.hold && store.get("k").is_none());
         bolt.on_idle(&mut out);
+        bolt.on_idle(&mut out);
         assert!(out.release);
         assert_eq!(decode_checkpoint(&store.get("k").unwrap().1).unwrap().0, 3);
         // Idle with nothing pending is a no-op.
@@ -1088,9 +1035,9 @@ mod tests {
 
     /// A windowed task's fed idle holds: nothing reads its commit but
     /// the held acks, so the commit waits for an idle with no input
-    /// since the last one. A whole-stream task under `emit_on_commit`
-    /// commits and emits its partial on the first idle: a view waits
-    /// on it.
+    /// since the last one. So does a whole-stream task without
+    /// `emit_on_commit`. One under `emit_on_commit` commits and emits
+    /// its partial on the first idle: a view waits on it.
     #[test]
     fn a_windowed_task_commits_on_a_quiet_idle_a_partial_emitter_at_once() {
         use crate::window::{WindowBolt, WindowConfig, WindowSpec};
@@ -1110,6 +1057,17 @@ mod tests {
         win.on_idle(&mut out);
         assert!(out.release, "the quiet idle commits and releases");
         assert_eq!(decode_checkpoint(&store.get("w").unwrap().1).unwrap().0, 4);
+
+        let cfg = OperatorConfig { checkpoint_every: 100, ..Default::default() };
+        let mut quiet =
+            SynopsisBolt::with_config("q", &store, CountSum::default(), apply, cfg).unwrap();
+        let mut out = OutputCollector::new();
+        quiet.execute(&int_tuple(1, 1), &mut out);
+        quiet.on_idle(&mut out);
+        assert!(out.hold && !out.release && store.get("q").is_none(), "a fed idle holds");
+        quiet.on_idle(&mut out);
+        assert!(out.release && out.emitted.is_empty(), "the quiet idle commits, emits nothing");
+        assert_eq!(decode_checkpoint(&store.get("q").unwrap().1).unwrap().0, 1);
 
         let cfg =
             OperatorConfig { checkpoint_every: 100, emit_on_commit: true, ..Default::default() };
@@ -1196,6 +1154,7 @@ mod tests {
         bolt.execute(&int_tuple(3, 3), &mut out);
         assert!(out.hold, "a replay of a pending id is held");
         bolt.on_idle(&mut out);
+        bolt.on_idle(&mut out);
         assert!(out.release, "the idle commit releases the held acks");
         out.hold = false;
         bolt.execute(&int_tuple(3, 3), &mut out);
@@ -1270,6 +1229,7 @@ mod tests {
         assert_eq!((bolt.last_applied(), bolt.summary()), (7, &CountSum { n: 3, sum: 30 }));
         let mut out = OutputCollector::new();
         bolt.execute(&int_tuple(5, 9), &mut out);
+        bolt.on_idle(&mut out);
         bolt.on_idle(&mut out);
         assert_eq!(store.get("k").unwrap().1, golden(9, CountSum { n: 4, sum: 35 }));
         assert_eq!(store.len(), 1, "nothing is written beside the caller's key");

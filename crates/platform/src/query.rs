@@ -293,10 +293,12 @@ where
         // One checkpointed operator per task slot. A Fixed task keeps
         // its state in one slot under "{agg_name}/{task}"; an Auto task
         // is the same operator sharded by key-group, one slot per owned
-        // group under the task-agnostic "{agg_name}@g{group}".
+        // group under the task-agnostic "{agg_name}@g{group}". A window
+        // state emits no partial (fired windows leave on the watermark),
+        // so a windowed task commits its tail once the input is quiet.
         let cfg = OperatorConfig {
             checkpoint_every: plan.checkpoint_every,
-            emit_on_commit: true,
+            emit_on_commit: !windowed,
             ..OperatorConfig::default()
         };
         let window = plan.window.map(|spec| WindowConfig {

@@ -677,6 +677,7 @@ mod tests {
         // Commit the tail so every group is durable.
         let mut out = OutputCollector::new();
         t0.on_idle(&mut out);
+        t0.on_idle(&mut out);
         assert!(out.release, "idle commit releases the ledger");
 
         // Rescale 1 → 2 through the quiesce protocol.
@@ -779,6 +780,7 @@ mod tests {
             feed(&mut bolt, &format!("k{i}"));
         }
         bolt.on_idle(&mut OutputCollector::new());
+        bolt.on_idle(&mut OutputCollector::new());
         let versions = |store: &CheckpointStore| -> Vec<Option<u64>> {
             (0..KEY_GROUPS).map(|g| store.get(&group_key("kg", g)).map(|(v, _)| v)).collect()
         };
@@ -786,6 +788,7 @@ mod tests {
         let (a, b) = keys_in_two_groups();
         feed(&mut bolt, &a);
         feed(&mut bolt, &b);
+        bolt.on_idle(&mut OutputCollector::new());
         bolt.on_idle(&mut OutputCollector::new());
         let after = versions(&store);
         let bumped: Vec<usize> = (0..KEY_GROUPS).filter(|&g| before[g] != after[g]).collect();

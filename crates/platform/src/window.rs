@@ -440,12 +440,6 @@ impl<S: Synopsis + Merge + Clone + Send, F: FnMut(&Tuple, &mut S) + Send> Operat
         r.finish()
     }
 
-    /// None: fired windows leave on the watermark, so a commit only
-    /// releases held acks.
-    fn emits_partials(&self) -> bool {
-        false
-    }
-
     fn on_watermark(&mut self, wm: u64, out: &mut OutputCollector) {
         // The executor's merger is monotone; max() guards unit tests
         // driving this directly.

@@ -79,11 +79,14 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml \
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
 echo "== benchmark smoke (repo benchmark builds, runs, matches its reference) =="
-# Two quick workloads, untraced and traced; run.sh exits non-zero on a
-# reference mismatch. drain_mem is the saturated path; paced_mem is the
-# open-loop one, where the windowed tasks go idle between small batches
-# and commit once their input has been quiet for a tick.
+# Three quick workloads, untraced and traced; run.sh exits non-zero on
+# a reference mismatch. drain_mem is the saturated path; drain_disk is
+# the only workload whose checkpoints go through a durable WAL and whose
+# restart replays from it; paced_mem is the open-loop one, where the
+# windowed tasks go idle between small batches and commit once their
+# input has been quiet for a tick.
 bash benchmark/run.sh --quick --workload drain_mem > /dev/null
+bash benchmark/run.sh --quick --workload drain_disk > /dev/null
 bash benchmark/run.sh --quick --workload paced_mem > /dev/null
 
 if $in_git; then

@@ -1,5 +1,5 @@
 //! Durable-storage integration: transient I/O faults are absorbed by
-//! in-place commit retry (no replay storm), and — the tentpole — a
+//! the next commit (no replay storm), and — the tentpole — a
 //! topology SIGKILLed mid-stream in a *child process* restarts against
 //! the same data directory and recovers counts bit-identical to an
 //! uninterrupted exactly-once reference, on both schedulers and through
@@ -55,16 +55,7 @@ fn wordcount_topology(
             }
             s.insert(t.get(0).unwrap().as_str().unwrap().to_string());
         };
-        let cfg = OperatorConfig {
-            checkpoint_every: 25,
-            commit_retry: Some(RestartPolicy {
-                max_restarts: 8,
-                backoff_base: Duration::from_micros(10),
-                backoff_cap: Duration::from_micros(200),
-                ..RestartPolicy::default()
-            }),
-            ..Default::default()
-        };
+        let cfg = OperatorConfig { checkpoint_every: 25, ..Default::default() };
         // k = 64 > 30 distinct words: SpaceSaving counts are exact, so
         // any lost or double-applied record is a count mismatch.
         let bolt = SynopsisBolt::with_config(
@@ -100,55 +91,58 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: transient commit faults retry in place, zero replays
+// Satellite: transient commit faults retry at the next commit, zero replays
 // ---------------------------------------------------------------------
 
 /// The replay-storm regression: seeded transient I/O faults (plus a few
-/// torn appends) hit the checkpoint WAL mid-run. In-place retry with
-/// capped backoff must absorb every one of them — zero failed commits,
-/// zero replayed roots, exact counts — and the absorbed faults must be
-/// visible as `wc.commit_retries` in the snapshot and its JSON.
+/// torn appends) hit the checkpoint WAL mid-run. A failed commit keeps
+/// its ids pending and its acks held, and the next commit (cadence,
+/// idle, or the runtime's held-ack re-run) retries it — so the faults
+/// show as `wc.commit_failures` in the snapshot and its JSON, yet no
+/// root replays and the counts are exact, under both drivers.
 #[test]
-fn transient_commit_faults_retry_in_place_without_replay() {
-    let log = Log::new(1).unwrap();
-    let truth = fill_log(&log, 2_000, 42);
+fn transient_commit_faults_retry_at_the_next_commit_without_replay() {
+    for scheduling in [Scheduling::ThreadPerTask, Scheduling::WorkStealing { workers: 2 }] {
+        let log = Log::new(1).unwrap();
+        let truth = fill_log(&log, 2_000, 42);
 
-    let plan =
-        FaultPlan::new(7).storage(StorageFaults::new(0).transient_errors(0.05).torn_appends(0.02));
-    assert!(!plan.is_empty(), "storage faults must count as a non-empty plan");
-    let storage = plan.wrap_storage(Arc::new(MemStorage::new()));
-    let store = CheckpointStore::durable(storage, "ckpt", DurableConfig::default()).unwrap();
+        let plan = FaultPlan::new(7)
+            .storage(StorageFaults::new(0).transient_errors(0.05).torn_appends(0.02));
+        assert!(!plan.is_empty(), "storage faults must count as a non-empty plan");
+        let storage = plan.wrap_storage(Arc::new(MemStorage::new()));
+        let store = CheckpointStore::durable(storage, "ckpt", DurableConfig::default()).unwrap();
 
-    let result = run_topology(
-        wordcount_topology(&log, &store, None),
-        ExecutorConfig {
-            semantics: Semantics::AtLeastOnce,
-            scheduling: Scheduling::ThreadPerTask,
-            seed: 7,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(result.clean_shutdown);
-    assert_eq!(merged_counts(&result.outputs), truth, "faulty-commit counts drifted");
+        let result = run_topology(
+            wordcount_topology(&log, &store, None),
+            ExecutorConfig {
+                semantics: Semantics::AtLeastOnce,
+                scheduling,
+                seed: 7,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(result.clean_shutdown, "{scheduling:?}");
+        assert_eq!(merged_counts(&result.outputs), truth, "{scheduling:?}: counts drifted");
 
-    let snap = result.metrics.snapshot();
-    assert!(
-        snap.counter("wc.commit_retries") > 0,
-        "fault plan never fired — the regression test tests nothing"
-    );
-    assert_eq!(snap.counter("wc.commit_failures"), 0, "retry budget failed to absorb a fault");
-    assert_eq!(snap.replayed_roots, 0, "a transient fault caused a replay storm");
-    assert!(snap.to_json().contains("\"wc.commit_retries\""), "retries missing from JSON");
+        let snap = result.metrics.snapshot();
+        assert!(
+            snap.counter("wc.commit_failures") > 0,
+            "{scheduling:?}: fault plan never fired — the regression test tests nothing"
+        );
+        assert_eq!(snap.counter("wc.commit_failures"), store.failed_commits(), "{scheduling:?}");
+        assert_eq!(snap.replayed_roots, 0, "{scheduling:?}: a transient fault caused a replay");
+        assert!(snap.to_json().contains("\"wc.commit_failures\""), "failures missing from JSON");
 
-    // The storage counters ride the same snapshot once exported.
-    let stats = store.storage_stats().expect("durable store exposes stats");
-    let (fsyncs, bytes, _torn) = stats.totals();
-    assert!(fsyncs > 0 && bytes > 0, "durable run must have synced and written");
-    stats.export_metrics(&result.metrics);
-    let snap = result.metrics.snapshot();
-    assert_eq!(snap.counter("storage.fsyncs"), fsyncs);
-    assert!(snap.to_json().contains("\"storage.bytes_written\""));
+        // The storage counters ride the same snapshot once exported.
+        let stats = store.storage_stats().expect("durable store exposes stats");
+        let (fsyncs, bytes, _torn) = stats.totals();
+        assert!(fsyncs > 0 && bytes > 0, "durable run must have synced and written");
+        stats.export_metrics(&result.metrics);
+        let snap = result.metrics.snapshot();
+        assert_eq!(snap.counter("storage.fsyncs"), fsyncs);
+        assert!(snap.to_json().contains("\"storage.bytes_written\""));
+    }
 }
 
 // ---------------------------------------------------------------------
